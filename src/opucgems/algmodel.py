@@ -32,6 +32,7 @@ from .laurent import (
     GaussianRational,
     LaurentPoly,
     VarTable,
+    _accumulate,
     divided_diff,
     exact_div,
     substitute,
@@ -161,14 +162,14 @@ def hom_sym(points: Sequence[LaurentPoly], degree: int) -> LaurentPoly:
     table = points[0].table
     if degree < 0:
         return table.zero()
-    total = table.zero()
+    out: dict = {}
     for comp in compositions(degree, len(points)):
         term = table.one()
         for point, power in zip(points, comp):
             if power:
                 term = term * point ** power
-        total = total + term
-    return total
+        _accumulate(out, term.terms.items())
+    return LaurentPoly(table, out)
 
 
 # -- index tuples ------------------------------------------------------------------
@@ -261,30 +262,38 @@ def phi_eval(p: LaurentPoly, alpha: VerblunskySeq, n: int,
     Every pair contributes ``alpha_{n+b} * conj(alpha_{n+g})``, including
     pairs with zero exponents, so ``phi(1) = |alpha_n|^{2k}``.
     """
-    table = p.table
-    pairs = _pair_slot_pairs(table)
-    unit_values = unit_values or {}
     total = 0j
-    for e, c in p.terms.items():
+    for coeff, exps in phi_terms(p, unit_values or {}):
+        value = coeff
+        for beta, gamma in exps:
+            value *= alpha(n + beta) * np.conj(alpha(n + gamma))
+        total += value
+    return total
+
+
+def phi_terms(poly: LaurentPoly, unit_values: Mapping[str, complex]) -> list:
+    """Compile a polynomial for phi: one ``(coeff, ((b_1, g_1), ...))`` per term.
+
+    ``coeff`` is the coefficient times the unit-symbol values and
+    ``(b_p, g_p)`` are the exponents of ``x_p`` and ``y_p``.  Raises
+    :class:`ModelError` on plain symbols and negative pair exponents.
+    """
+    table = poly.table
+    xs = [i for i, kind in enumerate(table.kinds) if kind == "x"]
+    ys = [i for i, kind in enumerate(table.kinds) if kind == "y"]
+    compiled = []
+    for e, c in poly.terms.items():
         value = complex(c)
         for slot, (name, kind) in enumerate(zip(table.names, table.kinds)):
             if kind == "z" and e[slot]:
                 value *= unit_values[name] ** e[slot]
             elif kind == "a" and e[slot]:
                 raise ModelError("phi is undefined on plain symbols")
-        for x_slot, y_slot in pairs:
-            beta, gamma = e[x_slot], e[y_slot]
-            if beta < 0 or gamma < 0:
-                raise ModelError("phi needs nonnegative pair exponents")
-            value *= alpha(n + beta) * np.conj(alpha(n + gamma))
-        total += value
-    return total
-
-
-def _pair_slot_pairs(table: VarTable) -> list:
-    xs = [i for i, kind in enumerate(table.kinds) if kind == "x"]
-    ys = [i for i, kind in enumerate(table.kinds) if kind == "y"]
-    return list(zip(xs, ys))
+        exps = tuple((e[x], e[y]) for x, y in zip(xs, ys))
+        if any(beta < 0 or gamma < 0 for beta, gamma in exps):
+            raise ModelError("phi needs nonnegative pair exponents")
+        compiled.append((value, exps))
+    return compiled
 
 
 # -- symbolic trace expansion --------------------------------------------------------
@@ -324,13 +333,12 @@ def trace_symbolic(l: int, n_sym: int) -> LaurentPoly:
             entry_cache[key] = cached
         return cached
 
-    total = table.zero()
+    out: dict = {}
 
     def rec(start: int, pos: int, remaining: int, acc: LaurentPoly):
-        nonlocal total
         if remaining == 1:
             if start >= pos - 1:
-                total = total + acc * entry(pos, start)
+                _accumulate(out, (acc * entry(pos, start)).terms.items())
             return
         lo = max(pos - 1, 0)
         hi = min(n_sym - 1, start + remaining - 1)
@@ -339,7 +347,7 @@ def trace_symbolic(l: int, n_sym: int) -> LaurentPoly:
 
     for start in range(n_sym):
         rec(start, start, l, table.one())
-    return total
+    return LaurentPoly(table, out)
 
 
 def degree_part(p: LaurentPoly, degree: int) -> LaurentPoly:
@@ -383,25 +391,23 @@ def trace_expansion_check(k: int, l: int) -> TraceExpansionResult:
     table = actual.table
 
     weight = GaussianRational(Fraction((-1) ** k * l, k))
-    predicted: dict = {}
     tuples = enum_d(k, l)
-    for n in range(max(l - 1, 0), n_sym - l):
-        for tup in tuples:
-            vec = [0] * table.arity
-            ok = True
-            for p in range(k):
-                i_idx = n + tup[2 * p]
-                j_idx = n + tup[2 * p + 1]
-                if not (0 <= i_idx < n_sym and 0 <= j_idx < n_sym):
-                    ok = False
-                    break
-                vec[i_idx] += 1
-                vec[n_sym + j_idx] += 1
-            if not ok:
-                continue
-            key = tuple(vec)
-            predicted[key] = predicted.get(key, GaussianRational(0)) + weight
-    predicted = {e: c for e, c in predicted.items() if c}
+
+    def predicted_terms():
+        for n in range(max(l - 1, 0), n_sym - l):
+            for tup in tuples:
+                vec = [0] * table.arity
+                for p in range(k):
+                    i_idx = n + tup[2 * p]
+                    j_idx = n + tup[2 * p + 1]
+                    if not (0 <= i_idx < n_sym and 0 <= j_idx < n_sym):
+                        break
+                    vec[i_idx] += 1
+                    vec[n_sym + j_idx] += 1
+                else:
+                    yield tuple(vec), weight
+
+    predicted = _accumulate({}, predicted_terms())
 
     def interior(e: tuple) -> bool:
         for slot, exp in enumerate(e):
@@ -434,6 +440,11 @@ def _embedded_coeffs(h: TrigPoly, table: VarTable) -> dict:
     return {l: poly.embed(table) for l, poly in h.coeffs.items()}
 
 
+def _sign(k: int) -> GaussianRational:
+    """The route sign ``(-1)^{k+1}``."""
+    return GR_ONE if k % 2 else -GR_ONE
+
+
 def g2k_trace_scaled(k: int, h: TrigPoly) -> LaurentPoly:
     """Trace-route ``k * Z_H * G_2k`` in normal form.
 
@@ -443,21 +454,18 @@ def g2k_trace_scaled(k: int, h: TrigPoly) -> LaurentPoly:
     """
     if k < 1:
         raise ModelError("k must be positive")
-    d = h.degree
     table = table_for(k, h)
     hc = _embedded_coeffs(h, table)
-    total = table.zero()
-    for l in range(1, d + 1):
-        if l < k:
-            continue
-        s_pos = table.zero()
-        s_neg = table.zero()
+    out: dict = {}
+    for l in range(k, h.degree + 1):
+        s_pos: dict = {}
+        s_neg: dict = {}
         for tup in enum_d(k, l):
-            s_pos = s_pos + _tuple_monomial_pos(table, tup, k)
-            s_neg = s_neg + _tuple_monomial_neg(table, tup, k)
-        total = total + hc[l] * s_pos + hc[-l] * s_neg
-    sign = GR_ONE if k % 2 == 1 else -GR_ONE
-    return (total * sign).normal_form()
+            _accumulate(s_pos, _tuple_monomial_pos(table, tup, k).terms.items())
+            _accumulate(s_neg, _tuple_monomial_neg(table, tup, k).terms.items())
+        _accumulate(out, (hc[l] * LaurentPoly(table, s_pos)).terms.items())
+        _accumulate(out, (hc[-l] * LaurentPoly(table, s_neg)).terms.items())
+    return (LaurentPoly(table, out) * _sign(k)).normal_form()
 
 
 def hl_double_sum(k: int, h: TrigPoly) -> LaurentPoly:
@@ -480,20 +488,14 @@ def hl_double_sum(k: int, h: TrigPoly) -> LaurentPoly:
     a_pts = a_monomials(table, k)
     b_pts = b_monomials(table, k)
     f2 = divided_diff(a_pts, f1, "hl_t")
-    ds = divided_diff(b_pts, f2, "hl_s")
-    for p in b_pts:
-        ds = ds * p
-    target = table_for(k, h)
-    return ds.project(target)
+    ds = math.prod(b_pts, start=divided_diff(b_pts, f2, "hl_s"))
+    return ds.project(table_for(k, h))
 
 
 def g2k_hl_scaled_dd(k: int, h: TrigPoly) -> LaurentPoly:
     """Divided-difference route for ``k * Z_H * G'_2k`` in normal form."""
-    table = table_for(k, h)
-    ds = hl_double_sum(k, h)
-    sign = GR_ONE if k % 2 == 1 else -GR_ONE
-    z_h = h.coeffs[0].embed(table)
-    return (ds * sign - z_h).normal_form()
+    z_h = h.coeffs[0].embed(table_for(k, h))
+    return (hl_double_sum(k, h) * _sign(k) - z_h).normal_form()
 
 
 def g2k_hl_scaled_hom(k: int, h: TrigPoly) -> LaurentPoly:
@@ -503,26 +505,32 @@ def g2k_hl_scaled_hom(k: int, h: TrigPoly) -> LaurentPoly:
     and the negative part ``h_l(e) * prod(d) * h_{l-k}(d)``; the constant
     from the l = 0 coefficient cancels the ``- Z_H`` exactly.
     """
-    d = h.degree
     table = table_for(k, h)
+    ds = _hom_double_sum(k, h, table, e_monomials(table, k))
+    return (ds * _sign(k)).normal_form()
+
+
+def _hom_double_sum(k: int, h: TrigPoly, table: VarTable,
+                    neg_pts: Sequence[LaurentPoly]) -> LaurentPoly:
+    """``sum_{l=k}^{d} h_l * pos_l + h_{-l} * neg_l`` by complete homogeneous sums.
+
+    ``pos_l = h_l(a) * prod(b) * h_{l-k}(b)`` and ``neg_l = h_l(neg_pts) *
+    prod(d) * h_{l-k}(d)``; the negative point set is e (quotient ring) or
+    c (cleared exponents).
+    """
     hc = _embedded_coeffs(h, table)
     a_pts = a_monomials(table, k)
     b_pts = b_monomials(table, k)
     d_pts = d_monomials(table, k)
-    e_pts = e_monomials(table, k)
-    prod_b = table.one()
-    for p in b_pts:
-        prod_b = prod_b * p
-    prod_d = table.one()
-    for p in d_pts:
-        prod_d = prod_d * p
-    total = table.zero()
-    for l in range(max(k, 1), d + 1):
+    prod_b = math.prod(b_pts, start=table.one())
+    prod_d = math.prod(d_pts, start=table.one())
+    out: dict = {}
+    for l in range(k, h.degree + 1):
         pos = hom_sym(a_pts, l) * prod_b * hom_sym(b_pts, l - k)
-        neg = hom_sym(e_pts, l) * prod_d * hom_sym(d_pts, l - k)
-        total = total + hc[l] * pos + hc[-l] * neg
-    sign = GR_ONE if k % 2 == 1 else -GR_ONE
-    return (total * sign).normal_form()
+        neg = hom_sym(neg_pts, l) * prod_d * hom_sym(d_pts, l - k)
+        _accumulate(out, (hc[l] * pos).terms.items())
+        _accumulate(out, (hc[-l] * neg).terms.items())
+    return LaurentPoly(table, out)
 
 
 @dataclass
@@ -590,10 +598,8 @@ def hl_part(k: int, h: TrigPoly) -> LaurentPoly:
     the critical point; the constant -1/k is class-invariant and is
     handled by the logarithm expansion instead.
     """
-    table = table_for(k, h)
     ds = hl_double_sum(k, h)
-    sign = GR_ONE if k % 2 == 1 else -GR_ONE
-    return _divide_by_scale((ds * sign).normal_form(), k, h)
+    return _divide_by_scale((ds * _sign(k)).normal_form(), k, h)
 
 
 def basis_relation_check(k: int) -> bool:
@@ -652,15 +658,13 @@ def constant_partial_sums(k: int) -> tuple:
     table = VarTable.build(0, units=[f"t{i}" for i in range(1, k + 1)],
                            plain=("s",))
     pts = [table.var(f"t{i}") for i in range(1, k + 1)]
-    sign = GR_ONE if k % 2 == 1 else -GR_ONE
+    sign = _sign(k)
 
     a_poly = divided_diff(pts, table.var("s", k - 1), "s") * sign
     if not a_poly.is_monomial and not a_poly.is_zero:
         raise ModelError("first constant sum did not collapse to a scalar")
 
-    prod_t = table.one()
-    for p in pts:
-        prod_t = prod_t * p
+    prod_t = math.prod(pts, start=table.one())
     b_poly = divided_diff(pts, table.var("s", -1), "s") * prod_t * sign
     a_val = a_poly.constant_value()
     b_val = b_poly.constant_value()
@@ -687,47 +691,17 @@ def site_poly(k: int, h: TrigPoly) -> LaurentPoly:
     result lies in the plain polynomial ring; a negative exponent would
     mean a broken identity and raises.
     """
-    d = h.degree
-    if k > d:
+    if k > h.degree:
         raise ModelError("k cannot exceed the weight degree")
     table = table_for(k, h)
-    hc = _embedded_coeffs(h, table)
-    a_pts = a_monomials(table, k)
-    b_pts = b_monomials(table, k)
-    c_pts = c_monomials(table, k)
-    d_pts = d_monomials(table, k)
-    prod_b = table.one()
-    for p in b_pts:
-        prod_b = prod_b * p
-    prod_d = table.one()
-    for p in d_pts:
-        prod_d = prod_d * p
-    sign = GR_ONE if k % 2 == 1 else -GR_ONE
-    total = hc[0] * sign
-    for l in range(max(k, 1), d + 1):
-        pos = hom_sym(a_pts, l) * prod_b * hom_sym(b_pts, l - k)
-        neg = hom_sym(c_pts, l) * prod_d * hom_sym(d_pts, l - k)
-        total = total + hc[l] * pos + hc[-l] * neg
+    total = (h.coeffs[0].embed(table) * _sign(k)
+             + _hom_double_sum(k, h, table, c_monomials(table, k)))
     out = total * pair_product(table, k, 2 * k)
     pair_slots = table.pair_slots()
     for e in out.terms:
         if any(e[i] < 0 for i in pair_slots):
             raise ModelError("site polynomial has a negative exponent")
     return out
-
-
-def _compile_site_terms(poly: LaurentPoly, unit_values: Mapping[str, complex]) -> list:
-    table = poly.table
-    pairs = _pair_slot_pairs(table)
-    compiled = []
-    for e, c in poly.terms.items():
-        value = complex(c)
-        for slot, (name, kind) in enumerate(zip(table.names, table.kinds)):
-            if kind == "z" and e[slot]:
-                value *= unit_values[name] ** e[slot]
-        exps = tuple((e[x], e[y]) for x, y in pairs)
-        compiled.append((value, exps))
-    return compiled
 
 
 def site_functional(alpha: VerblunskySeq, n: int, h: TrigPoly) -> float:
@@ -744,8 +718,7 @@ def site_functional(alpha: VerblunskySeq, n: int, h: TrigPoly) -> float:
     compiled = []
     max_shift = 0
     for k in range(1, d + 1):
-        poly = site_poly(k, h)
-        terms = _compile_site_terms(poly, unit_values)
+        terms = phi_terms(site_poly(k, h), unit_values)
         pref = (-1) ** (k + 1) / (k * z_h)
         compiled.append((k, pref, terms))
         for _, exps in terms:
@@ -753,7 +726,7 @@ def site_functional(alpha: VerblunskySeq, n: int, h: TrigPoly) -> float:
                 max_shift = max(max_shift, beta, gamma)
 
     a_vals = np.array([alpha(m) for m in range(n + max_shift + 1)], dtype=complex)
-    if a_vals.size and np.max(np.abs(a_vals[:n])) >= 1.0:
+    if not np.all(np.abs(a_vals[:n]) < 1.0):
         raise ModelError("Verblunsky coefficients must satisfy |alpha| < 1")
     a_conj = np.conj(a_vals)
     total = 0.0

@@ -24,7 +24,7 @@ import sys
 from fractions import Fraction
 
 from . import algmodel, lab
-from .opuc import VerblunskySeq, bs_weight_quadrature
+from .opuc import OpucError, VerblunskySeq, bs_weight_quadrature
 from .trig import CriticalPoints, TrigError, build_h
 
 EXIT_OK = 0
@@ -166,7 +166,7 @@ def cmd_gem(args) -> int:
         points = CriticalPoints.from_json(config["criticalPoints"])
         schedule = config.get("schedule", list(lab.DEFAULT_SCHEDULE))
         report = lab.convergence_study(family, points, schedule)
-    except (KeyError, lab.LabError, TrigError) as exc:
+    except (KeyError, ValueError, TypeError, lab.LabError, TrigError, OpucError) as exc:
         _say(f"gem: bad config: {exc}")
         return EXIT_BAD_INPUT
     _emit(report.to_json())

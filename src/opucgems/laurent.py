@@ -13,14 +13,17 @@ distinguishes three kinds of variables:
   symbols, substitution slots).
 
 All values are immutable after construction and every operation is pure,
-so polynomials can be shared freely across threads.
+so polynomials can be shared freely across threads.  :func:`_accumulate`
+is the only place the layer merges coefficients (add, then drop a zero
+sum); it mutates only dicts the calling operation owns, never the
+``terms`` of a constructed polynomial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 
 class LaurentError(Exception):
@@ -58,10 +61,9 @@ class GaussianRational:
 
     @staticmethod
     def coerce(value) -> "GaussianRational":
-        if isinstance(value, GaussianRational):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return GaussianRational(value)
+        out = GaussianRational._try_coerce(value)
+        if out is not None:
+            return out
         if isinstance(value, complex):
             raise TypeError("floating-point values cannot enter exact arithmetic")
         raise TypeError(f"cannot coerce {value!r} to a Gaussian rational")
@@ -296,15 +298,7 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             other = self.table.const(other)
         self._check_table(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            acc = out.get(e)
-            s = c if acc is None else acc + c
-            if s:
-                out[e] = s
-            elif acc is not None:
-                del out[e]
-        return LaurentPoly(self.table, out)
+        return LaurentPoly(self.table, _accumulate(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
 
@@ -329,16 +323,8 @@ class LaurentPoly:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
-        out: dict = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                acc = out.get(key)
-                s = ca * cb if acc is None else acc + ca * cb
-                if s:
-                    out[key] = s
-                elif acc is not None:
-                    del out[key]
+        out = _accumulate({}, ((tuple(x + y for x, y in zip(ea, eb)), ca * cb)
+                               for ea, ca in a.items() for eb, cb in b.items()))
         return LaurentPoly(self.table, out)
 
     __rmul__ = __mul__
@@ -370,21 +356,17 @@ class LaurentPoly:
         """Apply the table conjugation: i -> -i, z -> 1/z, x_p <-> y_p."""
         perm = self.table.conj_permutation()
         kinds = self.table.kinds
-        out: dict = {}
-        for e, c in self.terms.items():
+
+        def conj_key(e: tuple) -> tuple:
             vec = [e[perm[i]] for i in range(len(e))]
             for i, kind in enumerate(kinds):
                 if kind == "z":
                     vec[i] = -vec[i]
                 elif kind == "a" and vec[i] != 0:
                     raise LaurentError("cannot conjugate a plain symbol")
-            key = tuple(vec)
-            acc = out.get(key)
-            s = c.conjugate() if acc is None else acc + c.conjugate()
-            if s:
-                out[key] = s
-            elif acc is not None:
-                del out[key]
+            return tuple(vec)
+
+        out = _accumulate({}, ((conj_key(e), c.conjugate()) for e, c in self.terms.items()))
         return LaurentPoly(self.table, out)
 
     # -- quotient ring normal form ------------------------------------------
@@ -400,22 +382,17 @@ class LaurentPoly:
         slots = self.table.pair_slots()
         if not slots:
             raise LaurentError("normal form needs at least one variable pair")
-        out: dict = {}
-        for e, c in self.terms.items():
+
+        def reduced(e: tuple) -> tuple:
             shift = min(e[i] for i in slots)
-            if shift:
-                vec = list(e)
-                for i in slots:
-                    vec[i] -= shift
-                key = tuple(vec)
-            else:
-                key = e
-            acc = out.get(key)
-            s = c if acc is None else acc + c
-            if s:
-                out[key] = s
-            elif acc is not None:
-                del out[key]
+            if not shift:
+                return e
+            vec = list(e)
+            for i in slots:
+                vec[i] -= shift
+            return tuple(vec)
+
+        out = _accumulate({}, ((reduced(e), c) for e, c in self.terms.items()))
         return LaurentPoly(self.table, out)
 
     # -- embeddings and evaluation -------------------------------------------
@@ -492,6 +469,24 @@ class LaurentPoly:
         return f"<LaurentPoly {self.to_text()}>"
 
 
+# -- coefficient merging ------------------------------------------------------
+
+
+def _accumulate(out: dict, items: Iterable[tuple]) -> dict:
+    """Add ``(key, coeff)`` pairs into ``out``; a key whose sum is zero is dropped.
+
+    ``out`` must be a dict the calling operation owns.  Returns ``out``.
+    """
+    for key, c in items:
+        acc = out.get(key)
+        s = c if acc is None else acc + c
+        if s:
+            out[key] = s
+        elif acc is not None:
+            del out[key]
+    return out
+
+
 # -- exact division -----------------------------------------------------------
 
 
@@ -547,14 +542,8 @@ def exact_div(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
             raise NonDivisible("leading term not divisible")
         factor = rem[lead_p] / lead_q_coeff
         quotient[diff] = factor
-        for e, c in q_hat.items():
-            key = tuple(a + b for a, b in zip(e, diff))
-            acc = rem.get(key)
-            s = -(factor * c) if acc is None else acc - factor * c
-            if s:
-                rem[key] = s
-            elif acc is not None:
-                del rem[key]
+        _accumulate(rem, ((tuple(a + b for a, b in zip(e, diff)), -(factor * c))
+                          for e, c in q_hat.items()))
 
     shift = tuple(a - b for a, b in zip(p_shift, q_shift))
     out = {tuple(a + b for a, b in zip(e, shift)): c for e, c in quotient.items()}
@@ -594,7 +583,7 @@ def substitute(p: LaurentPoly, bindings: Mapping[str, LaurentPoly]) -> LaurentPo
             power_cache[key] = cached
         return cached
 
-    result = table.zero()
+    out: dict = {}
     for e, c in p.terms.items():
         vec = list(e)
         factors = []
@@ -605,8 +594,8 @@ def substitute(p: LaurentPoly, bindings: Mapping[str, LaurentPoly]) -> LaurentPo
         term = LaurentPoly(table, {tuple(vec): c})
         for f in factors:
             term = term * f
-        result = result + term
-    return result
+        _accumulate(out, term.terms.items())
+    return LaurentPoly(table, out)
 
 
 # -- divided differences ---------------------------------------------------------

@@ -44,7 +44,7 @@ class VerblunskySeq:
     def from_values(values: Sequence[complex]) -> "VerblunskySeq":
         vals = [complex(v) for v in values]
         for v in vals:
-            if abs(v) >= 1.0:
+            if not abs(v) < 1.0:
                 raise OpucError("Verblunsky coefficients must satisfy |alpha| < 1")
         return VerblunskySeq(
             lambda n: vals[n] if n < len(vals) else 0.0 + 0.0j,
@@ -62,7 +62,7 @@ class VerblunskySeq:
     def head(self, n: int) -> np.ndarray:
         """``alpha_0 .. alpha_{n-1}`` as an array, validating |alpha| < 1."""
         out = np.array([self(k) for k in range(n)], dtype=complex)
-        if out.size and np.max(np.abs(out)) >= 1.0:
+        if not np.all(np.abs(out) < 1.0):
             raise OpucError("Verblunsky coefficients must satisfy |alpha| < 1")
         return out
 

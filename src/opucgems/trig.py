@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .laurent import GR_I, GaussianRational, LaurentPoly, VarTable
+from .laurent import GR_I, GaussianRational, LaurentPoly, VarTable, _accumulate
 
 
 class TrigError(Exception):
@@ -188,15 +188,8 @@ class TrigPoly:
 
 
 def _convolve(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for la, ca in a.items():
-        for lb, cb in b.items():
-            key = la + lb
-            if key in out:
-                out[key] = out[key] + ca * cb
-            else:
-                out[key] = ca * cb
-    return out
+    return _accumulate({}, ((la + lb, ca * cb)
+                            for la, ca in a.items() for lb, cb in b.items()))
 
 
 def build_h(points: CriticalPoints, mode: str = "exact") -> TrigPoly:

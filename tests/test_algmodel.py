@@ -1,6 +1,7 @@
 """Index tuples, the evaluation map, trace expansions and the G_2k builders."""
 
 import cmath
+import hashlib
 import math
 from fractions import Fraction
 
@@ -22,7 +23,9 @@ from opucgems.algmodel import (
     degree_part,
     enum_d,
     enum_d_direct,
+    g2k_hl_scaled_hom,
     g2k_routes_check,
+    g2k_trace_scaled,
     g2k_trace_symbolic,
     hl_double_sum,
     hl_part,
@@ -265,6 +268,56 @@ def test_route_equivalence_with_exact_fixed_angles():
     h = build_h(CriticalPoints.from_pairs([(Fraction(0), 1), (Fraction(1, 2), 1)]))
     assert g2k_routes_check(1, h).passed
     assert g2k_routes_check(2, h).passed
+
+
+# SHA-256 of to_text() for fixed inputs: the exact normal forms, pinned byte for byte
+NORMAL_FORM_DIGESTS = [
+    ("g2k_hl_scaled_hom", (1,), 1, "168e2f52a600c93a4b4e25fc03d82bce86c8046778eac84f966011c46ad39435"),
+    ("g2k_trace_scaled", (1,), 1, "168e2f52a600c93a4b4e25fc03d82bce86c8046778eac84f966011c46ad39435"),
+    ("site_poly", (1,), 1, "9d439bcb8260e8e4b7f2ade49fbcc87af68952eb293c4e302e88eb3af159b896"),
+    ("g2k_hl_scaled_hom", (2,), 1, "3a05606c85f28ea983dc253d612297702891a531b420b9390937323a3d25fdac"),
+    ("g2k_trace_scaled", (2,), 1, "3a05606c85f28ea983dc253d612297702891a531b420b9390937323a3d25fdac"),
+    ("site_poly", (2,), 1, "9f57c0a7a68681a1ccfb20e3b3bfd0d6c2b08130a97cc02f6c54837e4bcb0e14"),
+    ("g2k_hl_scaled_hom", (2,), 2, "5f6327b66451d49d0429595c9937967c5fe0d92b59716eef502681a0d4ac9935"),
+    ("g2k_trace_scaled", (2,), 2, "5f6327b66451d49d0429595c9937967c5fe0d92b59716eef502681a0d4ac9935"),
+    ("site_poly", (2,), 2, "7902369de4946b865dab6d83be20446929968ea540388ca0fd070f0dc2349d7d"),
+    ("g2k_hl_scaled_hom", (3,), 1, "559aa0b5cb3ee81a56a50da2778a362dfe70d99aa18994b33e5e1cf3bd5c0907"),
+    ("g2k_trace_scaled", (3,), 1, "559aa0b5cb3ee81a56a50da2778a362dfe70d99aa18994b33e5e1cf3bd5c0907"),
+    ("site_poly", (3,), 1, "01703a04da47116a584cbd8c77feb59f4f4c88543bdb0a7af3b5f67e745ff2e5"),
+    ("g2k_hl_scaled_hom", (3,), 2, "ffb7b3986f4eda7d1d74c00a16e94b3b86ef17ce6575436b8c29364f6accb193"),
+    ("g2k_trace_scaled", (3,), 2, "ffb7b3986f4eda7d1d74c00a16e94b3b86ef17ce6575436b8c29364f6accb193"),
+    ("site_poly", (3,), 2, "f94b37e8dbceda036d4fc2994cbb0d5fa560863c63097cbee83643382ba72e33"),
+    ("g2k_hl_scaled_hom", (3,), 3, "87bfb0a5ff694a5ddd20c6d611a232d9d058328af4fdebc9fa0a8317e9b5a247"),
+    ("g2k_trace_scaled", (3,), 3, "87bfb0a5ff694a5ddd20c6d611a232d9d058328af4fdebc9fa0a8317e9b5a247"),
+    ("site_poly", (3,), 3, "69f4c967384ad5830ce7d4af00ddda69c9be0c0a0e75a04e6dfa6dfcbed02734"),
+    ("g2k_hl_scaled_hom", (2, 1), 1, "2d82e7fa1408b01b9d1cd2e674324adf4f1075e369a70a40aa4733a79f7b0494"),
+    ("g2k_trace_scaled", (2, 1), 1, "2d82e7fa1408b01b9d1cd2e674324adf4f1075e369a70a40aa4733a79f7b0494"),
+    ("site_poly", (2, 1), 1, "28e188a8229396ba6ccc6ec51b76f3682ccef3e1b2e22de368de2560b33a03e1"),
+    ("g2k_hl_scaled_hom", (2, 1), 2, "7cdffd55a10184b98037cbab53dcb296cf315f0a1ea9f5f94923c35ac637be6f"),
+    ("g2k_trace_scaled", (2, 1), 2, "7cdffd55a10184b98037cbab53dcb296cf315f0a1ea9f5f94923c35ac637be6f"),
+    ("site_poly", (2, 1), 2, "a827ba41d9c3f86a811b846627ee8761107496b039ef18fea77d7be7e2855f1f"),
+    ("g2k_hl_scaled_hom", (2, 1), 3, "33d0644512bc46322fe8291db9bf8b055263b70dbb449c0c26641ed93eda0e52"),
+    ("g2k_trace_scaled", (2, 1), 3, "33d0644512bc46322fe8291db9bf8b055263b70dbb449c0c26641ed93eda0e52"),
+    ("site_poly", (2, 1), 3, "daebf608ac1042fa6ffcee3129ecc624da9e031f154ffc6ed221e4c0433fc747"),
+    ("trace_symbolic", 1, 7, "1bf65eab8766ba8ddf7e0091a1840c4386abc10a6ef701fa81b2f23a66521893"),
+    ("trace_symbolic", 2, 14, "f2fa9b6be8a0831f4137212caf6fbe6da5a5d6a7f9bb8229da462e622018de36"),
+    ("trace_symbolic", 3, 21, "c47226deb84fbcd042082b7022d647697f55b3f3ad0a71ce273b4e786a770660"),
+]
+
+
+def _pinned_poly(name, first, second):
+    if name == "trace_symbolic":
+        return trace_symbolic(first, second)
+    builders = {"g2k_hl_scaled_hom": g2k_hl_scaled_hom,
+                "g2k_trace_scaled": g2k_trace_scaled, "site_poly": site_poly}
+    return builders[name](second, build_h(CriticalPoints.generic(list(first))))
+
+
+@pytest.mark.parametrize("name,first,second,digest", NORMAL_FORM_DIGESTS, ids=[
+    f"{name}-{first}-{second}".replace(" ", "") for name, first, second, _ in NORMAL_FORM_DIGESTS])
+def test_normal_form_digests_are_pinned(name, first, second, digest):
+    text = _pinned_poly(name, first, second).to_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # -- constant identity ----------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Command-line surface: records, exit codes, determinism."""
 
 import json
+import math
+
+import pytest
 
 from opucgems.cli import main
 
@@ -118,3 +121,38 @@ def test_szego_check_bad_file(capsys, tmp_path):
 
 def test_unknown_flag_is_input_error(capsys):
     assert main(["verify", "--bogus"]) == 2
+
+
+GOOD_GEM = {
+    "family": {"name": "finiteSupport", "values": [[0.4, 0.0], [0.0, 0.2]]},
+    "criticalPoints": [{"thetaOverPi": 0.0, "m": 1}],
+    "schedule": [10, 20],
+}
+
+MALFORMED = [
+    ("gem", {"family": {"name": "finiteSupport", "values": [[math.nan, 0.0]]}}),
+    ("gem", {"criticalPoints": [{"thetaOverPi": "abc", "m": 1}]}),
+    ("gem", {"family": {"name": "powerDecay", "c": "zz", "gamma": 1.0}}),
+    ("gem", {"schedule": [10, "x"]}),
+    ("gem", {"criticalPoints": [{"thetaOverPi": 0.0, "m": 3}], "schedule": [2, 20]}),
+    ("szego-check", [[math.nan, 0.0]]),
+]
+
+
+@pytest.mark.parametrize("command,data", MALFORMED, ids=[
+    "gem-nan-value", "gem-angle-text", "gem-c-text", "gem-schedule-text",
+    "gem-schedule-below-degree", "szego-nan-value"])
+def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, command, data):
+    path = tmp_path / "input.json"
+    if command == "gem":
+        path.write_text(json.dumps({**GOOD_GEM, **data}))
+        argv = ["gem", "--config", str(path)]
+    else:
+        path.write_text(json.dumps(data))
+        argv = ["szego-check", "--alphas", str(path)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"{command}: ")

@@ -349,6 +349,19 @@ def test_conjugate_is_involution(p):
     assert p.conjugate().conjugate() == p
 
 
+@settings(max_examples=60, deadline=None)
+@given(polys(), polys(), polys())
+def test_merged_coefficients_are_never_zero(p, q, r):
+    results = [p + q, p - q, p * q, p.conjugate(), p.normal_form()]
+    if not q.is_zero:
+        results.append(exact_div(p * q, q))
+    for result in results:
+        assert all(result.terms.values())
+    assert (p + q) - q == p
+    assert (p + (-p)).is_zero
+    assert p * (q + r) == p * q + p * r
+
+
 # -- serialization -------------------------------------------------------------------
 
 
