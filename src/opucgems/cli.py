@@ -33,7 +33,8 @@ EXIT_BAD_INPUT = 2
 
 
 def _emit(record: dict):
-    sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
+    """Write one JSON line; a non-finite float raises ValueError first."""
+    sys.stdout.write(json.dumps(record, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _say(message: str):
@@ -169,7 +170,11 @@ def cmd_gem(args) -> int:
     except (KeyError, ValueError, TypeError, lab.LabError, TrigError, OpucError) as exc:
         _say(f"gem: bad config: {exc}")
         return EXIT_BAD_INPUT
-    _emit(report.to_json())
+    try:
+        _emit(report.to_json())
+    except ValueError as exc:
+        _say(f"gem: report is not finite JSON: {exc}")
+        return EXIT_BAD_INPUT
     if args.csv:
         with open(args.csv, "wb") as fh:
             fh.write(lab.export_report(report, "csv"))

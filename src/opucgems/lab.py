@@ -252,9 +252,14 @@ def convergence_study(family: SequenceFamily, points: CriticalPoints,
 
 
 def export_report(report: GemReport, fmt: str = "json") -> bytes:
-    """Serialize a report: JSON mirrors the fields, CSV has one row per N."""
+    """Serialize a report: JSON mirrors the fields, CSV has one row per N.
+
+    JSON is strict: a non-finite value raises ValueError instead of being
+    written as ``NaN`` or ``Infinity``.
+    """
     if fmt == "json":
-        return json.dumps(report.to_json(), sort_keys=True, indent=2).encode()
+        return json.dumps(report.to_json(), sort_keys=True, indent=2,
+                          allow_nan=False).encode()
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)

@@ -10,6 +10,22 @@ with ``rho_j = sqrt(1 - |alpha_j|^2)`` and the conventions ``alpha_{-1} =
 -1``, ``alpha_n = 0`` for n < -1.  Negative powers of the (non-unitary)
 truncation are read as powers of the adjoint, which is exact in the
 unitary limit and differs only by N-independent boundary terms otherwise.
+
+The trace route never forms the N x N matrix.  :func:`ggt_matrix` returns
+a :class:`GGTCorner` that stores only the coefficients and the rho's and
+produces one diagonal on demand.  The corner is upper Hessenberg: ``U[i,
+j] = 0`` unless ``j >= i - 1``, so along a product ``U[i_0, i_1] U[i_1,
+i_2] ...`` each step lowers the index by at most one.  A closed walk of
+length l therefore never raises the index by more than l - 1 in one
+step, and ``Tr(U^l)`` reads only diagonals -1 .. l-1 of U.  For the same
+reason, when only the traces of U^l for l <= d are wanted, ``U^m`` is
+needed only on offsets [-m, d-m]: it has nothing below -m, and an entry
+above d - m cannot be brought back to the diagonal by the at most d - m
+factors still to come.  :func:`trace_powers` keeps exactly those offsets,
+so it is exact, not an approximation, and costs O(N * d^3) time and
+O(N * d) memory instead of O(d * N^3) and O(N^2).  This is the
+closed-walk structure that ``algmodel.trace_symbolic`` enumerates.  The
+dense fill, :meth:`GGTCorner.dense`, remains as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -67,40 +83,114 @@ class VerblunskySeq:
         return out
 
 
-def ggt_matrix(alpha: VerblunskySeq, n: int) -> np.ndarray:
-    """Dense N x N top-left GGT corner for the sequence."""
+class GGTCorner:
+    """The N x N truncated GGT matrix in O(N) generator form.
+
+    Holds ``a = (alpha_{-1} = -1, alpha_0, ..., alpha_{N-1})`` and ``rho_0
+    .. rho_{N-1}``; entries are produced one diagonal at a time.
+    """
+
+    def __init__(self, a: np.ndarray, rho: np.ndarray):
+        self.a = a
+        self.rho = rho
+        self.shape = (rho.size, rho.size)
+
+    def diagonal(self, j: int) -> np.ndarray:
+        """``U[k, k+j]`` in numpy's ``diagonal(j)`` order, in O(N * j) time.
+
+        Row k of diagonal ``j >= 0`` is ``-alpha_{k-1} conj(alpha_{k+j})
+        rho_k ... rho_{k+j-1}``; the rho products are running products,
+        never quotients of cumulative products, since a rho can be tiny.
+        """
+        n = self.shape[0]
+        if j == -1:
+            return self.rho[:n - 1].astype(complex)
+        if j < -1 or j >= n:
+            return np.zeros(max(n - abs(j), 0), dtype=complex)
+        prods = np.ones(n - j)
+        for i in range(j):
+            prods *= self.rho[i:n - j + i]
+        return -self.a[:n - j] * np.conj(self.a[1 + j:]) * prods
+
+    def dense(self) -> np.ndarray:
+        """The full matrix, filled row by row: O(N^2) memory, for oracles."""
+        n = self.shape[0]
+        a, rho = self.a, self.rho
+        u = np.zeros((n, n), dtype=complex)
+        conj_tail = np.conj(a[1:])
+        for k in range(n):
+            # rho_k * ... * rho_{l-1} for l = k..n-1, leading factor 1
+            prods = np.empty(n - k, dtype=complex)
+            prods[0] = 1.0
+            if n - k > 1:
+                np.cumprod(rho[k:n - 1], out=prods[1:])
+            u[k, k:] = -a[k] * conj_tail[k:] * prods
+            if k + 1 < n:
+                u[k + 1, k] = rho[k]
+        return u
+
+
+def ggt_matrix(alpha: VerblunskySeq, n: int) -> GGTCorner:
+    """The N x N top-left GGT corner for the sequence, in generator form."""
     if n < 1:
         raise OpucError("matrix size must be at least 1")
     a = np.empty(n + 1, dtype=complex)
     a[0] = -1.0
     a[1:] = alpha.head(n)
-    rho = np.sqrt(1.0 - np.abs(a[1:]) ** 2)
-    u = np.zeros((n, n), dtype=complex)
-    conj_tail = np.conj(a[1:])
-    for k in range(n):
-        # rho_k * ... * rho_{l-1} for l = k..n-1, leading factor 1
-        prods = np.empty(n - k, dtype=complex)
-        prods[0] = 1.0
-        if n - k > 1:
-            np.cumprod(rho[k:n - 1], out=prods[1:])
-        u[k, k:] = -a[k] * conj_tail[k:] * prods
-        if k + 1 < n:
-            u[k + 1, k] = rho[k]
-    return u
+    return GGTCorner(a, np.sqrt(1.0 - np.abs(a[1:]) ** 2))
 
 
-def trace_powers(u: np.ndarray, max_power: int) -> list:
-    """Traces of u^1 .. u^max_power by repeated multiplication."""
+def _row_aligned(diag: np.ndarray, j: int, n: int) -> np.ndarray:
+    """Diagonal j as a length-n array indexed by row, zero where absent."""
+    out = np.zeros(n, dtype=complex)
+    start = max(-j, 0)
+    out[start:start + diag.size] = diag
+    return out
+
+
+def _band_product(a: dict, b: dict, lo: int, hi: int, n: int) -> dict:
+    """Diagonals lo..hi of ``A @ B`` from row-aligned diagonals of A and B.
+
+    ``C[k, k+j] = sum_p A[k, k+p] * B[k+p, k+j]``; a diagonal missing from
+    ``a`` or ``b`` is zero.
+    """
+    out = {}
+    for j in range(max(lo, 1 - n), min(hi, n - 1) + 1):
+        acc = np.zeros(n, dtype=complex)
+        for p, ap in a.items():
+            bq = b.get(j - p)
+            if bq is None:
+                continue
+            if p >= 0:
+                acc[:n - p] += ap[:n - p] * bq[p:]
+            else:
+                acc[-p:] += ap[-p:] * bq[:n + p]
+        out[j] = acc
+    return out
+
+
+def trace_powers(u: GGTCorner | np.ndarray, max_power: int) -> list:
+    """Traces of u^1 .. u^max_power for an upper Hessenberg u, from its band.
+
+    ``u`` is anything with ``shape`` and numpy's ``diagonal(j)``: a
+    :class:`GGTCorner` or a dense ndarray.  Only diagonals -1 .. max_power-1
+    are read, and u^m is kept on offsets [-m, max_power-m]; that is exact
+    (see the module docstring).  O(N * max_power^3) time, O(N * max_power)
+    memory.
+    """
+    n = u.shape[0]
+    band = {j: _row_aligned(u.diagonal(j), j, n)
+            for j in range(-1, min(max_power, n))}
+    power = band
     traces = []
-    power = u
-    for l in range(1, max_power + 1):
-        traces.append(complex(np.trace(power)))
-        if l < max_power:
-            power = power @ u
+    for m in range(1, max_power + 1):
+        traces.append(complex(np.sum(power[0])))
+        if m < max_power:
+            power = _band_product(power, band, -m - 1, max_power - m - 1, n)
     return traces
 
 
-def trace_v(u: np.ndarray, h: TrigPoly) -> float:
+def trace_v(u: GGTCorner | np.ndarray, h: TrigPoly) -> float:
     """``Tr(V(U))`` with negative powers read through the adjoint.
 
     Equals ``-(2 / Z_H) * Re sum_{l=1}^{d} (h_l / l) Tr(U^l)`` because
@@ -115,23 +205,6 @@ def trace_v(u: np.ndarray, h: TrigPoly) -> float:
     for l in range(1, d + 1):
         acc += h.coeff_numeric(l) / l * traces[l - 1]
     return float(-(2.0 / z_h) * acc.real)
-
-
-def trace_v_inverse(u: np.ndarray, h: TrigPoly) -> float:
-    """Reference evaluation using the exact matrix inverse for x^{-l}.
-
-    Only meaningful when u is (numerically) unitary; used to validate the
-    adjoint convention of :func:`trace_v`.
-    """
-    d = h.degree
-    z_h = h.z_h_numeric()
-    traces = trace_powers(u, d)
-    inv_traces = trace_powers(np.linalg.inv(u), d)
-    acc = 0.0 + 0.0j
-    for l in range(1, d + 1):
-        acc += h.coeff_numeric(l) / l * traces[l - 1]
-        acc += h.coeff_numeric(-l) / l * inv_traces[l - 1]
-    return float((-1.0 / z_h) * acc.real)
 
 
 def log_term(alpha: VerblunskySeq, n: int) -> float:

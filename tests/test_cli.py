@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from opucgems import lab
 from opucgems.cli import main
 
 
@@ -129,20 +130,36 @@ GOOD_GEM = {
     "schedule": [10, 20],
 }
 
+REAL_STUDY = lab.convergence_study
+
+
+def nan_slope_study(*args):
+    """A study whose report holds a non-finite value."""
+    report = REAL_STUDY(*args)
+    report.slope = math.nan
+    return report
+
+
+# (command, input data, replacement for lab.convergence_study or None)
 MALFORMED = [
-    ("gem", {"family": {"name": "finiteSupport", "values": [[math.nan, 0.0]]}}),
-    ("gem", {"criticalPoints": [{"thetaOverPi": "abc", "m": 1}]}),
-    ("gem", {"family": {"name": "powerDecay", "c": "zz", "gamma": 1.0}}),
-    ("gem", {"schedule": [10, "x"]}),
-    ("gem", {"criticalPoints": [{"thetaOverPi": 0.0, "m": 3}], "schedule": [2, 20]}),
-    ("szego-check", [[math.nan, 0.0]]),
+    ("gem", {"family": {"name": "finiteSupport", "values": [[math.nan, 0.0]]}}, None),
+    ("gem", {"criticalPoints": [{"thetaOverPi": "abc", "m": 1}]}, None),
+    ("gem", {"family": {"name": "powerDecay", "c": "zz", "gamma": 1.0}}, None),
+    ("gem", {"schedule": [10, "x"]}, None),
+    ("gem", {"criticalPoints": [{"thetaOverPi": 0.0, "m": 3}], "schedule": [2, 20]},
+     None),
+    ("szego-check", [[math.nan, 0.0]], None),
+    ("gem", {}, nan_slope_study),
 ]
 
 
-@pytest.mark.parametrize("command,data", MALFORMED, ids=[
+@pytest.mark.parametrize("command,data,study", MALFORMED, ids=[
     "gem-nan-value", "gem-angle-text", "gem-c-text", "gem-schedule-text",
-    "gem-schedule-below-degree", "szego-nan-value"])
-def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, command, data):
+    "gem-schedule-below-degree", "szego-nan-value", "gem-nan-report"])
+def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch,
+                                               command, data, study):
+    if study is not None:
+        monkeypatch.setattr(lab, "convergence_study", study)
     path = tmp_path / "input.json"
     if command == "gem":
         path.write_text(json.dumps({**GOOD_GEM, **data}))

@@ -2,6 +2,8 @@
 
 import json
 import math
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -156,6 +158,19 @@ def test_routes_differ_by_bounded_sequence():
     early_range = max(early) - min(early)
     late_range = max(late) - min(late)
     assert late_range <= 10 * early_range + 1e-9
+
+
+def test_max_n_schedule_is_reachable():
+    # the trace route reads only the band of the GGT corner, so the default
+    # max_n = 20000 is a real limit; the slope is the red case's closed form
+    fam = SequenceFamily.constant(0.5)
+    points = CriticalPoints.from_pairs([(Fraction(0), 2)])
+    start = time.perf_counter()
+    report = convergence_study(fam, points, schedule=(2500, 5000, 10000, 20000))
+    elapsed = time.perf_counter() - start
+    rate = sum(0.25 ** k / k for k in range(3, 200))
+    assert elapsed < 30.0
+    assert math.isclose(report.slope, rate, rel_tol=1e-9)
 
 
 def test_schedule_must_increase():

@@ -3,6 +3,9 @@
 import importlib.util
 from pathlib import Path
 
+from opucgems.lab import SequenceFamily, convergence_study
+from opucgems.trig import CriticalPoints
+
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
@@ -14,3 +17,15 @@ def test_tracer_targets_exist():
                for prefix, targets in tracer.TARGETS.items()
                for owner, attr in targets if attr not in owner.__dict__]
     assert not missing
+
+
+def test_tracer_sees_one_trace_route_call_per_schedule_point():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    schedule = (10, 20, 40)
+    with module.Tracer() as tracer:
+        convergence_study(SequenceFamily.power_decay(0.3, 1.0),
+                          CriticalPoints.from_pairs([(0.0, 2)]), schedule)
+    assert tracer.calls["opuc.ggt_matrix"] == len(schedule)
+    assert tracer.calls["opuc.trace_v"] == len(schedule)
