@@ -44,6 +44,8 @@ from .trig import TrigPoly
 # point produce polynomials too large for desk use
 MAX_TRACE_COMPLEXITY = 18
 MAX_TRACE_WINDOW = 80
+# sites per block in site_functional: bounds its working memory
+SITE_BLOCK = 64
 
 
 class ModelError(Exception):
@@ -260,15 +262,12 @@ def phi_eval(p: LaurentPoly, alpha: VerblunskySeq, n: int,
     """Evaluate ``[phi_2k(p)]_n`` for p with nonnegative pair exponents.
 
     Every pair contributes ``alpha_{n+b} * conj(alpha_{n+g})``, including
-    pairs with zero exponents, so ``phi(1) = |alpha_n|^{2k}``.
+    pairs with zero exponents, so ``phi(1) = |alpha_n|^{2k}``.  This is the
+    one-site case of :func:`phi_sites`.
     """
-    total = 0j
-    for coeff, exps in phi_terms(p, unit_values or {}):
-        value = coeff
-        for beta, gamma in exps:
-            value *= alpha(n + beta) * np.conj(alpha(n + gamma))
-        total += value
-    return total
+    program = phi_program([p], unit_values or {})
+    a = np.array([alpha(n + m) for m in range(program.max_shift + 1)], dtype=complex)
+    return complex(phi_sites(program, a, np.conj(a), 0, 1)[0][0])
 
 
 def phi_terms(poly: LaurentPoly, unit_values: Mapping[str, complex]) -> list:
@@ -294,6 +293,62 @@ def phi_terms(poly: LaurentPoly, unit_values: Mapping[str, complex]) -> list:
             raise ModelError("phi needs nonnegative pair exponents")
         compiled.append((value, exps))
     return compiled
+
+
+@dataclass(frozen=True)
+class PhiProgram:
+    """Polynomials compiled for phi over one shared table of pair factors.
+
+    ``shifts[i] = (b, g)`` is the pair factor ``alpha_{n+b} *
+    conj(alpha_{n+g})``.  Polynomial q is ``sum_t coeffs[q][t] * prod_p
+    factor[slots[q][t, p]]``; ``max_shift`` is the largest b or g.
+    """
+
+    shifts: tuple
+    coeffs: tuple
+    slots: tuple
+    max_shift: int
+
+
+def phi_program(polys: Sequence[LaurentPoly],
+                unit_values: Mapping[str, complex]) -> PhiProgram:
+    """Compile polynomials with :func:`phi_terms` into one :class:`PhiProgram`."""
+    index: dict = {}
+    coeffs = []
+    slots = []
+    for poly in polys:
+        terms = phi_terms(poly, unit_values)
+        pairs = poly.table.kinds.count("x")
+        coeffs.append(np.array([c for c, _ in terms], dtype=complex))
+        slots.append(np.array(
+            [[index.setdefault(pair, len(index)) for pair in exps] for _, exps in terms],
+            dtype=np.intp).reshape(len(terms), pairs))
+    max_shift = max((max(pair) for pair in index), default=0)
+    return PhiProgram(tuple(index), tuple(coeffs), tuple(slots), max_shift)
+
+
+def phi_sites(program: PhiProgram, a: np.ndarray, a_conj: np.ndarray,
+              start: int, stop: int) -> list:
+    """phi of each compiled polynomial at sites ``start .. stop-1``.
+
+    ``a`` holds the coefficients from site 0 on (at least ``stop +
+    max_shift`` of them) and ``a_conj`` their conjugates.  Each pair factor
+    is one slice product over all the sites; each term multiplies its
+    factors in pair order onto its coefficient, and the terms are summed in
+    order, as a scalar loop over one site would.
+    """
+    width = stop - start
+    factors = np.empty((len(program.shifts), width), dtype=complex)
+    for row, (beta, gamma) in zip(factors, program.shifts):
+        np.multiply(a[start + beta:stop + beta], a_conj[start + gamma:stop + gamma],
+                    out=row)
+    values = []
+    for coeffs, slots in zip(program.coeffs, program.slots):
+        prod = np.repeat(coeffs[:, None], width, axis=1)
+        for column in slots.T:
+            prod *= factors[column]
+        values.append(prod.sum(axis=0))
+    return values
 
 
 # -- symbolic trace expansion --------------------------------------------------------
@@ -704,47 +759,55 @@ def site_poly(k: int, h: TrigPoly) -> LaurentPoly:
     return out
 
 
-def site_functional(alpha: VerblunskySeq, n: int, h: TrigPoly) -> float:
+@dataclass(frozen=True)
+class SiteRoute:
+    """``site_poly(k, h)`` for k = 1..d, compiled for :func:`site_functional`.
+
+    ``prefs[k-1] = (-1)^{k+1} / (k Z_H)``; ``program`` holds polynomial k
+    at position k - 1.
+    """
+
+    prefs: tuple
+    program: PhiProgram
+
+
+def site_route(h: TrigPoly) -> SiteRoute:
+    """Build and compile every site polynomial of h once."""
+    d = h.degree
+    z_h = h.z_h_numeric()
+    polys = [site_poly(k, h) for k in range(1, d + 1)]
+    prefs = tuple((-1) ** (k + 1) / (k * z_h) for k in range(1, d + 1))
+    return SiteRoute(prefs, phi_program(polys, h.unit_values()))
+
+
+def site_functional(alpha: VerblunskySeq, n: int, route: SiteRoute) -> float:
     """Per-site reformulation of the sum-rule functional.
 
     ``sum_{j<n} [ sum_k pref_k * phi_2k(site_poly(k)) - log(1-|a_j|^2)
     - sum_k |a_j|^{2k}/k ]`` with ``pref_k = (-1)^{k+1} / (k Z_H)``; the
     k-sum runs to the weight degree.  Differs from the trace functional
     by an N-independent bounded amount.
-    """
-    d = h.degree
-    unit_values = h.unit_values()
-    z_h = h.z_h_numeric()
-    compiled = []
-    max_shift = 0
-    for k in range(1, d + 1):
-        terms = phi_terms(site_poly(k, h), unit_values)
-        pref = (-1) ** (k + 1) / (k * z_h)
-        compiled.append((k, pref, terms))
-        for _, exps in terms:
-            for beta, gamma in exps:
-                max_shift = max(max_shift, beta, gamma)
 
-    a_vals = np.array([alpha(m) for m in range(n + max_shift + 1)], dtype=complex)
-    if not np.all(np.abs(a_vals[:n]) < 1.0):
+    ``route`` is :func:`site_route` of the weight, built once and reused
+    for every n.  Sites are evaluated ``SITE_BLOCK`` at a time by
+    :func:`phi_sites`, so working memory is bounded by the block and the
+    number of terms, not by n.
+    """
+    program = route.program
+    a = np.array([alpha(m) for m in range(n + program.max_shift + 1)], dtype=complex)
+    if not np.all(np.abs(a[:n]) < 1.0):
         raise ModelError("Verblunsky coefficients must satisfy |alpha| < 1")
-    a_conj = np.conj(a_vals)
+    a_conj = np.conj(a)
     total = 0.0
-    for j in range(n):
-        site = 0.0 + 0.0j
-        for k, pref, terms in compiled:
-            acc = 0.0 + 0.0j
-            for coeff, exps in terms:
-                prod = coeff
-                for beta, gamma in exps:
-                    prod *= a_vals[j + beta] * a_conj[j + gamma]
-                acc += prod
+    for start in range(0, n, SITE_BLOCK):
+        stop = min(start + SITE_BLOCK, n)
+        site = np.zeros(stop - start, dtype=complex)
+        for pref, acc in zip(route.prefs, phi_sites(program, a, a_conj, start, stop)):
             site += pref * acc
-        mod2 = abs(a_vals[j]) ** 2
-        log_part = math.log1p(-mod2)
-        power_part = sum(mod2 ** k / k for k in range(1, d + 1))
-        total += site.real - log_part - power_part
-    return float(total)
+        mod2 = np.abs(a[start:stop]) ** 2
+        power_part = sum(mod2 ** k / k for k in range(1, len(route.prefs) + 1))
+        total += float(np.sum(site.real - np.log1p(-mod2) - power_part))
+    return total
 
 
 # -- degree-2 product identity ---------------------------------------------------------

@@ -167,7 +167,8 @@ def cmd_gem(args) -> int:
         points = CriticalPoints.from_json(config["criticalPoints"])
         schedule = config.get("schedule", list(lab.DEFAULT_SCHEDULE))
         report = lab.convergence_study(family, points, schedule)
-    except (KeyError, ValueError, TypeError, lab.LabError, TrigError, OpucError) as exc:
+    except (KeyError, ValueError, TypeError, ArithmeticError, lab.LabError, TrigError,
+            OpucError) as exc:
         _say(f"gem: bad config: {exc}")
         return EXIT_BAD_INPUT
     try:

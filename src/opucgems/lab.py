@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .algmodel import site_functional
+from .algmodel import site_functional, site_route
 from .opuc import VerblunskySeq, ggt_matrix, log_term, trace_v
 from .trig import CriticalPoints, build_h
 
@@ -225,7 +225,7 @@ def convergence_study(family: SequenceFamily, points: CriticalPoints,
         raise LabError("schedule exceeds the configured limit")
     alpha = family.sequence()
     h_num = build_h(points, "numeric")
-    h_exact = build_h(points, "exact")
+    route = site_route(build_h(points, "exact"))
     trace_values = []
     site_values = []
     log_sums = []
@@ -233,7 +233,7 @@ def convergence_study(family: SequenceFamily, points: CriticalPoints,
         u = ggt_matrix(alpha, n)
         log_sum = log_term(alpha, n)
         trace_values.append(float(trace_v(u, h_num) - log_sum))
-        site_values.append(float(site_functional(alpha, n, h_exact)))
+        site_values.append(float(site_functional(alpha, n, route)))
         log_sums.append(float(log_sum))
     verdict, slope, value_range = classify_values(schedule, trace_values)
     diagnostics = condition_diagnostics(alpha, points, schedule[-1])

@@ -47,6 +47,7 @@ from opucgems.algmodel import (
     product_representative,
     representative_search,
     site_functional,
+    site_route,
     table_for,
     trace_expansion_check,
 )
@@ -210,13 +211,13 @@ def test_acceptance_6_site_vs_trace_agreement():
         alpha = VerblunskySeq.from_values(
             random_bounded_values(rng, support, 0.8))
         h_num = build_h(points, "numeric")
-        h_exact = build_h(points, "exact")
+        route = site_route(build_h(points, "exact"))
         n0 = support + 2 * d * (d + 1) + 1
         trace_base = sum_rule_functional(alpha, n0, h_num)
-        site_base = site_functional(alpha, n0, h_exact)
+        site_base = site_functional(alpha, n0, route)
         for n in (n0 + 5, n0 + 17):
             trace_n = sum_rule_functional(alpha, n, h_num)
-            site_n = site_functional(alpha, n, h_exact)
+            site_n = site_functional(alpha, n, route)
             worst_stab = max(worst_stab, abs(trace_n - trace_base),
                              abs(site_n - site_base))
             worst_drift = max(worst_drift,

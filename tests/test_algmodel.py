@@ -3,12 +3,15 @@
 import cmath
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opucgems.algmodel import (
+    SITE_BLOCK,
     GaussianRational,
     ModelError,
     a_monomials,
@@ -33,10 +36,12 @@ from opucgems.algmodel import (
     l_degree,
     model_table,
     phi_eval,
+    phi_terms,
     product_representative,
     representative_search,
     site_functional,
     site_poly,
+    site_route,
     table_for,
     trace_expansion_check,
     trace_symbolic,
@@ -421,38 +426,148 @@ def test_site_poly_matches_rational_double_sum(mults, k, seed):
     assert abs(lhs - rhs) <= 1e-10
 
 
+def site_functional_loop(alpha, n, h):
+    """The per-site functional as a scalar loop over sites, terms and pairs.
+
+    The oracle for the vectorised :func:`site_functional`: it rebuilds every
+    site polynomial and walks site by site.
+    """
+    d = h.degree
+    unit_values = h.unit_values()
+    z_h = h.z_h_numeric()
+    compiled = []
+    max_shift = 0
+    for k in range(1, d + 1):
+        terms = phi_terms(site_poly(k, h), unit_values)
+        pref = (-1) ** (k + 1) / (k * z_h)
+        compiled.append((k, pref, terms))
+        for _, exps in terms:
+            for beta, gamma in exps:
+                max_shift = max(max_shift, beta, gamma)
+
+    a_vals = np.array([alpha(m) for m in range(n + max_shift + 1)], dtype=complex)
+    if not np.all(np.abs(a_vals[:n]) < 1.0):
+        raise ModelError("Verblunsky coefficients must satisfy |alpha| < 1")
+    a_conj = np.conj(a_vals)
+    total = 0.0
+    for j in range(n):
+        site = 0.0 + 0.0j
+        for k, pref, terms in compiled:
+            acc = 0.0 + 0.0j
+            for coeff, exps in terms:
+                prod = coeff
+                for beta, gamma in exps:
+                    prod *= a_vals[j + beta] * a_conj[j + gamma]
+                acc += prod
+            site += pref * acc
+        mod2 = abs(a_vals[j]) ** 2
+        log_part = math.log1p(-mod2)
+        power_part = sum(mod2 ** k / k for k in range(1, d + 1))
+        total += site.real - log_part - power_part
+    return float(total)
+
+
 def test_site_functional_zero_sequence():
     h = szego_h()
-    assert site_functional(VerblunskySeq.from_values([]), 30, h) == 0.0
+    assert site_functional(VerblunskySeq.from_values([]), 30, site_route(h)) == 0.0
 
 
 def test_site_functional_rejects_invalid_modulus():
     h = szego_h()
     bad = VerblunskySeq(lambda n: 1.5, support=None)
     with pytest.raises(ModelError):
-        site_functional(bad, 5, h)
+        site_functional(bad, 5, site_route(h))
 
 
 def test_site_functional_stabilizes():
     rng = np.random.default_rng(5)
     alpha = random_seq(rng, 6)
     h = build_h(CriticalPoints.from_pairs([(0.4, 1), (1.9, 1)]))
+    route = site_route(h)
     d = h.degree
     n0 = 6 + 2 * d * (d + 1) + 1
-    base = site_functional(alpha, n0, h)
+    base = site_functional(alpha, n0, route)
     for n in (n0 + 3, n0 + 11, n0 + 25):
-        assert abs(site_functional(alpha, n, h) - base) <= 1e-12
+        assert abs(site_functional(alpha, n, route) - base) <= 1e-12
 
 
 def test_site_functional_tracks_trace_functional():
     # bounded distance between the two routes along growing N
     rng = np.random.default_rng(6)
-    h_exact = build_h(CriticalPoints.from_pairs([(0.0, 1)]))
+    route = site_route(build_h(CriticalPoints.from_pairs([(0.0, 1)])))
     h_num = build_h(CriticalPoints.from_pairs([(0.0, 1)]), "numeric")
     decay = VerblunskySeq(lambda n: 0.4 / (n + 1) ** 0.6, support=None)
-    diffs = [site_functional(decay, n, h_exact) - sum_rule_functional(decay, n, h_num)
+    diffs = [site_functional(decay, n, route) - sum_rule_functional(decay, n, h_num)
              for n in range(20, 70, 10)]
     assert max(diffs) - min(diffs) <= 0.05
+
+
+@st.composite
+def exact_weights(draw):
+    """A weight of degree d <= 5 with one or two float critical points."""
+    d = draw(st.integers(1, 5))
+    if d == 1 or draw(st.booleans()):
+        mults = [d]
+    else:
+        first = draw(st.integers(1, d - 1))
+        mults = [first, d - first]
+    # angles over pi, from disjoint ranges so that they stay distinct
+    angles = [draw(st.floats(lo, lo + 0.9)) for lo in (0.0, 1.0)[:len(mults)]]
+    return build_h(CriticalPoints.from_pairs(list(zip(angles, mults))))
+
+
+@st.composite
+def bounded_sequences(draw):
+    """powerDecay or finitely supported coefficients with |alpha| <= 0.95."""
+    c = draw(st.floats(0.0, 0.95))
+    if draw(st.booleans()):
+        gamma = draw(st.floats(0.0, 2.0))
+        phase = draw(st.floats(0.0, 2 * math.pi))
+        return VerblunskySeq(lambda n: c * cmath.exp(-1j * phase * n) / (n + 1) ** gamma)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    size = draw(st.integers(0, 40))
+    vals = c * np.sqrt(rng.random(size)) * np.exp(2j * np.pi * rng.random(size))
+    return VerblunskySeq.from_values(vals.tolist())
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 400), h=exact_weights(), alpha=bounded_sequences(),
+       bad=st.sampled_from([1.0, 1.5, math.nan]), at=st.integers(0, 399))
+def test_site_route_equals_per_site_loop(n, h, alpha, bad, at):
+    route = site_route(h)
+    got = site_functional(alpha, n, route)
+    want = site_functional_loop(alpha, n, h)
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+    # one coefficient at |alpha| >= 1 or NaN among the first n rejects the sequence
+    at %= n
+    broken = VerblunskySeq(lambda m: bad if m == at else alpha(m))
+    with pytest.raises(ModelError):
+        site_functional(broken, n, route)
+
+
+@pytest.mark.parametrize("n", [SITE_BLOCK - 1, SITE_BLOCK, SITE_BLOCK + 1,
+                               2 * SITE_BLOCK + 5])
+def test_site_route_blocks_cover_every_site(n):
+    # a rotating constant gives every site the same nonzero share, so a
+    # site lost or counted twice at a block edge moves the sum
+    h = build_h(CriticalPoints.from_pairs([(0.3, 1), (1.2, 1)]))
+    alpha = VerblunskySeq(lambda m: 0.5 * cmath.exp(-0.7j * m))
+    want = site_functional_loop(alpha, n, h)
+    assert abs(site_functional(alpha, n, site_route(h)) - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_site_functional_at_n_20000_stays_small_in_memory():
+    # unblocked, the term products over all 20000 sites would take tens of MB
+    route = site_route(build_h(CriticalPoints.from_pairs([(0.3, 3), (1.1, 2)])))
+    seq = VerblunskySeq(lambda n: 0.5 / (n + 1) ** 0.7, support=None)
+    tracemalloc.start()
+    try:
+        value = site_functional(seq, 20000, route)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(value)
+    assert peak < 16 * 2 ** 20
 
 
 # -- degree-2 product identity ------------------------------------------------------------

@@ -150,12 +150,15 @@ MALFORMED = [
      None),
     ("szego-check", [[math.nan, 0.0]], None),
     ("gem", {}, nan_slope_study),
+    ("gem", {"family": {"name": "powerDecay", "c": 0.3, "gamma": -2000}}, None),
+    ("gem", {"family": {"name": "powerDecay", "c": 0.3, "gamma": 1e300}}, None),
 ]
 
 
 @pytest.mark.parametrize("command,data,study", MALFORMED, ids=[
     "gem-nan-value", "gem-angle-text", "gem-c-text", "gem-schedule-text",
-    "gem-schedule-below-degree", "szego-nan-value", "gem-nan-report"])
+    "gem-schedule-below-degree", "szego-nan-value", "gem-nan-report",
+    "gem-gamma-underflow", "gem-gamma-overflow"])
 def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch,
                                                command, data, study):
     if study is not None:

@@ -29,3 +29,16 @@ def test_tracer_sees_one_trace_route_call_per_schedule_point():
                           CriticalPoints.from_pairs([(0.0, 2)]), schedule)
     assert tracer.calls["opuc.ggt_matrix"] == len(schedule)
     assert tracer.calls["opuc.trace_v"] == len(schedule)
+
+
+def test_tracer_sees_one_site_route_compile_per_study():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    schedule = (10, 20, 40)
+    points = CriticalPoints.from_pairs([(0.3, 2), (1.2, 1)])
+    with module.Tracer() as tracer:
+        convergence_study(SequenceFamily.power_decay(0.3, 1.0), points, schedule)
+    # the benchmark's per-point clock marks each return of lab.site_functional
+    assert tracer.calls["algmodel.site_functional"] == len(schedule)
+    assert tracer.calls["algmodel.site_poly"] == points.degree
