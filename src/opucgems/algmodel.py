@@ -37,7 +37,7 @@ from .laurent import (
     exact_div,
     substitute,
 )
-from .opuc import VerblunskySeq
+from .opuc import OpucError, VerblunskySeq
 from .trig import TrigPoly
 
 # guard for the symbolic trace expansion; k*l and window size beyond this
@@ -266,7 +266,7 @@ def phi_eval(p: LaurentPoly, alpha: VerblunskySeq, n: int,
     one-site case of :func:`phi_sites`.
     """
     program = phi_program([p], unit_values or {})
-    a = np.array([alpha(n + m) for m in range(program.max_shift + 1)], dtype=complex)
+    a = alpha.head(n + program.max_shift + 1)[n:]
     return complex(phi_sites(program, a, np.conj(a), 0, 1)[0][0])
 
 
@@ -794,9 +794,10 @@ def site_functional(alpha: VerblunskySeq, n: int, route: SiteRoute) -> float:
     number of terms, not by n.
     """
     program = route.program
-    a = np.array([alpha(m) for m in range(n + program.max_shift + 1)], dtype=complex)
-    if not np.all(np.abs(a[:n]) < 1.0):
-        raise ModelError("Verblunsky coefficients must satisfy |alpha| < 1")
+    try:
+        a = alpha.head(n + program.max_shift + 1)
+    except OpucError as exc:
+        raise ModelError(str(exc)) from exc
     a_conj = np.conj(a)
     total = 0.0
     for start in range(0, n, SITE_BLOCK):

@@ -10,21 +10,18 @@ Subcommands::
 
 Machine-readable line-delimited JSON goes to stdout, a human summary to
 stderr.  Exit code 0 means all checks passed, 1 means a check failed,
-2 means bad input.  Set ``OPUCGEMS_WORKERS`` to parallelize independent
-verification cases (results are aggregated in sorted case order either
-way, so output is deterministic).
+2 means bad input.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
 from . import algmodel, lab
-from .opuc import OpucError, VerblunskySeq, bs_weight_quadrature
+from .opuc import OpucError, bs_weight_quadrature, log_term
 from .trig import CriticalPoints, TrigError, build_h
 
 EXIT_OK = 0
@@ -45,11 +42,7 @@ def _say(message: str):
 
 
 def _verify_cases(kmax: int, dmax: int) -> list:
-    """Deterministic list of (case_id, kind, params) descriptors.
-
-    Plain data so the cases can cross a process boundary when
-    ``OPUCGEMS_WORKERS`` asks for parallel execution.
-    """
+    """Deterministic list of (case_id, kind, params) descriptors."""
     cases = []
     for d in range(1, dmax + 1):
         for k in range(1, min(kmax, d) + 1):
@@ -132,14 +125,7 @@ def _run_case(case):
 
 def cmd_verify(args) -> int:
     cases = _verify_cases(args.kmax, args.dmax)
-    workers = int(os.environ.get("OPUCGEMS_WORKERS", "1"))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_case, cases))
-    else:
-        results = [_run_case(case) for case in cases]
+    results = [_run_case(case) for case in cases]
     results.sort(key=lambda item: item[0])
     failures = 0
     for label, passed, detail in results:
@@ -217,17 +203,12 @@ def cmd_dump_g2k(args) -> int:
 
 def cmd_szego_check(args) -> int:
     try:
-        with open(args.alphas, "rb") as fh:
-            pairs = json.load(fh)
-        values = [complex(re, im) for re, im in pairs]
-        alpha = VerblunskySeq.from_values(values)
-    except Exception as exc:
-        _say(f"szego-check: cannot read coefficients: {exc}")
+        alpha = lab.SequenceFamily.from_file(args.alphas).sequence()
+    except (lab.LabError, OpucError) as exc:
+        _say(f"szego-check: {exc}")
         return EXIT_BAD_INPUT
-    import numpy as np
-
     quad = bs_weight_quadrature(alpha, None, grid_size=args.grid)
-    coeff_sum = float(np.sum(np.log1p(-np.abs(alpha.head(len(values))) ** 2)))
+    coeff_sum = log_term(alpha, alpha.support)
     diff = abs(quad - coeff_sum)
     passed = diff <= 1e-8
     _emit({"case": "szego-quadrature", "status": "pass" if passed else "fail",

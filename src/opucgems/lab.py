@@ -65,21 +65,26 @@ class SequenceFamily:
         return SequenceFamily("file", {"path": str(path)})
 
     def sequence(self) -> VerblunskySeq:
-        if self.name == "powerDecay":
+        if self.name in ("powerDecay", "constant"):
             c = complex(self.params["c"])
-            gamma = float(self.params["gamma"])
+            gamma = float(self.params["gamma"]) if self.name == "powerDecay" else None
             phase = float(self.params.get("phase", 0.0))
             if abs(c) >= 1.0:
-                raise LabError("powerDecay needs |c| < 1")
-            fn = lambda n: c * cmath.exp(-1j * phase * n) / (n + 1) ** gamma
-            return VerblunskySeq(fn, support=None, description="powerDecay")
-        if self.name == "constant":
-            c = complex(self.params["c"])
-            phase = float(self.params.get("phase", 0.0))
-            if abs(c) >= 1.0:
-                raise LabError("constant needs |c| < 1")
-            fn = lambda n: c * cmath.exp(-1j * phase * n)
-            return VerblunskySeq(fn, support=None, description="constant")
+                raise LabError(f"{self.name} needs |c| < 1")
+
+            def closed_form(n: np.ndarray) -> np.ndarray:
+                # overflow and division by zero raise FloatingPointError (an
+                # ArithmeticError); c * e^{-i phase n} is multiplied out in
+                # real parts, as cmath rounds it (numpy's complex multiply
+                # may fuse a multiply and an add)
+                with np.errstate(over="raise", divide="raise"):
+                    e = np.exp(-1j * phase * n)
+                    values = np.empty(e.shape, dtype=complex)
+                    values.real = c.real * e.real - c.imag * e.imag
+                    values.imag = c.real * e.imag + c.imag * e.real
+                    return values if gamma is None else values / (n + 1.0) ** gamma
+
+            return VerblunskySeq(closed_form)
         if self.name == "finiteSupport":
             values = [complex(re, im) for re, im in self.params["values"]]
             return VerblunskySeq.from_values(values)

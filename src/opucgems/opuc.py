@@ -1,5 +1,10 @@
 """Verblunsky-sequence numerics: GGT truncations and sum-rule functionals.
 
+A :class:`VerblunskySeq` wraps a vectorised generator from an integer index
+array to the coefficients at those indices.  Consumers take coefficients as
+one array from :meth:`VerblunskySeq.head`, which evaluates the generator
+once and checks |alpha| < 1; none is produced one index at a time.
+
 The truncated GGT matrix is the N x N top-left corner
 
     U[k, l] = -alpha_{k-1} * conj(alpha_l) * rho_k * ... * rho_{l-1}   (k <= l)
@@ -45,39 +50,39 @@ class OpucError(Exception):
 class VerblunskySeq:
     """A coefficient sequence ``alpha_0, alpha_1, ...`` with |alpha_n| < 1.
 
-    Backed by a callable; ``alpha(-1) = -1`` and ``alpha(n) = 0`` for
+    ``fn`` is a vectorised generator: it maps an index array (entries >= 0)
+    to the complex array of the coefficients there.  :meth:`head` evaluates
+    it and is the one place that checks |alpha| < 1; calling the sequence
+    is its scalar view, with ``alpha(-1) = -1`` and ``alpha(n) = 0`` for
     n < -1 by convention.  ``support`` is the length of the nonzero head
     for finitely supported sequences, or None.
     """
 
-    def __init__(self, fn: Callable[[int], complex], support: int | None = None,
-                 description: str = "custom"):
+    def __init__(self, fn: Callable[[np.ndarray], np.ndarray], support: int | None = None):
         self._fn = fn
         self.support = support
-        self.description = description
 
     @staticmethod
     def from_values(values: Sequence[complex]) -> "VerblunskySeq":
-        vals = [complex(v) for v in values]
-        for v in vals:
-            if not abs(v) < 1.0:
-                raise OpucError("Verblunsky coefficients must satisfy |alpha| < 1")
-        return VerblunskySeq(
-            lambda n: vals[n] if n < len(vals) else 0.0 + 0.0j,
-            support=len(vals),
-            description="finiteSupport",
-        )
+        """The stored values followed by zeros, validated by :meth:`head`."""
+        vals = np.asarray(values, dtype=complex)
+        padded = np.append(vals, 0.0)
+        seq = VerblunskySeq(lambda n: padded[np.minimum(n, vals.size)], support=vals.size)
+        seq.head(vals.size)
+        return seq
 
     def __call__(self, n: int) -> complex:
         if n == -1:
             return -1.0 + 0.0j
         if n < -1:
             return 0.0 + 0.0j
-        return complex(self._fn(n))
+        return complex(self._fn(np.array([n]))[0])
 
     def head(self, n: int) -> np.ndarray:
         """``alpha_0 .. alpha_{n-1}`` as an array, validating |alpha| < 1."""
-        out = np.array([self(k) for k in range(n)], dtype=complex)
+        out = np.asarray(self._fn(np.arange(n)), dtype=complex)
+        if out.shape != (n,):
+            raise OpucError("a coefficient generator must return one value per index")
         if not np.all(np.abs(out) < 1.0):
             raise OpucError("Verblunsky coefficients must satisfy |alpha| < 1")
         return out
@@ -240,8 +245,7 @@ def szego_pstar_coeffs(alpha: VerblunskySeq) -> np.ndarray:
     pstar = np.zeros(n0 + 1, dtype=complex)
     phi[0] = 1.0
     pstar[0] = 1.0
-    for n in range(n0):
-        a = alpha(n)
+    for a in alpha.head(n0):
         shifted = np.roll(phi, 1)
         shifted[0] = 0.0
         phi_next = shifted - np.conj(a) * pstar
@@ -253,8 +257,7 @@ def szego_pstar_coeffs(alpha: VerblunskySeq) -> np.ndarray:
 def bs_weight_on_grid(alpha: VerblunskySeq, thetas: np.ndarray) -> np.ndarray:
     """Bernstein-Szego weight ``w(theta)`` of a finitely supported sequence."""
     pstar = szego_pstar_coeffs(alpha)
-    head = alpha.head(alpha.support)
-    norm = float(np.prod(1.0 - np.abs(head) ** 2)) if head.size else 1.0
+    norm = float(np.prod(1.0 - np.abs(alpha.head(alpha.support)) ** 2))
     z = np.exp(1j * thetas)
     values = np.polyval(pstar[::-1], z)
     return norm / np.abs(values) ** 2

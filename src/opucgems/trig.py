@@ -60,7 +60,7 @@ class CriticalPoints:
         if not self.angles:
             raise TrigError("at least one critical point required")
         for m in self.multiplicities:
-            if not isinstance(m, int) or m < 1:
+            if isinstance(m, bool) or not isinstance(m, int) or m < 1:
                 raise TrigError("multiplicities must be positive integers")
         seen = set()
         for theta in self.angles:
@@ -69,6 +69,8 @@ class CriticalPoints:
             if isinstance(theta, Fraction):
                 key = theta % 2
             elif isinstance(theta, float):
+                if not math.isfinite(theta):
+                    raise TrigError(f"critical angles must be finite, not {theta!r}")
                 key = round(math.fmod(theta, 2.0) % 2.0, 12)
             else:
                 raise TrigError(f"unsupported angle {theta!r}")
@@ -89,6 +91,8 @@ class CriticalPoints:
     @staticmethod
     def from_json(data) -> "CriticalPoints":
         """Parse ``[{"thetaOverPi": "p/q" | number | null, "m": int}, ...]``."""
+        if not isinstance(data, list) or not all(isinstance(e, dict) for e in data):
+            raise TrigError("criticalPoints must be a list of {thetaOverPi, m} objects")
         angles = []
         mults = []
         for entry in data:
@@ -99,7 +103,7 @@ class CriticalPoints:
                 angles.append(Fraction(raw))
             else:
                 angles.append(float(raw))
-            mults.append(int(entry["m"]))
+            mults.append(entry["m"])
         return CriticalPoints(tuple(angles), tuple(mults))
 
     def to_json(self) -> list:

@@ -474,7 +474,7 @@ def test_site_functional_zero_sequence():
 
 def test_site_functional_rejects_invalid_modulus():
     h = szego_h()
-    bad = VerblunskySeq(lambda n: 1.5, support=None)
+    bad = VerblunskySeq(lambda n: np.full(n.shape, 1.5), support=None)
     with pytest.raises(ModelError):
         site_functional(bad, 5, site_route(h))
 
@@ -523,7 +523,7 @@ def bounded_sequences(draw):
     if draw(st.booleans()):
         gamma = draw(st.floats(0.0, 2.0))
         phase = draw(st.floats(0.0, 2 * math.pi))
-        return VerblunskySeq(lambda n: c * cmath.exp(-1j * phase * n) / (n + 1) ** gamma)
+        return VerblunskySeq(lambda n: c * np.exp(-1j * phase * n) / (n + 1) ** gamma)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     size = draw(st.integers(0, 40))
     vals = c * np.sqrt(rng.random(size)) * np.exp(2j * np.pi * rng.random(size))
@@ -539,8 +539,9 @@ def test_site_route_equals_per_site_loop(n, h, alpha, bad, at):
     want = site_functional_loop(alpha, n, h)
     assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
     # one coefficient at |alpha| >= 1 or NaN among the first n rejects the sequence
-    at %= n
-    broken = VerblunskySeq(lambda m: bad if m == at else alpha(m))
+    values = alpha.head(n + route.program.max_shift + 1)
+    values[at % n] = bad
+    broken = VerblunskySeq(lambda m: values[m])
     with pytest.raises(ModelError):
         site_functional(broken, n, route)
 
@@ -551,7 +552,7 @@ def test_site_route_blocks_cover_every_site(n):
     # a rotating constant gives every site the same nonzero share, so a
     # site lost or counted twice at a block edge moves the sum
     h = build_h(CriticalPoints.from_pairs([(0.3, 1), (1.2, 1)]))
-    alpha = VerblunskySeq(lambda m: 0.5 * cmath.exp(-0.7j * m))
+    alpha = VerblunskySeq(lambda m: 0.5 * np.exp(-0.7j * m))
     want = site_functional_loop(alpha, n, h)
     assert abs(site_functional(alpha, n, site_route(h)) - want) <= 1e-12 * max(1.0, abs(want))
 

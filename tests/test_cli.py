@@ -140,6 +140,11 @@ def nan_slope_study(*args):
     return report
 
 
+def study_must_not_run(*args):
+    """Stands in for the study where input must be rejected before it."""
+    raise AssertionError("convergence_study ran on malformed input")
+
+
 # (command, input data, replacement for lab.convergence_study or None)
 MALFORMED = [
     ("gem", {"family": {"name": "finiteSupport", "values": [[math.nan, 0.0]]}}, None),
@@ -152,13 +157,17 @@ MALFORMED = [
     ("gem", {}, nan_slope_study),
     ("gem", {"family": {"name": "powerDecay", "c": 0.3, "gamma": -2000}}, None),
     ("gem", {"family": {"name": "powerDecay", "c": 0.3, "gamma": 1e300}}, None),
+    ("gem", {"criticalPoints": {"thetaOverPi": 0.0, "m": 1}}, study_must_not_run),
+    ("gem", {"criticalPoints": [{"thetaOverPi": 0.0, "m": 1.5}]}, study_must_not_run),
+    ("gem", {"criticalPoints": [{"thetaOverPi": math.nan, "m": 1}]}, study_must_not_run),
 ]
 
 
 @pytest.mark.parametrize("command,data,study", MALFORMED, ids=[
     "gem-nan-value", "gem-angle-text", "gem-c-text", "gem-schedule-text",
     "gem-schedule-below-degree", "szego-nan-value", "gem-nan-report",
-    "gem-gamma-underflow", "gem-gamma-overflow"])
+    "gem-gamma-underflow", "gem-gamma-overflow", "gem-points-object",
+    "gem-multiplicity-fraction", "gem-angle-nan"])
 def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch,
                                                command, data, study):
     if study is not None:

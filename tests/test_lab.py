@@ -1,12 +1,18 @@
 """Sequence families, diagnostics, the classifier and report formats."""
 
+import cmath
 import json
 import math
+import tempfile
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from opucgems.algmodel import ModelError, site_functional, site_route
 
 from opucgems.lab import (
     DEFAULT_SCHEDULE,
@@ -19,8 +25,8 @@ from opucgems.lab import (
     export_report,
     shifted_difference,
 )
-from opucgems.opuc import VerblunskySeq
-from opucgems.trig import CriticalPoints
+from opucgems.opuc import OpucError, VerblunskySeq
+from opucgems.trig import CriticalPoints, build_h
 
 
 def szego_points():
@@ -64,6 +70,138 @@ def test_file_family_reads_pairs(tmp_path):
     assert seq.support == 2
     with pytest.raises(LabError):
         SequenceFamily.from_file(str(tmp_path / "missing.json")).sequence()
+
+
+# -- the coefficient path against a per-index oracle -----------------------------
+
+
+def per_index_fn(family):
+    """alpha_k one index at a time, by the scalar ``cmath`` closed forms."""
+    params = family.params
+    if family.name in ("powerDecay", "constant"):
+        c = complex(params["c"])
+        phase = float(params.get("phase", 0.0))
+        if family.name == "constant":
+            return lambda k: c * cmath.exp(-1j * phase * k)
+        gamma = float(params["gamma"])
+        return lambda k: c * cmath.exp(-1j * phase * k) / (k + 1) ** gamma
+    if family.name == "file":
+        pairs = json.loads(Path(params["path"]).read_text())
+    else:
+        pairs = params["values"]
+    values = [complex(re, im) for re, im in pairs]
+    return lambda k: values[k] if k < len(values) else 0.0 + 0.0j
+
+
+def per_index_head(family, n):
+    fn = per_index_fn(family)
+    return np.array([fn(k) for k in range(n)], dtype=complex)
+
+
+class PerIndexFamily(SequenceFamily):
+    """The same family, its generator producing one index at a time."""
+
+    def sequence(self):
+        fn = per_index_fn(self)
+        return VerblunskySeq(lambda m: np.array([fn(int(k)) for k in m], dtype=complex))
+
+
+@st.composite
+def families(draw):
+    kind = draw(st.sampled_from(["powerDecay", "constant", "finiteSupport"]))
+    # |c| stays well above the subnormals, where a relative bound says
+    # nothing about the last bit
+    c = draw(st.complex_numbers(min_magnitude=1e-6, max_magnitude=0.95))
+    phase = draw(st.floats(-1e3, 1e3))
+    if kind == "powerDecay":
+        return SequenceFamily.power_decay(c, draw(st.floats(0.0, 3.0)), phase)
+    if kind == "constant":
+        return SequenceFamily.constant(c, phase)
+    return SequenceFamily.finite_support(
+        draw(st.lists(st.complex_numbers(max_magnitude=0.95), max_size=40)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=families(), n=st.integers(0, 2000), as_file=st.booleans())
+def test_head_equals_per_index_oracle(family, n, as_file):
+    with tempfile.TemporaryDirectory() as tmp:
+        if as_file and family.name == "finiteSupport":
+            path = Path(tmp) / "alphas.json"
+            path.write_text(json.dumps(family.params["values"]))
+            family = SequenceFamily.from_file(str(path))
+        seq = family.sequence()
+        got = seq.head(n)
+        want = per_index_head(family, n)
+    if family.name == "powerDecay":
+        # numpy's pow and complex division may differ from CPython's in the last bit
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+    else:
+        assert got.tobytes() == want.tobytes()
+    for k in range(min(n, 3)):
+        assert seq(k) == got[k]
+    assert seq(-1) == -1.0 and seq(-2) == 0.0
+
+
+ONE_POINT_ROUTE = site_route(build_h(CriticalPoints.from_pairs([(0.3, 1)])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 300), at=st.integers(0, 299),
+       bad=st.sampled_from([1.0, -1.0, 1j, 1.5, 0.8 + 0.8j, math.nan,
+                            complex(0.0, math.nan)]))
+def test_a_bad_coefficient_is_rejected_by_head(n, at, bad):
+    at %= n
+    seq = VerblunskySeq(lambda m: np.where(m == at, bad, 0.3 * np.exp(-0.5j * m)))
+    with pytest.raises(OpucError):
+        seq.head(n)
+    with pytest.raises(ModelError):
+        site_functional(seq, n, ONE_POINT_ROUTE)
+    with pytest.raises(OpucError):
+        VerblunskySeq.from_values([0.3] * at + [bad])
+
+
+@pytest.mark.parametrize("family", [
+    SequenceFamily.power_decay(0.9, -0.5),
+    SequenceFamily.power_decay(0.3, 1.0, phase=math.nan),
+    SequenceFamily.constant(0.3, phase=math.nan),
+], ids=["growing", "nan-phase", "constant-nan-phase"])
+def test_a_bad_family_is_rejected_by_head(family):
+    seq = family.sequence()
+    with pytest.raises(OpucError):
+        seq.head(10)
+    with pytest.raises(ModelError):
+        site_functional(seq, 10, ONE_POINT_ROUTE)
+
+
+def relative_gaps(got, want):
+    return [abs(g - w) / max(1.0, abs(w)) for g, w in zip(got, want)]
+
+
+def test_study_equals_per_index_oracle():
+    family = SequenceFamily.power_decay(0.4, 0.9, phase=0.37)
+    points = CriticalPoints.from_pairs([(0.3, 3), (1.1, 2)])
+    schedule = (50, 100, 200, 400, 800)
+    got = convergence_study(family, points, schedule)
+    want = convergence_study(PerIndexFamily(family.name, family.params), points, schedule)
+    for field in ("trace_values", "site_values", "log_sums"):
+        assert max(relative_gaps(getattr(got, field), getattr(want, field))) <= 1e-12
+    got_diag, want_diag = got.diagnostics, want.diagnostics
+    assert got_diag["power_sums"].keys() == want_diag["power_sums"].keys()
+    assert max(relative_gaps(
+        [got_diag[key] for key in ("difference_l2_sq", "l2", "l4")]
+        + list(got_diag["power_sums"].values()),
+        [want_diag[key] for key in ("difference_l2_sq", "l2", "l4")]
+        + list(want_diag["power_sums"].values()))) <= 1e-12
+    assert got.verdict == want.verdict
+
+
+def test_red_case_study_equals_per_index_oracle_exactly():
+    family = SequenceFamily.constant(0.5)
+    points = CriticalPoints.from_pairs([(0.0, 2)])
+    got = convergence_study(family, points)
+    want = convergence_study(PerIndexFamily(family.name, family.params), points)
+    for fmt in ("json", "csv"):
+        assert export_report(got, fmt) == export_report(want, fmt)
 
 
 # -- diagnostics -------------------------------------------------------------------

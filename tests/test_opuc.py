@@ -137,9 +137,15 @@ def test_sequence_index_conventions():
 def test_invalid_modulus_rejected():
     with pytest.raises(OpucError):
         VerblunskySeq.from_values([1.0])
-    bad = VerblunskySeq(lambda n: 1.5, support=None)
+    bad = VerblunskySeq(lambda n: np.full(n.shape, 1.5), support=None)
     with pytest.raises(OpucError):
         bad.head(3)
+
+
+def test_generator_must_return_one_value_per_index():
+    # a scalar would otherwise broadcast into a constant sequence unnoticed
+    with pytest.raises(OpucError):
+        VerblunskySeq(lambda n: 0.5).head(3)
 
 
 # -- trace functional -------------------------------------------------------------------
