@@ -204,10 +204,10 @@ def cmd_dump_g2k(args) -> int:
 def cmd_szego_check(args) -> int:
     try:
         alpha = lab.SequenceFamily.from_file(args.alphas).sequence()
+        quad = bs_weight_quadrature(alpha, None, grid_size=args.grid)
     except (lab.LabError, OpucError) as exc:
         _say(f"szego-check: {exc}")
         return EXIT_BAD_INPUT
-    quad = bs_weight_quadrature(alpha, None, grid_size=args.grid)
     coeff_sum = log_term(alpha, alpha.support)
     diff = abs(quad - coeff_sum)
     passed = diff <= 1e-8

@@ -1,8 +1,10 @@
 """Exact sparse multivariate Laurent polynomial arithmetic.
 
-Coefficients are Gaussian rationals: exact complex numbers with Fraction
-real and imaginary parts.  A polynomial is a sparse map from integer
-exponent vectors to coefficients over a fixed variable table.  The table
+Coefficients are Gaussian rationals, held as one canonical integer triple
+``(a + b*i) / d`` with ``d > 0`` and ``gcd(a, b, d) == 1``: each operation
+is integer arithmetic plus one three-argument gcd, skipped when the
+denominator is 1.  A polynomial is a sparse map from integer exponent
+vectors to coefficients over a fixed variable table.  The table
 distinguishes three kinds of variables:
 
 * paired variables ``x1, y1, ..., xk, yk`` that participate in the
@@ -17,12 +19,20 @@ so polynomials can be shared freely across threads.  :func:`_accumulate`
 is the only place the layer merges coefficients (add, then drop a zero
 sum); it mutates only dicts the calling operation owns, never the
 ``terms`` of a constructed polynomial.
+
+:func:`exact_div` takes each leading term from a heap of the remainder's
+exponents.  The graded order is translation invariant, so the terms a
+division step adds all rank below the lead it cancels; leads strictly
+decrease, and a heap entry whose exponent has since cancelled is skipped.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add, neg, sub
 from typing import Iterable, Mapping, Sequence
 
 
@@ -46,18 +56,33 @@ class DuplicatePoint(LaurentError):
     """Divided difference received two equal interpolation points."""
 
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
 class GaussianRational:
-    """Exact complex scalar ``re + im*i`` with rational parts."""
+    """Exact complex scalar ``(a + b*i) / d`` with integer ``a``, ``b``, ``d``.
 
-    __slots__ = ("re", "im")
+    The triple is kept canonical: ``d > 0`` and ``gcd(a, b, d) == 1``, so
+    equal values have equal fields.  ``re`` and ``im`` present the parts as
+    :class:`Fraction`.
+    """
+
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
+        if type(re) is int and type(im) is int:
+            self.a, self.b, self.d = re, im, 1
+            return
+        re, im = Fraction(re), Fraction(im)
+        d = lcm(re.denominator, im.denominator)
+        self.a = re.numerator * (d // re.denominator)
+        self.b = im.numerator * (d // im.denominator)
+        self.d = d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     @staticmethod
     def coerce(value) -> "GaussianRational":
@@ -72,23 +97,33 @@ class GaussianRational:
     def _try_coerce(value):
         if isinstance(value, GaussianRational):
             return value
-        if isinstance(value, (int, Fraction)):
-            return GaussianRational(value)
+        if isinstance(value, int):
+            return _triple(int(value), 0, 1)
+        if isinstance(value, Fraction):
+            return _triple(value.numerator, 0, value.denominator)
         return None
 
     def __add__(self, other):
-        other = GaussianRational._try_coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if other.__class__ is not GaussianRational:
+            other = GaussianRational._try_coerce(other)
+            if other is None:
+                return NotImplemented
+        d, e = self.d, other.d
+        if d == e:
+            return _reduced(self.a + other.a, self.b + other.b, d)
+        return _reduced(self.a * e + other.a * d, self.b * e + other.b * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = GaussianRational._try_coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        if other.__class__ is not GaussianRational:
+            other = GaussianRational._try_coerce(other)
+            if other is None:
+                return NotImplemented
+        d, e = self.d, other.d
+        if d == e:
+            return _reduced(self.a - other.a, self.b - other.b, d)
+        return _reduced(self.a * e - other.a * d, self.b * e - other.b * d, d * e)
 
     def __rsub__(self, other):
         other = GaussianRational._try_coerce(other)
@@ -97,58 +132,81 @@ class GaussianRational:
         return other - self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _triple(-self.a, -self.b, self.d)
 
     def __mul__(self, other):
-        other = GaussianRational._try_coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if other.__class__ is not GaussianRational:
+            other = GaussianRational._try_coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b, c, e = self.a, self.b, other.a, other.b
+        return _reduced(a * c - b * e, a * e + b * c, self.d * other.d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = GaussianRational.coerce(other)
-        norm = other.re * other.re + other.im * other.im
+        a, b, c, e = self.a, self.b, other.a, other.b
+        norm = c * c + e * e
         if norm == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
-        )
+        # (a + bi)/d / ((c + ei)/f) = f * (a + bi)(c - ei) / (d * (c^2 + e^2))
+        f = other.d
+        return _reduced((a * c + b * e) * f, (b * c - a * e) * f, self.d * norm)
 
     def __rtruediv__(self, other):
         return GaussianRational.coerce(other) / self
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _triple(self.a, -self.b, self.d)
 
     def __eq__(self, other):
-        try:
-            other = GaussianRational.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if other.__class__ is not GaussianRational:
+            try:
+                other = GaussianRational.coerce(other)
+            except TypeError:
+                return NotImplemented
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
         return hash((self.re, self.im))
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return self.a != 0 or self.b != 0
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        return complex(self.a / self.d, self.b / self.d)
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def to_text(self) -> str:
         """Canonical ``a/b+c/d*i`` form used by the text serialization."""
-        sign = "+" if self.im >= 0 else "-"
+        sign = "+" if self.b >= 0 else "-"
         return f"{self.re}{sign}{abs(self.im)}*i"
+
+
+_new_scalar = object.__new__
+
+
+def _triple(a: int, b: int, d: int) -> GaussianRational:
+    """Scalar from a triple that is already canonical."""
+    out = _new_scalar(GaussianRational)
+    out.a, out.b, out.d = a, b, d
+    return out
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """Scalar from a triple with ``d > 0``, divided by ``gcd(a, b, d)``."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    out = _new_scalar(GaussianRational)
+    out.a, out.b, out.d = a, b, d
+    return out
 
 
 GR_ZERO = GaussianRational(0)
@@ -323,7 +381,7 @@ class LaurentPoly:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
-        out = _accumulate({}, ((tuple(x + y for x, y in zip(ea, eb)), ca * cb)
+        out = _accumulate({}, ((tuple(map(add, ea, eb)), ca * cb)
                                for ea, ca in a.items() for eb, cb in b.items()))
         return LaurentPoly(self.table, out)
 
@@ -510,6 +568,11 @@ def _grlex_key(exponent: tuple):
     return (sum(exponent), exponent)
 
 
+def _heap_entry(exponent: tuple) -> tuple:
+    """Min-heap entry whose order is the reverse of :func:`_grlex_key`."""
+    return (-sum(exponent), tuple(map(neg, exponent)), exponent)
+
+
 def exact_div(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     """Exact quotient ``p / q``; raises :class:`NonDivisible` otherwise.
 
@@ -517,6 +580,10 @@ def exact_div(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     ordinary polynomial division runs on the primitive parts with a graded
     leading-term order.  A nonzero remainder can only appear when ``p`` is
     genuinely not a multiple of ``q``.
+
+    Leading terms come from a heap of the remainder's exponents; an entry
+    whose exponent has left the remainder is skipped when popped (the
+    module docstring says why a popped exponent never returns).
     """
     p._check_table(q)
     if q.is_zero:
@@ -528,25 +595,33 @@ def exact_div(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
 
     p_shift = _monomial_shift(p)
     q_shift = _monomial_shift(q)
-    p_hat = {tuple(x - s for x, s in zip(e, p_shift)): c for e, c in p.terms.items()}
-    q_hat = {tuple(x - s for x, s in zip(e, q_shift)): c for e, c in q.terms.items()}
+    p_hat = {tuple(map(sub, e, p_shift)): c for e, c in p.terms.items()}
+    q_hat = {tuple(map(sub, e, q_shift)): c for e, c in q.terms.items()}
 
     lead_q = max(q_hat, key=_grlex_key)
     lead_q_coeff = q_hat[lead_q]
+    q_items = list(q_hat.items())
     quotient: dict = {}
     rem = dict(p_hat)
+    heap = [_heap_entry(e) for e in rem]
+    heapq.heapify(heap)
     while rem:
-        lead_p = max(rem, key=_grlex_key)
-        diff = tuple(a - b for a, b in zip(lead_p, lead_q))
+        lead_p = heapq.heappop(heap)[2]
+        if lead_p not in rem:
+            continue
+        diff = tuple(map(sub, lead_p, lead_q))
         if any(d < 0 for d in diff):
             raise NonDivisible("leading term not divisible")
         factor = rem[lead_p] / lead_q_coeff
         quotient[diff] = factor
-        _accumulate(rem, ((tuple(a + b for a, b in zip(e, diff)), -(factor * c))
-                          for e, c in q_hat.items()))
+        step = [(tuple(map(add, e, diff)), -(factor * c)) for e, c in q_items]
+        for e, _ in step:
+            if e not in rem:
+                heapq.heappush(heap, _heap_entry(e))
+        _accumulate(rem, step)
 
-    shift = tuple(a - b for a, b in zip(p_shift, q_shift))
-    out = {tuple(a + b for a, b in zip(e, shift)): c for e, c in quotient.items()}
+    shift = tuple(map(sub, p_shift, q_shift))
+    out = {tuple(map(add, e, shift)): c for e, c in quotient.items()}
     return LaurentPoly(p.table, out)
 
 

@@ -1,5 +1,6 @@
 """Command-line surface: records, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 
@@ -80,6 +81,35 @@ def test_verify_flags_constant_sign(capsys):
     assert all("signNote" in r for r in constant_cases)
 
 
+# SHA-256 of the whole stdout, recorded with the Fraction-pair scalar and the
+# max-scan division; guards every verify record (``comparedTerms`` included)
+# and the dump-g2k normal forms against silent drift in the exact kernel.
+PINNED_STDOUT = [
+    ("verify --kmax 2 --dmax 4",
+     "13f1852e4a74ab5e7593df41d7871028d6ffaeeecfe5023d24f0e6db10e78594"),
+    ("dump-g2k --k 1 --d 3",
+     "3da817de65c83def9cb6cc9aa5de178b08b46b0e9f63cfc8103eedf666398b38"),
+    ("dump-g2k --k 2 --d 3",
+     "92ab144b43356dcd687537cfd57002f033fecd88811ea109f9510fba286d358a"),
+    ("dump-g2k --k 3 --d 3",
+     "c049207922a52430cad5acbd69ed34395a583451280cf007bf8277bbb14d5986"),
+    ("dump-g2k --k 1 --d 4 --theta 1/2",
+     "befaf9ef90eebc64adbfa77453cc759b72d76b1d1de386909ed074b0a0f0f263"),
+    ("dump-g2k --k 2 --d 4 --theta 1/2",
+     "acf88c20e2158ad068ae738c952403a5b8c70e40050b4f180ddef2cdf9eb7aa4"),
+    ("dump-g2k --k 3 --d 4 --theta 1/2",
+     "4b2856bf4590166dcf7652da6499f4e48ae90b3f4c6edea08f17da68f0a4a471"),
+]
+
+
+@pytest.mark.parametrize("command,digest", PINNED_STDOUT,
+                         ids=[command for command, _ in PINNED_STDOUT])
+def test_stdout_digest_is_pinned(capsys, command, digest):
+    assert main(command.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_gem_missing_config_is_input_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "gem", "--config", str(tmp_path / "none.json"))
     assert code == 2 and "gem" in err
@@ -145,7 +175,7 @@ def study_must_not_run(*args):
     raise AssertionError("convergence_study ran on malformed input")
 
 
-# (command, input data, replacement for lab.convergence_study or None)
+# (command with any options, input data, replacement for lab.convergence_study or None)
 MALFORMED = [
     ("gem", {"family": {"name": "finiteSupport", "values": [[math.nan, 0.0]]}}, None),
     ("gem", {"criticalPoints": [{"thetaOverPi": "abc", "m": 1}]}, None),
@@ -160,6 +190,7 @@ MALFORMED = [
     ("gem", {"criticalPoints": {"thetaOverPi": 0.0, "m": 1}}, study_must_not_run),
     ("gem", {"criticalPoints": [{"thetaOverPi": 0.0, "m": 1.5}]}, study_must_not_run),
     ("gem", {"criticalPoints": [{"thetaOverPi": math.nan, "m": 1}]}, study_must_not_run),
+    ("szego-check --grid 10", [[0.5, 0.0]], None),
 ]
 
 
@@ -167,18 +198,19 @@ MALFORMED = [
     "gem-nan-value", "gem-angle-text", "gem-c-text", "gem-schedule-text",
     "gem-schedule-below-degree", "szego-nan-value", "gem-nan-report",
     "gem-gamma-underflow", "gem-gamma-overflow", "gem-points-object",
-    "gem-multiplicity-fraction", "gem-angle-nan"])
+    "gem-multiplicity-fraction", "gem-angle-nan", "szego-grid-too-small"])
 def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch,
                                                command, data, study):
+    command, *options = command.split()
     if study is not None:
         monkeypatch.setattr(lab, "convergence_study", study)
     path = tmp_path / "input.json"
     if command == "gem":
         path.write_text(json.dumps({**GOOD_GEM, **data}))
-        argv = ["gem", "--config", str(path)]
+        argv = ["gem", "--config", str(path), *options]
     else:
         path.write_text(json.dumps(data))
-        argv = ["szego-check", "--alphas", str(path)]
+        argv = ["szego-check", "--alphas", str(path), *options]
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2

@@ -1,10 +1,12 @@
 """Ring, quotient and divided-difference properties of the Laurent engine."""
 
 import cmath
+import math
+import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from opucgems.laurent import (
     DuplicatePoint,
@@ -18,6 +20,7 @@ from opucgems.laurent import (
     exact_div,
     substitute,
 )
+from opucgems.laurent import _accumulate, _grlex_key, _monomial_shift
 
 
 def table_k1():
@@ -375,3 +378,204 @@ def test_text_serialization_is_canonical():
 
 def test_zero_serializes_as_zero():
     assert table_k1().zero().to_text() == "0"
+
+
+# -- scalar oracle ----------------------------------------------------------------------
+
+
+class PairRational:
+    """Gaussian rational as a pair of Fractions: the reference for the scalar."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        self.re = re if isinstance(re, Fraction) else Fraction(re)
+        self.im = im if isinstance(im, Fraction) else Fraction(im)
+
+    @staticmethod
+    def coerce(value):
+        if isinstance(value, PairRational):
+            return value
+        if isinstance(value, (int, Fraction)):
+            return PairRational(value)
+        raise TypeError(f"cannot coerce {value!r}")
+
+    def __add__(self, other):
+        other = PairRational.coerce(other)
+        return PairRational(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = PairRational.coerce(other)
+        return PairRational(self.re - other.re, self.im - other.im)
+
+    def __rsub__(self, other):
+        return PairRational.coerce(other) - self
+
+    def __neg__(self):
+        return PairRational(-self.re, -self.im)
+
+    def __mul__(self, other):
+        other = PairRational.coerce(other)
+        return PairRational(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = PairRational.coerce(other)
+        norm = other.re * other.re + other.im * other.im
+        if norm == 0:
+            raise ZeroDivisionError("division by zero Gaussian rational")
+        return PairRational(
+            (self.re * other.re + self.im * other.im) / norm,
+            (self.im * other.re - self.re * other.im) / norm,
+        )
+
+    def __rtruediv__(self, other):
+        return PairRational.coerce(other) / self
+
+    def conjugate(self):
+        return PairRational(self.re, -self.im)
+
+    def __eq__(self, other):
+        other = PairRational.coerce(other)
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def __bool__(self):
+        return self.re != 0 or self.im != 0
+
+    def __complex__(self):
+        return complex(float(self.re), float(self.im))
+
+    def __repr__(self):
+        return f"GaussianRational({self.re!r}, {self.im!r})"
+
+    def to_text(self):
+        sign = "+" if self.im >= 0 else "-"
+        return f"{self.re}{sign}{abs(self.im)}*i"
+
+
+# denominators 1, powers of two and odd primes; numerators with zero and signs
+rational_parts = st.builds(
+    Fraction,
+    st.integers(-40, 40) | st.integers(-10 ** 30, 10 ** 30),
+    st.sampled_from([1, 1, 2, 4, 8, 1024, 3, 5, 7, 11, 101]),
+)
+plain_scalars = st.integers(-6, 6) | rational_parts
+
+
+def assert_same_scalar(got, want):
+    assert type(got) is GaussianRational
+    assert got.d > 0 and math.gcd(got.a, got.b, got.d) == 1
+    assert type(got.re) is Fraction and type(got.im) is Fraction
+    assert (got.re, got.im) == (want.re, want.im)
+    assert hash(got) == hash(want)
+    assert bool(got) == bool(want)
+    assert complex(got) == complex(want)
+    assert got.to_text() == want.to_text()
+    assert repr(got) == repr(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_parts, rational_parts, rational_parts, rational_parts, plain_scalars)
+def test_scalar_matches_fraction_pair_oracle(re1, im1, re2, im2, plain):
+    x, y = GaussianRational(re1, im1), GaussianRational(re2, im2)
+    ox, oy = PairRational(re1, im1), PairRational(re2, im2)
+    assert_same_scalar(x, ox)
+    for op in (operator.add, operator.sub, operator.mul):
+        assert_same_scalar(op(x, y), op(ox, oy))
+        assert_same_scalar(op(x, plain), op(ox, plain))
+        assert_same_scalar(op(plain, x), op(plain, ox))
+    assert_same_scalar(-x, -ox)
+    assert_same_scalar(x.conjugate(), ox.conjugate())
+    for num, den, onum, oden in ((x, y, ox, oy), (x, plain, ox, plain), (plain, x, plain, ox)):
+        if PairRational.coerce(oden):
+            assert_same_scalar(num / den, onum / oden)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                num / den
+    assert (x == y) == (ox == oy)
+    assert (x == plain) == (ox == plain)
+    assert (plain == x) == (ox == plain)
+    assert (x == GaussianRational(x.re, x.im)) and hash(x) == hash(GaussianRational(x.re, x.im))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False),
+       st.floats(allow_nan=False, allow_infinity=False) | st.integers(-5, 5))
+def test_scalar_coerces_floats_like_the_oracle(re, im):
+    assert_same_scalar(GaussianRational(re, im), PairRational(re, im))
+
+
+def test_scalar_keeps_the_pair_hash_and_integer_equality():
+    assert hash(GaussianRational(1)) == hash((1, 0))
+    assert hash(GaussianRational(Fraction(1, 2), 3)) == hash((Fraction(1, 2), 3))
+    assert GaussianRational(Fraction(6, 3)) == 2
+    assert GaussianRational(Fraction(1, 2)) == Fraction(1, 2)
+    assert GaussianRational(0, 1) != 0
+    assert GaussianRational(0.5) != 0.5
+    with pytest.raises(ZeroDivisionError):
+        GaussianRational(1, 2) / GaussianRational(0)
+    with pytest.raises(ZeroDivisionError):
+        GaussianRational(1, 2) / 0
+
+
+# -- division oracle ----------------------------------------------------------------------
+
+
+def max_scan_exact_div(p, q):
+    """Exact division that scans the whole remainder for each leading term.
+
+    The reference for :func:`exact_div`'s heap-ordered loop: same shifts,
+    same graded order, same quotient insertion order.
+    """
+    if q.is_monomial:
+        return p * q.inverse()
+    p_shift = _monomial_shift(p)
+    q_shift = _monomial_shift(q)
+    p_hat = {tuple(x - s for x, s in zip(e, p_shift)): c for e, c in p.terms.items()}
+    q_hat = {tuple(x - s for x, s in zip(e, q_shift)): c for e, c in q.terms.items()}
+    lead_q = max(q_hat, key=_grlex_key)
+    lead_q_coeff = q_hat[lead_q]
+    quotient = {}
+    rem = dict(p_hat)
+    while rem:
+        lead_p = max(rem, key=_grlex_key)
+        diff = tuple(a - b for a, b in zip(lead_p, lead_q))
+        if any(d < 0 for d in diff):
+            raise NonDivisible("leading term not divisible")
+        factor = rem[lead_p] / lead_q_coeff
+        quotient[diff] = factor
+        _accumulate(rem, ((tuple(a + b for a, b in zip(e, diff)), -(factor * c))
+                          for e, c in q_hat.items()))
+    shift = tuple(a - b for a, b in zip(p_shift, q_shift))
+    out = {tuple(a + b for a, b in zip(e, shift)): c for e, c in quotient.items()}
+    return LaurentPoly(p.table, out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys(max_terms=5), polys(max_terms=5))
+def test_heap_division_matches_max_scan_oracle(p, q):
+    assume(not q.is_zero)
+    got = exact_div(p * q, q)
+    assert list(got.terms.items()) == list(max_scan_exact_div(p * q, q).terms.items())
+    assert got == p
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys(max_terms=5), polys(max_terms=5), polys(max_terms=1))
+def test_heap_division_rejects_non_multiples_like_the_oracle(p, q, r):
+    # q has two or more terms, so it is no unit and cannot divide the monomial r
+    assume(len(q.terms) >= 2 and r.is_monomial)
+    f = p * q + r
+    with pytest.raises(NonDivisible):
+        max_scan_exact_div(f, q)
+    with pytest.raises(NonDivisible):
+        exact_div(f, q)
