@@ -61,8 +61,6 @@ def model_table(k: int, units: Sequence[str] = (), plain: Sequence[str] = ()) ->
 
 
 def table_for(k: int, h: TrigPoly, plain: Sequence[str] = ()) -> VarTable:
-    if h.table is None:
-        raise ModelError("symbolic construction needs an exact-mode weight")
     return model_table(k, units=h.table.names, plain=plain)
 
 

@@ -29,9 +29,14 @@ EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
 
 
+def _line(record: dict) -> str:
+    """One JSON line; a non-finite float raises ValueError."""
+    return json.dumps(record, sort_keys=True, allow_nan=False) + "\n"
+
+
 def _emit(record: dict):
     """Write one JSON line; a non-finite float raises ValueError first."""
-    sys.stdout.write(json.dumps(record, sort_keys=True, allow_nan=False) + "\n")
+    sys.stdout.write(_line(record))
 
 
 def _say(message: str):
@@ -157,15 +162,21 @@ def cmd_gem(args) -> int:
             OpucError) as exc:
         _say(f"gem: bad config: {exc}")
         return EXIT_BAD_INPUT
+    # serialise and write the CSV first: a failure leaves stdout empty
     try:
-        _emit(report.to_json())
+        line = _line(report.to_json())
     except ValueError as exc:
         _say(f"gem: report is not finite JSON: {exc}")
         return EXIT_BAD_INPUT
     if args.csv:
-        with open(args.csv, "wb") as fh:
-            fh.write(lab.export_report(report, "csv"))
+        try:
+            with open(args.csv, "wb") as fh:
+                fh.write(lab.export_report(report, "csv"))
+        except OSError as exc:
+            _say(f"gem: cannot write CSV: {exc}")
+            return EXIT_BAD_INPUT
         _say(f"gem: CSV written to {args.csv}")
+    sys.stdout.write(line)
     _say(f"gem: verdict={report.verdict} slope={report.slope:.3e}")
     return EXIT_OK
 
@@ -182,7 +193,7 @@ def cmd_dump_g2k(args) -> int:
     else:
         try:
             points = CriticalPoints.from_pairs([(Fraction(args.theta), args.d)])
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             _say("dump-g2k: theta must be a rational multiple of pi, like 1/2")
             return EXIT_BAD_INPUT
     try:

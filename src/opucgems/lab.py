@@ -229,15 +229,15 @@ def convergence_study(family: SequenceFamily, points: CriticalPoints,
     if schedule and schedule[-1] > max_n:
         raise LabError("schedule exceeds the configured limit")
     alpha = family.sequence()
-    h_num = build_h(points, "numeric")
-    route = site_route(build_h(points, "exact"))
+    h = build_h(points, "exact")
+    route = site_route(h)
     trace_values = []
     site_values = []
     log_sums = []
     for n in schedule:
         u = ggt_matrix(alpha, n)
         log_sum = log_term(alpha, n)
-        trace_values.append(float(trace_v(u, h_num) - log_sum))
+        trace_values.append(float(trace_v(u, h) - log_sum))
         site_values.append(float(site_functional(alpha, n, route)))
         log_sums.append(float(log_sum))
     verdict, slope, value_range = classify_values(schedule, trace_values)

@@ -169,7 +169,8 @@ class GaussianRational:
         return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value hashes like the equal Fraction (or int), as == demands
+        return hash(self.re) if self.b == 0 else hash((self.re, self.im))
 
     def __bool__(self):
         return self.a != 0 or self.b != 0

@@ -6,12 +6,11 @@ stored through its Fourier coefficients ``h_l`` for ``l in [-d, d]`` where
 ``1 - cos(theta - theta_j) = (x - z_j)(1/x - 1/z_j) / 2`` with ``x = e^{i
 theta}`` and ``z_j = e^{i theta_j}``.
 
-Two modes:
-
-* exact  - ``h_l`` are Laurent polynomials in unit symbols ``z1..zK``
-  (symbols stay generic unless the angle is an exact quarter multiple of
-  pi, in which case the Gaussian-rational unit is substituted),
-* numeric - ``h_l`` are complex floats for concrete angles.
+H has one representation: ``h_l`` are Laurent polynomials in unit symbols
+``z1..zK``.  A symbol stays generic unless its angle is an exact quarter
+multiple of pi, in which case the Gaussian-rational unit is substituted.
+Numeric values of H (coefficients, ``Z_H``, values on a grid) are
+evaluations of these exact coefficients at the concrete angles.
 
 ``Z_H`` is the mean of H over the circle, which equals ``h_0``.
 """
@@ -140,38 +139,27 @@ class CriticalPoints:
 class TrigPoly:
     """The weight H with its coefficient vector and normalization Z_H.
 
-    In exact mode ``coeffs[l]`` is a LaurentPoly over ``table`` (unit
-    symbols only) and ``unit_polys[j]`` is the polynomial standing for
-    ``e^{i theta_j}`` (a symbol or an exact constant).  In numeric mode
-    ``numeric_coeffs[l + degree]`` is a complex float.
+    ``coeffs[l]`` is a LaurentPoly over ``table`` (unit symbols only) and
+    ``unit_polys[j]`` is the polynomial standing for ``e^{i theta_j}`` (a
+    symbol or an exact constant).  Numeric values are evaluations of these
+    coefficients at the concrete angles; no float copy is stored.
     """
 
     points: CriticalPoints
     degree: int
-    table: VarTable | None
-    coeffs: Mapping[int, LaurentPoly] | None
-    unit_polys: tuple | None
-    numeric_coeffs: np.ndarray | None
-
-    @property
-    def mode(self) -> str:
-        return "exact" if self.coeffs is not None else "numeric"
+    table: VarTable
+    coeffs: Mapping[int, LaurentPoly]
+    unit_polys: tuple
 
     @property
     def z_h(self):
         """Normalization constant: the l = 0 Fourier coefficient."""
-        if self.coeffs is not None:
-            return self.coeffs[0]
-        return self.numeric_coeffs[self.degree]
+        return self.coeffs[0]
 
     def z_h_numeric(self) -> float:
-        if self.numeric_coeffs is not None:
-            return float(self.numeric_coeffs[self.degree].real)
-        return complex(self.coeffs[0].evaluate(self.unit_values())).real
+        return self.coeff_numeric(0).real
 
     def coeff_numeric(self, l: int) -> complex:
-        if self.numeric_coeffs is not None:
-            return complex(self.numeric_coeffs[l + self.degree])
         return self.coeffs[l].evaluate(self.unit_values())
 
     def unit_values(self) -> dict:
@@ -199,40 +187,28 @@ def _convolve(a: dict, b: dict) -> dict:
 def build_h(points: CriticalPoints, mode: str = "exact") -> TrigPoly:
     """Construct H by convolving the 2d exact linear factors.
 
-    Exact mode keeps generic unit symbols ``z_j`` for angles given as None
-    or floats; Fraction angles must be quarter multiples of pi (the only
-    ones whose unit is a Gaussian rational) and are substituted exactly.
+    A quarter-multiple Fraction angle gets its Gaussian-rational unit; other
+    angles keep a generic symbol ``z_j``.  ``"exact"`` rejects any other
+    Fraction angle; ``"numeric"`` keeps it as a symbol but rejects a generic
+    (None) angle, so that H can be evaluated.
     """
-    d = points.degree
-    if mode == "numeric":
-        thetas = points.numeric_angles()
-        coeffs = {0: complex(1.0)}
-        for theta, m in zip(thetas, points.multiplicities):
-            z = cmath.exp(1j * theta)
-            for _ in range(m):
-                coeffs = _convolve(coeffs, {1: 0.5, 0: -0.5 * z})
-                coeffs = _convolve(coeffs, {-1: 1.0, 0: -z.conjugate()})
-        vec = np.zeros(2 * d + 1, dtype=complex)
-        for l, c in coeffs.items():
-            vec[l + d] = c
-        _validate_numeric(points, vec, d)
-        return TrigPoly(points, d, None, None, None, vec)
-
-    if mode != "exact":
+    if mode not in ("exact", "numeric"):
         raise TrigError(f"unknown mode {mode!r}")
-
+    if mode == "numeric" and None in points.angles:
+        raise TrigError("generic angle has no numeric value")
+    d = points.degree
     names = tuple(f"z{j + 1}" for j in range(points.count))
     table = VarTable.build(0, units=names)
     unit_polys = []
     for name, theta in zip(names, points.angles):
-        if isinstance(theta, Fraction):
-            unit = _EXACT_UNITS.get(theta % 2)
-            if unit is None:
-                raise TrigError(
-                    f"angle {theta}*pi has no Gaussian-rational unit; "
-                    "use a float angle to keep the symbol generic"
-                )
+        unit = _EXACT_UNITS.get(theta % 2) if isinstance(theta, Fraction) else None
+        if unit is not None:
             unit_polys.append(table.const(unit))
+        elif isinstance(theta, Fraction) and mode == "exact":
+            raise TrigError(
+                f"angle {theta}*pi has no Gaussian-rational unit; "
+                "use a float angle to keep the symbol generic"
+            )
         else:
             unit_polys.append(table.var(name))
     half = table.const(Fraction(1, 2))
@@ -246,41 +222,18 @@ def build_h(points: CriticalPoints, mode: str = "exact") -> TrigPoly:
     for l in range(0, d + 1):
         if full[-l] != full[l].conjugate():
             raise TrigError("coefficient symmetry h_{-l} = conj(h_l) violated")
-    return TrigPoly(points, d, table, full, tuple(unit_polys), None)
+    return TrigPoly(points, d, table, full, tuple(unit_polys))
 
 
-def _validate_numeric(points: CriticalPoints, vec: np.ndarray, d: int):
-    if abs(vec[d].imag) > 1e-12:
-        raise TrigError("Z_H must be real")
-    for l in range(0, d + 1):
-        if abs(vec[d - l] - vec[d + l].conjugate()) > 1e-10:
-            raise TrigError("coefficient symmetry h_{-l} = conj(h_l) violated")
-    thetas = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
-    z = np.exp(1j * thetas)
-    values = sum(vec[l + d] * z ** l for l in range(-d, d + 1))
-    if np.min(values.real) < -1e-10:
-        raise TrigError("H must be nonnegative on the circle")
-
-
-def build_v(h: TrigPoly):
+def build_v(h: TrigPoly) -> dict:
     """Coefficients of V: ``v_l = -h_l / (Z_H * |l|)`` for l != 0, v_0 = 0.
 
-    Numeric mode returns a complex vector indexed like ``numeric_coeffs``;
-    exact mode returns a dict of LaurentPoly (requires h_0 to divide each
-    h_l exactly, which always holds for a single critical point).
+    Returns a dict of LaurentPoly; requires h_0 to divide each h_l exactly,
+    which always holds for a single critical point.
     """
-    d = h.degree
-    if h.mode == "numeric":
-        z_h = h.z_h_numeric()
-        if abs(z_h) < 1e-14:
-            raise TrigError("Z_H vanished; invalid weight")
-        vec = np.zeros(2 * d + 1, dtype=complex)
-        for l in range(1, d + 1):
-            vec[d + l] = -h.numeric_coeffs[d + l] / (z_h * l)
-            vec[d - l] = -h.numeric_coeffs[d - l] / (z_h * l)
-        return vec
     from .laurent import exact_div
 
+    d = h.degree
     z_h = h.coeffs[0]
     if z_h.is_zero:
         raise TrigError("Z_H vanished; invalid weight")

@@ -132,7 +132,7 @@ def constant_weight(k_pairs_unused=None):
     h = build_h(points)
     coeffs = {l: h.table.zero() for l in (-1, 1)}
     coeffs[0] = h.table.one()
-    return TrigPoly(points, 1, h.table, coeffs, h.unit_polys, None)
+    return TrigPoly(points, 1, h.table, coeffs, h.unit_polys)
 
 
 def test_acceptance_3_constant_identity():

@@ -54,10 +54,14 @@ def test_dump_g2k_second_order(capsys):
                                  "(-2/3+0*i)*x1^1 + (1/6+0*i)*x1^2")
 
 
-def test_dump_g2k_rejects_non_quarter_angle(capsys):
-    code, _, _ = run_cli(capsys, "dump-g2k", "--k", "1", "--d", "1",
-                         "--theta", "1/3")
+@pytest.mark.parametrize("theta", ["1/3", "1/0"])
+def test_dump_g2k_rejects_non_quarter_angle(capsys, theta):
+    code = main(["dump-g2k", "--k", "1", "--d", "1", "--theta", theta])
+    captured = capsys.readouterr()
     assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("dump-g2k: ")
 
 
 def test_verify_small_suite_passes(capsys):
@@ -191,6 +195,7 @@ MALFORMED = [
     ("gem", {"criticalPoints": [{"thetaOverPi": 0.0, "m": 1.5}]}, study_must_not_run),
     ("gem", {"criticalPoints": [{"thetaOverPi": math.nan, "m": 1}]}, study_must_not_run),
     ("szego-check --grid 10", [[0.5, 0.0]], None),
+    ("gem --csv /nonexistent-dir/study.csv", {}, None),
 ]
 
 
@@ -198,7 +203,8 @@ MALFORMED = [
     "gem-nan-value", "gem-angle-text", "gem-c-text", "gem-schedule-text",
     "gem-schedule-below-degree", "szego-nan-value", "gem-nan-report",
     "gem-gamma-underflow", "gem-gamma-overflow", "gem-points-object",
-    "gem-multiplicity-fraction", "gem-angle-nan", "szego-grid-too-small"])
+    "gem-multiplicity-fraction", "gem-angle-nan", "szego-grid-too-small",
+    "gem-csv-unwritable"])
 def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch,
                                                command, data, study):
     command, *options = command.split()

@@ -446,6 +446,8 @@ class PairRational:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
+        if self.im == 0:
+            return hash(self.re)
         return hash((self.re, self.im))
 
     def __bool__(self):
@@ -505,6 +507,10 @@ def test_scalar_matches_fraction_pair_oracle(re1, im1, re2, im2, plain):
     assert (x == plain) == (ox == plain)
     assert (plain == x) == (ox == plain)
     assert (x == GaussianRational(x.re, x.im)) and hash(x) == hash(GaussianRational(x.re, x.im))
+    if x == x.re:  # equal values hash equally
+        assert hash(x) == hash(x.re)
+    real = GaussianRational(re1)
+    assert real == re1 and hash(real) == hash(re1)
 
 
 @settings(max_examples=100, deadline=None)
@@ -515,7 +521,9 @@ def test_scalar_coerces_floats_like_the_oracle(re, im):
 
 
 def test_scalar_keeps_the_pair_hash_and_integer_equality():
-    assert hash(GaussianRational(1)) == hash((1, 0))
+    assert hash(GaussianRational(1)) == hash(1)
+    assert hash(GaussianRational(Fraction(1, 2))) == hash(Fraction(1, 2))
+    assert len({GaussianRational(1), 1}) == 1
     assert hash(GaussianRational(Fraction(1, 2), 3)) == hash((Fraction(1, 2), 3))
     assert GaussianRational(Fraction(6, 3)) == 2
     assert GaussianRational(Fraction(1, 2)) == Fraction(1, 2)

@@ -42,3 +42,14 @@ def test_tracer_sees_one_site_route_compile_per_study():
     # the benchmark's per-point clock marks each return of lab.site_functional
     assert tracer.calls["algmodel.site_functional"] == len(schedule)
     assert tracer.calls["algmodel.site_poly"] == points.degree
+
+
+def test_tracer_sees_one_weight_build_per_study():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    with module.Tracer() as tracer:
+        convergence_study(SequenceFamily.power_decay(0.3, 1.0),
+                          CriticalPoints.from_pairs([(0.3, 2), (1.2, 1)]), (10, 20, 40))
+    # the trace route and the site route share one exact weight
+    assert tracer.calls["trig.build_h"] == 1

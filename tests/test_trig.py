@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from opucgems.opuc import VerblunskySeq, sum_rule_functional
 from opucgems.trig import CriticalPoints, TrigError, build_h, build_v
 
 
@@ -55,6 +56,14 @@ def test_non_quarter_fraction_rejected_in_exact_mode():
         build_h(CriticalPoints.from_pairs([(Fraction(1, 3), 1)]))
 
 
+def test_numeric_mode_keeps_non_quarter_fraction_and_rejects_generic():
+    h = build_h(CriticalPoints.from_pairs([(Fraction(1, 3), 1)]), "numeric")
+    # h_1 = -1/(2z) with z = e^{i pi/3}
+    assert abs(h.coeff_numeric(1) + 0.5 * np.exp(-1j * math.pi / 3)) <= 1e-15
+    with pytest.raises(TrigError):
+        build_h(CriticalPoints.generic([1]), "numeric")
+
+
 def test_duplicate_angles_rejected():
     with pytest.raises(TrigError):
         CriticalPoints.from_pairs([(Fraction(0), 1), (Fraction(2), 1)])
@@ -75,6 +84,20 @@ def test_numeric_coefficients_reproduce_product(seed):
     for theta, m in zip(pts.numeric_angles(), pts.multiplicities):
         direct *= (1.0 - np.cos(thetas - theta)) ** m
     assert np.max(np.abs(h.eval_numeric(thetas) - direct)) <= 1e-12
+
+
+@pytest.mark.parametrize("pairs", [[(0.37, 17)], [(0.0, 24)], [(0.2, 12), (1.3, 12)]])
+def test_high_degree_weights_evaluate_to_the_product(pairs):
+    # coefficients grow like 2^d, so H is checked relative to its maximum
+    pts = CriticalPoints.from_pairs(pairs)
+    h = build_h(pts, "numeric")
+    thetas = np.linspace(0.0, 2 * math.pi, 2000, endpoint=False)
+    direct = np.ones_like(thetas)
+    for theta, m in zip(pts.numeric_angles(), pts.multiplicities):
+        direct *= (1.0 - np.cos(thetas - theta)) ** m
+    assert np.max(np.abs(h.eval_numeric(thetas) - direct)) <= 1e-10 * np.max(direct)
+    alpha = VerblunskySeq(lambda n: 0.3 / (n + 1), support=None)
+    assert math.isfinite(sum_rule_functional(alpha, 400, h))
 
 
 def test_z_h_equals_h0_and_quadrature():
@@ -123,14 +146,6 @@ def test_v_exact_two_fixed_points():
     # Z_H = 1/2, h_2 = -1/4: v_2 = -h_2 / (2 Z_H) = 1/4
     assert v[2].constant_value() == Fraction(1, 4)
     assert v[1].is_zero
-
-
-def test_v_conjugate_symmetry_numeric():
-    pts = CriticalPoints.from_pairs([(0.8, 1), (2.1, 1)])
-    v = build_v(build_h(pts, "numeric"))
-    d = 2
-    for l in range(1, d + 1):
-        assert abs(v[d - l] - np.conj(v[d + l])) <= 1e-14
 
 
 def test_json_round_trip():
