@@ -29,6 +29,7 @@ import numpy as np
 
 from .laurent import (
     GR_ONE,
+    GR_ZERO,
     GaussianRational,
     LaurentPoly,
     VarTable,
@@ -369,6 +370,24 @@ def trace_symbolic(l: int, n_sym: int) -> LaurentPoly:
         raise ModelError("power and window must be positive")
     if n_sym > MAX_TRACE_WINDOW:
         raise ModelError("symbolic window exceeds the configured guard")
+    return _closed_walks(l, n_sym, range(n_sym))
+
+
+def diagonal_entry(l: int, degree: int) -> LaurentPoly:
+    """Degree-``degree`` part of ``(U^l)_{ll}`` of the infinite squared-rho matrix.
+
+    A closed walk of length l from row l falls at most one row per step and
+    must climb back, so it stays in rows 1..2l-1 of ``trace_table(2l)``.
+    """
+    return _closed_walks(l, 2 * l, (l,), degree)
+
+
+def _closed_walks(l: int, n_sym: int, starts, degree: int | None = None) -> LaurentPoly:
+    """Sum of the closed Hessenberg walks of length l from each start row.
+
+    With ``degree`` set, only its homogeneous part: walk products drop the
+    terms above it (degrees never fall), and a walk left empty is cut.
+    """
     table = trace_table(n_sym)
     entry_cache: dict = {}
 
@@ -389,6 +408,10 @@ def trace_symbolic(l: int, n_sym: int) -> LaurentPoly:
     out: dict = {}
 
     def rec(start: int, pos: int, remaining: int, acc: LaurentPoly):
+        if degree is not None:
+            acc = LaurentPoly(table, {e: c for e, c in acc.terms.items() if sum(e) <= degree})
+            if acc.is_zero:
+                return
         if remaining == 1:
             if start >= pos - 1:
                 _accumulate(out, (acc * entry(pos, start)).terms.items())
@@ -398,30 +421,35 @@ def trace_symbolic(l: int, n_sym: int) -> LaurentPoly:
         for nxt in range(lo, hi + 1):
             rec(start, nxt, remaining - 1, acc * entry(pos, nxt))
 
-    for start in range(n_sym):
+    for start in starts:
         rec(start, start, l, table.one())
+    if degree is not None:
+        out = {e: c for e, c in out.items() if sum(e) == degree}
     return LaurentPoly(table, out)
 
 
-def degree_part(p: LaurentPoly, degree: int) -> LaurentPoly:
-    """Total-degree-homogeneous component of a polynomial."""
-    return LaurentPoly(p.table, {e: c for e, c in p.terms.items() if sum(e) == degree})
-
-
-def g2k_trace_symbolic(k: int, l: int, n_sym: int) -> LaurentPoly:
-    """Degree-2k homogeneous part of the symbolic ``Tr(U_N^l)``."""
-    if k * l > MAX_TRACE_COMPLEXITY:
-        raise ModelError("k*l exceeds the configured symbolic-trace guard")
-    return degree_part(trace_symbolic(l, n_sym), 2 * k)
+def _orbit_sums(terms, n_sym: int) -> dict:
+    """Coefficient sums per orbit, each monomial shifted to least al/ac index 0."""
+    out: dict = {}
+    for e, c in terms:
+        lo = min(i for i in range(n_sym) if e[i] or e[n_sym + i])
+        pad = (0,) * lo
+        _accumulate(out, ((e[lo:n_sym] + pad + e[n_sym + lo:] + pad, c),))
+    return out
 
 
 @dataclass
 class TraceExpansionResult:
+    """``compared_orbits`` shift orbits had a nonzero trace sum;
+    ``compared_terms`` counts their copies in ``window``, the interior of
+    an ``n_sym``-symbol truncation, where its trace is the infinite one's."""
+
     k: int
     l: int
     n_sym: int
     window: tuple
     compared_terms: int
+    compared_orbits: int
     mismatches: list = field(default_factory=list)
 
     @property
@@ -430,58 +458,46 @@ class TraceExpansionResult:
 
 
 def trace_expansion_check(k: int, l: int) -> TraceExpansionResult:
-    """Compare interior trace coefficients against the index-tuple formula.
+    """Compare the degree-2k trace coefficients against the index-tuple formula.
 
-    The claim: the degree-2k part of ``Tr(U_N^l)`` restricted to symbols
-    in the window ``[2d, N-2d]`` equals ``(-1)^k (l/k) sum_n sum_tuples
-    prod_p al_{n+i_p} ac_{n+j_p}``, duplicate tuples counted with
-    multiplicity.  Exact integer comparison, no tolerance.
+    The claim: the degree-2k part of ``Tr(U^l)`` equals ``(-1)^k (l/k)
+    sum_n sum_tuples prod_p al_{n+i_p} ac_{n+j_p}``, duplicate tuples
+    counted with multiplicity.  Exact comparison, no tolerance.
     """
-    d_eff = l
-    n_sym = l + 6 * d_eff
-    window = (2 * d_eff, n_sym - 2 * d_eff)
-    actual = g2k_trace_symbolic(k, l, n_sym)
-    table = actual.table
-
     weight = GaussianRational(Fraction((-1) ** k * l, k))
-    tuples = enum_d(k, l)
+    return trace_orbit_check(k, l, enum_d(k, l), weight)
 
-    def predicted_terms():
-        for n in range(max(l - 1, 0), n_sym - l):
-            for tup in tuples:
-                vec = [0] * table.arity
-                for p in range(k):
-                    i_idx = n + tup[2 * p]
-                    j_idx = n + tup[2 * p + 1]
-                    if not (0 <= i_idx < n_sym and 0 <= j_idx < n_sym):
-                        break
-                    vec[i_idx] += 1
-                    vec[n_sym + j_idx] += 1
-                else:
-                    yield tuple(vec), weight
 
-    predicted = _accumulate({}, predicted_terms())
+def trace_orbit_check(k: int, l: int, tuples, weight: GaussianRational
+                      ) -> TraceExpansionResult:
+    """Per shift orbit, compare the degree-2k part of ``(U^l)_{ll}`` with
+    ``weight * prod_p al_{i_p} ac_{j_p}`` summed over the tuples.
 
-    def interior(e: tuple) -> bool:
-        for slot, exp in enumerate(e):
-            if exp:
-                idx = slot if slot < n_sym else slot - n_sym
-                if not (window[0] <= idx <= window[1]):
-                    return False
-        return True
+    Both sides of the expansion are sums over the sites n of one shifted
+    polynomial, so they agree exactly when their orbit sums do.  Tuple
+    entries lie in ``[-l+1, l]``, so a shift by l-1 fits ``trace_table(2l)``.
+    """
+    if k * l > MAX_TRACE_COMPLEXITY:
+        raise ModelError("k*l exceeds the configured symbolic-trace guard")
+    n = 2 * l
+    actual = _orbit_sums(diagonal_entry(l, 2 * k).terms.items(), n)
 
-    actual_interior = {e: c for e, c in actual.terms.items() if interior(e)}
-    predicted_interior = {e: c for e, c in predicted.items() if interior(e)}
+    def vector(tup):  # i_p indexes al, j_p indexes ac
+        vec = [0] * (2 * n)
+        for slot, idx in enumerate(tup):
+            vec[slot % 2 * n + idx + l - 1] += 1
+        return tuple(vec)
 
-    result = TraceExpansionResult(k, l, n_sym, window,
-                                  compared_terms=len(actual_interior))
-    for e in sorted(set(actual_interior) | set(predicted_interior)):
-        got = actual_interior.get(e, GaussianRational(0))
-        want = predicted_interior.get(e, GaussianRational(0))
+    predicted = _orbit_sums(((vector(tup), weight) for tup in tuples), n)
+    # an orbit of index span s has 3l + 1 - s copies in [2l, 5l]
+    copies = sum(3 * l + 1 - max(i for i in range(n) if e[i] or e[n + i]) for e in actual)
+    result = TraceExpansionResult(k, l, 7 * l, (2 * l, 5 * l), copies, len(actual))
+    names = trace_table(n).names
+    for e in sorted(set(actual) | set(predicted)):
+        got, want = actual.get(e, GR_ZERO), predicted.get(e, GR_ZERO)
         if got != want:
-            mono = "*".join(f"{table.names[i]}^{x}" for i, x in enumerate(e) if x)
-            result.mismatches.append({"monomial": mono,
-                                      "trace": got.to_text(),
+            mono = "*".join(f"{names[i]}^{x}" for i, x in enumerate(e) if x)
+            result.mismatches.append({"monomial": mono, "trace": got.to_text(),
                                       "predicted": want.to_text()})
     return result
 

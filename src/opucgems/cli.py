@@ -129,6 +129,9 @@ def _run_case(case):
 
 
 def cmd_verify(args) -> int:
+    if args.kmax < 1 or args.dmax < 1:
+        _say("verify: need kmax >= 1 and dmax >= 1")
+        return EXIT_BAD_INPUT
     cases = _verify_cases(args.kmax, args.dmax)
     results = [_run_case(case) for case in cases]
     results.sort(key=lambda item: item[0])

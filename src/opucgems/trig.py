@@ -223,23 +223,3 @@ def build_h(points: CriticalPoints, mode: str = "exact") -> TrigPoly:
         if full[-l] != full[l].conjugate():
             raise TrigError("coefficient symmetry h_{-l} = conj(h_l) violated")
     return TrigPoly(points, d, table, full, tuple(unit_polys))
-
-
-def build_v(h: TrigPoly) -> dict:
-    """Coefficients of V: ``v_l = -h_l / (Z_H * |l|)`` for l != 0, v_0 = 0.
-
-    Returns a dict of LaurentPoly; requires h_0 to divide each h_l exactly,
-    which always holds for a single critical point.
-    """
-    from .laurent import exact_div
-
-    d = h.degree
-    z_h = h.coeffs[0]
-    if z_h.is_zero:
-        raise TrigError("Z_H vanished; invalid weight")
-    out = {0: h.table.zero()}
-    for l in range(1, d + 1):
-        scale = z_h * Fraction(l)
-        out[l] = exact_div(-h.coeffs[l], scale)
-        out[-l] = exact_div(-h.coeffs[-l], scale)
-    return out

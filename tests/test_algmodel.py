@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from opucgems import algmodel
 from opucgems.algmodel import (
     SITE_BLOCK,
     GaussianRational,
@@ -23,13 +24,12 @@ from opucgems.algmodel import (
     constant_sum_check,
     critical_product,
     degree2_product_check,
-    degree_part,
+    diagonal_entry,
     enum_d,
     enum_d_direct,
     g2k_hl_scaled_hom,
     g2k_routes_check,
     g2k_trace_scaled,
-    g2k_trace_symbolic,
     hl_double_sum,
     hl_part,
     index_tuple_count,
@@ -44,9 +44,11 @@ from opucgems.algmodel import (
     site_route,
     table_for,
     trace_expansion_check,
+    trace_orbit_check,
     trace_symbolic,
     trace_table,
 )
+from opucgems.laurent import LaurentPoly
 from opucgems.opuc import VerblunskySeq, ggt_matrix, sum_rule_functional, trace_powers
 from opucgems.trig import CriticalPoints, build_h
 
@@ -134,6 +136,49 @@ def test_phi_rejects_negative_exponents():
 # -- symbolic trace --------------------------------------------------------------------
 
 
+def degree_part(p, degree):
+    """Total-degree-homogeneous component of a polynomial."""
+    return LaurentPoly(p.table, {e: c for e, c in p.terms.items() if sum(e) == degree})
+
+
+def g2k_trace_symbolic(k, l, n_sym):
+    """Degree-2k homogeneous part of the symbolic ``Tr(U_N^l)``."""
+    return degree_part(trace_symbolic(l, n_sym), 2 * k)
+
+
+def window_check(k, l):
+    """Oracle for trace_expansion_check: ``(passed, compared_terms)``.
+
+    Builds the whole truncated trace on 7l symbols and compares, on the
+    monomials whose indices all lie in the window [2l, 5l], its degree-2k
+    part with the index-tuple sum placed at every site.
+    """
+    n_sym = 7 * l
+    window = (2 * l, 5 * l)
+    actual = g2k_trace_symbolic(k, l, n_sym)
+    weight = GaussianRational(Fraction((-1) ** k * l, k))
+    predicted = {}
+    for n in range(l - 1, n_sym - l):
+        for tup in enum_d(k, l):
+            vec = [0] * (2 * n_sym)
+            for slot, idx in enumerate(tup):
+                if not 0 <= n + idx < n_sym:
+                    break
+                vec[slot % 2 * n_sym + n + idx] += 1
+            else:
+                key = tuple(vec)
+                predicted[key] = predicted.get(key, GaussianRational(0)) + weight
+    predicted = {e: c for e, c in predicted.items() if c}
+
+    def interior(e):
+        return all(window[0] <= slot % n_sym <= window[1]
+                   for slot, exp in enumerate(e) if exp)
+
+    actual_interior = {e: c for e, c in actual.terms.items() if interior(e)}
+    predicted_interior = {e: c for e, c in predicted.items() if interior(e)}
+    return actual_interior == predicted_interior, len(actual_interior)
+
+
 def test_symbolic_trace_matches_matrix_powers():
     rng = np.random.default_rng(3)
     for n in (4, 6, 8):
@@ -188,7 +233,44 @@ def test_degree_part_is_homogeneous():
 
 def test_trace_guard():
     with pytest.raises(ModelError):
-        g2k_trace_symbolic(5, 5, 35)
+        trace_expansion_check(5, 5)
+
+
+@pytest.mark.parametrize("l", range(1, 6))
+def test_diagonal_entry_is_degree_part_of_all_walks(l):
+    full = algmodel._closed_walks(l, 2 * l, (l,))
+    for k in range(0, l + 1):
+        assert diagonal_entry(l, 2 * k) == degree_part(full, 2 * k)
+
+
+@pytest.mark.parametrize("k,l", [(k, l) for k in range(1, 4) for l in range(1, 6)])
+def test_orbit_check_agrees_with_window_oracle(k, l):
+    r = trace_expansion_check(k, l)
+    assert (r.passed, r.compared_terms) == window_check(k, l)
+    assert (r.n_sym, r.window) == (7 * l, (2 * l, 5 * l))
+
+
+@pytest.mark.parametrize("k,l", [(2, 3), (3, 4)])
+def test_orbit_check_reports_a_dropped_tuple(k, l):
+    tuples = sorted(enum_d(k, l))
+    weight = GaussianRational(Fraction((-1) ** k * l, k))
+    assert trace_orbit_check(k, l, tuples, weight).passed
+    for drop in range(len(tuples)):
+        r = trace_orbit_check(k, l, tuples[:drop] + tuples[drop + 1:], weight)
+        assert not r.passed
+
+
+@pytest.mark.parametrize("k,l", [(2, 3), (3, 4)])
+def test_orbit_check_reports_a_wrong_weight(k, l):
+    weight = GaussianRational(Fraction((-1) ** k * (l + 1), k))
+    r = trace_orbit_check(k, l, enum_d(k, l), weight)
+    assert len(r.mismatches) == r.compared_orbits > 0
+
+
+@pytest.mark.parametrize("k,l", [(1, 8), (2, 8), (3, 6)])
+def test_trace_expansion_beyond_the_window_reach(k, l):
+    r = trace_expansion_check(k, l)
+    assert r.passed and r.compared_orbits > 0 and r.compared_terms > 0
 
 
 @pytest.mark.parametrize("k,l,coeff", [(1, 1, -1), (1, 3, -3)])

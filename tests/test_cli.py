@@ -196,6 +196,9 @@ MALFORMED = [
     ("gem", {"criticalPoints": [{"thetaOverPi": math.nan, "m": 1}]}, study_must_not_run),
     ("szego-check --grid 10", [[0.5, 0.0]], None),
     ("gem --csv /nonexistent-dir/study.csv", {}, None),
+    ("verify --kmax 0 --dmax 1", None, None),
+    ("verify --kmax -2 --dmax -2", None, None),
+    ("verify --kmax 2 --dmax 0", None, None),
 ]
 
 
@@ -204,14 +207,16 @@ MALFORMED = [
     "gem-schedule-below-degree", "szego-nan-value", "gem-nan-report",
     "gem-gamma-underflow", "gem-gamma-overflow", "gem-points-object",
     "gem-multiplicity-fraction", "gem-angle-nan", "szego-grid-too-small",
-    "gem-csv-unwritable"])
+    "gem-csv-unwritable", "verify-kmax-zero", "verify-negative", "verify-dmax-zero"])
 def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch,
                                                command, data, study):
     command, *options = command.split()
     if study is not None:
         monkeypatch.setattr(lab, "convergence_study", study)
     path = tmp_path / "input.json"
-    if command == "gem":
+    if command == "verify":
+        argv = ["verify", *options]
+    elif command == "gem":
         path.write_text(json.dumps({**GOOD_GEM, **data}))
         argv = ["gem", "--config", str(path), *options]
     else:

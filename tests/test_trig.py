@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from opucgems.opuc import VerblunskySeq, sum_rule_functional
-from opucgems.trig import CriticalPoints, TrigError, build_h, build_v
+from opucgems.trig import CriticalPoints, TrigError, build_h
 
 
 def coeff(h, l):
@@ -123,29 +123,6 @@ def test_coefficient_symmetry_exact():
     hx = build_h(CriticalPoints.generic([2, 1]))
     for l in range(0, hx.degree + 1):
         assert hx.coeffs[-l] == hx.coeffs[l].conjugate()
-
-
-def test_v_single_point_order_one():
-    h = build_h(CriticalPoints.from_pairs([(Fraction(0), 1)]))
-    v = build_v(h)
-    assert v[1].constant_value() == Fraction(1, 2)
-    assert v[-1].constant_value() == Fraction(1, 2)
-    assert v[0].is_zero
-
-
-def test_v_single_point_order_two():
-    h = build_h(CriticalPoints.from_pairs([(Fraction(0), 2)]))
-    v = build_v(h)
-    assert v[1].constant_value() == Fraction(2, 3)
-    assert v[2].constant_value() == Fraction(-1, 12)
-
-
-def test_v_exact_two_fixed_points():
-    h = build_h(CriticalPoints.from_pairs([(Fraction(0), 1), (Fraction(1), 1)]))
-    v = build_v(h)
-    # Z_H = 1/2, h_2 = -1/4: v_2 = -h_2 / (2 Z_H) = 1/4
-    assert v[2].constant_value() == Fraction(1, 4)
-    assert v[1].is_zero
 
 
 def test_json_round_trip():
