@@ -38,7 +38,6 @@ from .laurent import (
     exact_div,
     substitute,
 )
-from .opuc import OpucError, VerblunskySeq
 from .trig import TrigPoly
 
 # guard for the symbolic trace expansion; k*l and window size beyond this
@@ -256,16 +255,16 @@ def _tuple_monomial_neg(table: VarTable, tup: tuple, k: int) -> LaurentPoly:
 # -- the evaluation map phi ---------------------------------------------------------
 
 
-def phi_eval(p: LaurentPoly, alpha: VerblunskySeq, n: int,
+def phi_eval(p: LaurentPoly, head: np.ndarray, n: int,
              unit_values: Mapping[str, complex] | None = None) -> complex:
     """Evaluate ``[phi_2k(p)]_n`` for p with nonnegative pair exponents.
 
-    Every pair contributes ``alpha_{n+b} * conj(alpha_{n+g})``, including
-    pairs with zero exponents, so ``phi(1) = |alpha_n|^{2k}``.  This is the
-    one-site case of :func:`phi_sites`.
+    Every pair contributes ``alpha_{n+b} * conj(alpha_{n+g})`` from
+    ``head``, including pairs with zero exponents, so ``phi(1) =
+    |alpha_n|^{2k}``.  This is the one-site case of :func:`phi_sites`.
     """
     program = phi_program([p], unit_values or {})
-    a = alpha.head(n + program.max_shift + 1)[n:]
+    a = head[n:]
     return complex(phi_sites(program, a, np.conj(a), 0, 1)[0][0])
 
 
@@ -794,25 +793,23 @@ def site_route(h: TrigPoly) -> SiteRoute:
     return SiteRoute(prefs, phi_program(polys, h.unit_values()))
 
 
-def site_functional(alpha: VerblunskySeq, n: int, route: SiteRoute) -> float:
+def site_functional(a: np.ndarray, n: int, route: SiteRoute) -> float:
     """Per-site reformulation of the sum-rule functional.
 
     ``sum_{j<n} [ sum_k pref_k * phi_2k(site_poly(k)) - log(1-|a_j|^2)
     - sum_k |a_j|^{2k}/k ]`` with ``pref_k = (-1)^{k+1} / (k Z_H)``; the
     k-sum runs to the weight degree.  Differs from the trace functional
-    by an N-independent bounded amount.
+    by a bounded amount that depends only on coefficients near both ends
+    of the window, so it is not constant in N.
 
+    ``a`` holds the validated ``alpha_0 .. alpha_{n + max_shift}``;
     ``route`` is :func:`site_route` of the weight, built once and reused
     for every n.  Sites are evaluated ``SITE_BLOCK`` at a time by
     :func:`phi_sites`, so working memory is bounded by the block and the
     number of terms, not by n.
     """
     program = route.program
-    try:
-        a = alpha.head(n + program.max_shift + 1)
-    except OpucError as exc:
-        raise ModelError(str(exc)) from exc
-    a_conj = np.conj(a)
+    a_conj = np.conj(a[:n + program.max_shift + 1])
     total = 0.0
     for start in range(0, n, SITE_BLOCK):
         stop = min(start + SITE_BLOCK, n)

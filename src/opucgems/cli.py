@@ -222,7 +222,7 @@ def cmd_szego_check(args) -> int:
     except (lab.LabError, OpucError) as exc:
         _say(f"szego-check: {exc}")
         return EXIT_BAD_INPUT
-    coeff_sum = log_term(alpha, alpha.support)
+    coeff_sum = log_term(alpha.head(alpha.support))
     diff = abs(quad - coeff_sum)
     passed = diff <= 1e-8
     _emit({"case": "szego-quadrature", "status": "pass" if passed else "fail",

@@ -122,19 +122,18 @@ def shifted_difference(values: np.ndarray, points: CriticalPoints) -> np.ndarray
     return out
 
 
-def condition_diagnostics(alpha: VerblunskySeq, points: CriticalPoints,
+def condition_diagnostics(head: np.ndarray, points: CriticalPoints,
                           n: int) -> dict:
     """Partial norms behind the coefficient-side sum-rule conditions.
 
     Returns the squared l2 norm of the full shifted difference, the
     ``l^{2m+2}`` power sums for m = 0..d, and the l4 sum, all over the
-    first n entries.
+    first n entries.  ``head`` holds at least n + d validated coefficients.
     """
     d = points.degree
     if n < d:
         raise LabError("need at least d coefficients")
-    head = alpha.head(n + d)
-    diff = shifted_difference(head, points)[:n]
+    diff = shifted_difference(head[:n + d], points)[:n]
     mods = np.abs(head[:n])
     # string keys so reports survive a JSON round trip unchanged
     powers = {str(m): float(np.sum(mods ** (2 * m + 2))) for m in range(d + 1)}
@@ -142,7 +141,7 @@ def condition_diagnostics(alpha: VerblunskySeq, points: CriticalPoints,
         "difference_l2_sq": float(np.sum(np.abs(diff) ** 2)),
         "power_sums": powers,
         "l2": powers["0"],
-        "l4": float(np.sum(mods ** 4)),
+        "l4": powers["1"],
     }
 
 
@@ -221,27 +220,34 @@ def convergence_study(family: SequenceFamily, points: CriticalPoints,
     """Run both functional routes along the schedule and classify.
 
     The verdict is driven by the trace route; the per-site route is
-    recorded alongside (their difference stays bounded in N).
+    recorded alongside (their difference stays bounded in N).  Every
+    route reads slices of one ``alpha.head(N_max + L)``, where ``L =
+    max(max_shift + 1, d)`` is the longest look-ahead of any route.
     """
+    if (not isinstance(schedule, (list, tuple)) or not schedule
+            or not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1
+                       for n in schedule)):
+        raise LabError("schedule must be a nonempty list of integers >= 1")
     schedule = list(schedule)
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise LabError("schedule must be strictly increasing")
-    if schedule and schedule[-1] > max_n:
+    if schedule[-1] > max_n:
         raise LabError("schedule exceeds the configured limit")
     alpha = family.sequence()
     h = build_h(points, "exact")
     route = site_route(h)
+    head = alpha.head(schedule[-1] + max(route.program.max_shift + 1, points.degree))
     trace_values = []
     site_values = []
     log_sums = []
     for n in schedule:
-        u = ggt_matrix(alpha, n)
-        log_sum = log_term(alpha, n)
+        u = ggt_matrix(head, n)
+        log_sum = log_term(head[:n])
         trace_values.append(float(trace_v(u, h) - log_sum))
-        site_values.append(float(site_functional(alpha, n, route)))
+        site_values.append(float(site_functional(head, n, route)))
         log_sums.append(float(log_sum))
     verdict, slope, value_range = classify_values(schedule, trace_values)
-    diagnostics = condition_diagnostics(alpha, points, schedule[-1])
+    diagnostics = condition_diagnostics(head, points, schedule[-1])
     return GemReport(
         family=family.to_json(),
         critical_points=points.to_json(),

@@ -3,7 +3,7 @@
 A :class:`VerblunskySeq` wraps a vectorised generator from an integer index
 array to the coefficients at those indices.  Consumers take coefficients as
 one array from :meth:`VerblunskySeq.head`, which evaluates the generator
-once and checks |alpha| < 1; none is produced one index at a time.
+once and checks |alpha| < 1, and read slices of it; a study calls it once.
 
 The truncated GGT matrix is the N x N top-left corner
 
@@ -135,13 +135,13 @@ class GGTCorner:
         return u
 
 
-def ggt_matrix(alpha: VerblunskySeq, n: int) -> GGTCorner:
-    """The N x N top-left GGT corner for the sequence, in generator form."""
+def ggt_matrix(head: np.ndarray, n: int) -> GGTCorner:
+    """The N x N top-left GGT corner of ``head[:n]``, in generator form."""
     if n < 1:
         raise OpucError("matrix size must be at least 1")
     a = np.empty(n + 1, dtype=complex)
     a[0] = -1.0
-    a[1:] = alpha.head(n)
+    a[1:] = head[:n]
     return GGTCorner(a, np.sqrt(1.0 - np.abs(a[1:]) ** 2))
 
 
@@ -212,20 +212,18 @@ def trace_v(u: GGTCorner | np.ndarray, h: TrigPoly) -> float:
     return float(-(2.0 / z_h) * acc.real)
 
 
-def log_term(alpha: VerblunskySeq, n: int) -> float:
-    """``sum_{j < n} log(1 - |alpha_j|^2)``."""
-    head = alpha.head(n)
+def log_term(head: np.ndarray) -> float:
+    """``sum_j log(1 - |alpha_j|^2)`` over the validated coefficients ``head``."""
     return float(np.sum(np.log1p(-np.abs(head) ** 2)))
 
 
-def sum_rule_functional(alpha: VerblunskySeq, n: int, h: TrigPoly) -> float:
-    """``Tr(V(U_N)) - sum_{j<N} log(1 - |alpha_j|^2)``.
+def sum_rule_functional(head: np.ndarray, n: int, h: TrigPoly) -> float:
+    """``Tr(V(U_N)) - sum_{j<N} log(1 - |alpha_j|^2)`` over ``head[:n]``.
 
     Bounded in N exactly when the weighted integral condition of the
     higher-order sum rule holds.
     """
-    u = ggt_matrix(alpha, n)
-    return trace_v(u, h) - log_term(alpha, n)
+    return trace_v(ggt_matrix(head, n), h) - log_term(head[:n])
 
 
 # -- Bernstein-Szego quadrature oracle -------------------------------------------

@@ -48,8 +48,9 @@ from opucgems.algmodel import (
     trace_symbolic,
     trace_table,
 )
+from opucgems.lab import SequenceFamily, convergence_study
 from opucgems.laurent import LaurentPoly
-from opucgems.opuc import VerblunskySeq, ggt_matrix, sum_rule_functional, trace_powers
+from opucgems.opuc import OpucError, VerblunskySeq, ggt_matrix, sum_rule_functional, trace_powers
 from opucgems.trig import CriticalPoints, build_h
 
 
@@ -99,7 +100,7 @@ def test_phi_basic_monomial():
     rng = np.random.default_rng(0)
     alpha = random_seq(rng, 10)
     t = model_table(1)
-    value = phi_eval(t.monomial({"x1": 1, "y1": 2}), alpha, 3)
+    value = phi_eval(t.monomial({"x1": 1, "y1": 2}), alpha.head(10), 3)
     assert abs(value - alpha(4) * np.conj(alpha(5))) <= 1e-15
 
 
@@ -111,8 +112,9 @@ def test_phi_is_permutation_invariant_not_injective():
     q = t.monomial({"x1": 2, "y1": 2, "x2": 1, "y2": 1})
     n = 2
     expected = abs(alpha(n + 1)) ** 2 * abs(alpha(n + 2)) ** 2
-    assert abs(phi_eval(p, alpha, n) - expected) <= 1e-15
-    assert abs(phi_eval(p, alpha, n) - phi_eval(q, alpha, n)) <= 1e-15
+    head = alpha.head(10)
+    assert abs(phi_eval(p, head, n) - expected) <= 1e-15
+    assert abs(phi_eval(p, head, n) - phi_eval(q, head, n)) <= 1e-15
     assert p != q  # distinct polynomials, equal images
 
 
@@ -123,14 +125,14 @@ def test_phi_of_constant_is_modulus_power():
     alpha = random_seq(rng, 5)
     for k in (1, 2, 3):
         t = model_table(k)
-        val = phi_eval(t.one(), alpha, 2)
+        val = phi_eval(t.one(), alpha.head(5), 2)
         assert abs(val - abs(alpha(2)) ** (2 * k)) <= 1e-15
 
 
 def test_phi_rejects_negative_exponents():
     t = model_table(1)
     with pytest.raises(ModelError):
-        phi_eval(t.monomial({"x1": -1}), VerblunskySeq.from_values([0.1]), 0)
+        phi_eval(t.monomial({"x1": -1}), VerblunskySeq.from_values([0.1]).head(1), 0)
 
 
 # -- symbolic trace --------------------------------------------------------------------
@@ -183,7 +185,7 @@ def test_symbolic_trace_matches_matrix_powers():
     rng = np.random.default_rng(3)
     for n in (4, 6, 8):
         alpha = random_seq(rng, n)
-        u = ggt_matrix(alpha, n)
+        u = ggt_matrix(alpha.head(n), n)
         numeric_traces = trace_powers(u, 4)
         values = {}
         for m in range(n):
@@ -445,7 +447,7 @@ def test_site_poly_phi_image():
     expected = abs(alpha(n + 2)) ** 2 \
         - 0.5 * alpha(n + 3) * np.conj(alpha(n + 4)) \
         - 0.5 * alpha(n + 4) * np.conj(alpha(n + 3))
-    assert abs(phi_eval(sp, alpha, n) - expected) <= 1e-14
+    assert abs(phi_eval(sp, alpha.head(12), n) - expected) <= 1e-14
 
 
 @pytest.mark.parametrize("mults,k", [([1], 1), ([2], 1), ([2], 2),
@@ -549,16 +551,30 @@ def site_functional_loop(alpha, n, h):
     return float(total)
 
 
+def site_head(alpha, n, route):
+    """The coefficients the site route reads at n, from one ``head`` call."""
+    return alpha.head(n + route.program.max_shift + 1)
+
+
+def given_family(seq):
+    """A family whose sequence is ``seq``, to run a study on hand-made coefficients."""
+    class Given(SequenceFamily):
+        def sequence(self):
+            return seq
+    return Given("given", {})
+
+
 def test_site_functional_zero_sequence():
-    h = szego_h()
-    assert site_functional(VerblunskySeq.from_values([]), 30, site_route(h)) == 0.0
+    route = site_route(szego_h())
+    zero = VerblunskySeq.from_values([])
+    assert site_functional(site_head(zero, 30, route), 30, route) == 0.0
 
 
 def test_site_functional_rejects_invalid_modulus():
-    h = szego_h()
+    # the study's one head validates every coefficient the site route reads
     bad = VerblunskySeq(lambda n: np.full(n.shape, 1.5), support=None)
-    with pytest.raises(ModelError):
-        site_functional(bad, 5, site_route(h))
+    with pytest.raises(OpucError):
+        convergence_study(given_family(bad), szego_h().points, [5])
 
 
 def test_site_functional_stabilizes():
@@ -568,9 +584,9 @@ def test_site_functional_stabilizes():
     route = site_route(h)
     d = h.degree
     n0 = 6 + 2 * d * (d + 1) + 1
-    base = site_functional(alpha, n0, route)
+    base = site_functional(site_head(alpha, n0, route), n0, route)
     for n in (n0 + 3, n0 + 11, n0 + 25):
-        assert abs(site_functional(alpha, n, route) - base) <= 1e-12
+        assert abs(site_functional(site_head(alpha, n, route), n, route) - base) <= 1e-12
 
 
 def test_site_functional_tracks_trace_functional():
@@ -579,7 +595,8 @@ def test_site_functional_tracks_trace_functional():
     route = site_route(build_h(CriticalPoints.from_pairs([(0.0, 1)])))
     h_num = build_h(CriticalPoints.from_pairs([(0.0, 1)]), "numeric")
     decay = VerblunskySeq(lambda n: 0.4 / (n + 1) ** 0.6, support=None)
-    diffs = [site_functional(decay, n, route) - sum_rule_functional(decay, n, h_num)
+    diffs = [site_functional(site_head(decay, n, route), n, route)
+             - sum_rule_functional(decay.head(n), n, h_num)
              for n in range(20, 70, 10)]
     assert max(diffs) - min(diffs) <= 0.05
 
@@ -617,15 +634,17 @@ def bounded_sequences(draw):
        bad=st.sampled_from([1.0, 1.5, math.nan]), at=st.integers(0, 399))
 def test_site_route_equals_per_site_loop(n, h, alpha, bad, at):
     route = site_route(h)
-    got = site_functional(alpha, n, route)
+    got = site_functional(site_head(alpha, n, route), n, route)
     want = site_functional_loop(alpha, n, h)
     assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
-    # one coefficient at |alpha| >= 1 or NaN among the first n rejects the sequence
-    values = alpha.head(n + route.program.max_shift + 1)
-    values[at % n] = bad
+    # one coefficient at |alpha| >= 1 or NaN anywhere a study at n reads,
+    # the site route's look-ahead past n included, rejects the study
+    look_ahead = max(route.program.max_shift + 1, h.degree)
+    values = alpha.head(n + look_ahead)
+    values[at % (n + look_ahead)] = bad
     broken = VerblunskySeq(lambda m: values[m])
-    with pytest.raises(ModelError):
-        site_functional(broken, n, route)
+    with pytest.raises(OpucError):
+        convergence_study(given_family(broken), h.points, [n])
 
 
 @pytest.mark.parametrize("n", [SITE_BLOCK - 1, SITE_BLOCK, SITE_BLOCK + 1,
@@ -635,8 +654,10 @@ def test_site_route_blocks_cover_every_site(n):
     # site lost or counted twice at a block edge moves the sum
     h = build_h(CriticalPoints.from_pairs([(0.3, 1), (1.2, 1)]))
     alpha = VerblunskySeq(lambda m: 0.5 * np.exp(-0.7j * m))
+    route = site_route(h)
     want = site_functional_loop(alpha, n, h)
-    assert abs(site_functional(alpha, n, site_route(h)) - want) <= 1e-12 * max(1.0, abs(want))
+    assert abs(site_functional(site_head(alpha, n, route), n, route) - want) \
+        <= 1e-12 * max(1.0, abs(want))
 
 
 def test_site_functional_at_n_20000_stays_small_in_memory():
@@ -645,7 +666,7 @@ def test_site_functional_at_n_20000_stays_small_in_memory():
     seq = VerblunskySeq(lambda n: 0.5 / (n + 1) ** 0.7, support=None)
     tracemalloc.start()
     try:
-        value = site_functional(seq, 20000, route)
+        value = site_functional(site_head(seq, 20000, route), 20000, route)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -673,7 +694,7 @@ def test_critical_product_phi_image_is_shifted_difference_norm():
     table = table_for(1, h)
     product = critical_product(h, table)
     n = 2
-    image = phi_eval(product, alpha, n, unit_values=h.unit_values())
+    image = phi_eval(product, alpha.head(12), n, unit_values=h.unit_values())
     block = np.array([alpha(m) for m in range(n, n + 5)])
     for theta, m in zip(angles, mults):
         root = cmath.exp(-1j * theta * math.pi)

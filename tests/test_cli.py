@@ -199,6 +199,12 @@ MALFORMED = [
     ("verify --kmax 0 --dmax 1", None, None),
     ("verify --kmax -2 --dmax -2", None, None),
     ("verify --kmax 2 --dmax 0", None, None),
+    ("gem", {"family": {"name": "powerDecay", "c": 0.9605, "gamma": -0.01},
+             "criticalPoints": [{"thetaOverPi": 0.0, "m": 2}], "schedule": [50]}, None),
+    ("gem", {"schedule": []}, None),
+    ("gem", {"schedule": [10.5, 20]}, None),
+    ("gem", {"schedule": [True, 5]}, None),
+    ("gem", {"schedule": [0, 10]}, None),
 ]
 
 
@@ -207,7 +213,9 @@ MALFORMED = [
     "gem-schedule-below-degree", "szego-nan-value", "gem-nan-report",
     "gem-gamma-underflow", "gem-gamma-overflow", "gem-points-object",
     "gem-multiplicity-fraction", "gem-angle-nan", "szego-grid-too-small",
-    "gem-csv-unwritable", "verify-kmax-zero", "verify-negative", "verify-dmax-zero"])
+    "gem-csv-unwritable", "verify-kmax-zero", "verify-negative", "verify-dmax-zero",
+    "gem-alpha-reaches-one-past-n", "gem-schedule-empty", "gem-schedule-fraction",
+    "gem-schedule-bool", "gem-schedule-zero"])
 def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch,
                                                command, data, study):
     command, *options = command.split()

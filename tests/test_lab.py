@@ -10,10 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from opucgems.algmodel import ModelError, site_functional, site_route
-
+from opucgems import lab
+from opucgems.algmodel import site_functional, site_route
 from opucgems.lab import (
     DEFAULT_SCHEDULE,
     GemReport,
@@ -25,7 +25,7 @@ from opucgems.lab import (
     export_report,
     shifted_difference,
 )
-from opucgems.opuc import OpucError, VerblunskySeq
+from opucgems.opuc import OpucError, VerblunskySeq, ggt_matrix, log_term, trace_v
 from opucgems.trig import CriticalPoints, build_h
 
 
@@ -142,22 +142,50 @@ def test_head_equals_per_index_oracle(family, n, as_file):
     assert seq(-1) == -1.0 and seq(-2) == 0.0
 
 
-ONE_POINT_ROUTE = site_route(build_h(CriticalPoints.from_pairs([(0.3, 1)])))
+ONE_POINT = CriticalPoints.from_pairs([(0.3, 1)])
+ONE_POINT_ROUTE = site_route(build_h(ONE_POINT))
+# the look-ahead of a study's one head past its largest N
+ONE_POINT_LOOK_AHEAD = max(ONE_POINT_ROUTE.program.max_shift + 1, ONE_POINT.degree)
+
+
+def given_family(seq):
+    """A family whose sequence is ``seq``, to run a study on hand-made coefficients."""
+    class Given(SequenceFamily):
+        def sequence(self):
+            return seq
+    return Given("given", {})
+
+
+def must_not_run(*args):
+    raise AssertionError("ran on input that must be rejected before it")
 
 
 @settings(max_examples=40, deadline=None)
-@given(n=st.integers(1, 300), at=st.integers(0, 299),
+@given(n=st.integers(1, 300), at=st.integers(0, 399),
        bad=st.sampled_from([1.0, -1.0, 1j, 1.5, 0.8 + 0.8j, math.nan,
                             complex(0.0, math.nan)]))
+@example(n=50, at=50 + ONE_POINT_LOOK_AHEAD - 1, bad=1.0)
 def test_a_bad_coefficient_is_rejected_by_head(n, at, bad):
-    at %= n
+    # any index in [0, N_max + L) is read, the look-ahead past N_max included
+    at %= n + ONE_POINT_LOOK_AHEAD
     seq = VerblunskySeq(lambda m: np.where(m == at, bad, 0.3 * np.exp(-0.5j * m)))
     with pytest.raises(OpucError):
-        seq.head(n)
-    with pytest.raises(ModelError):
-        site_functional(seq, n, ONE_POINT_ROUTE)
+        seq.head(n + ONE_POINT_LOOK_AHEAD)
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("ggt_matrix", "log_term", "site_functional", "condition_diagnostics"):
+            patch.setattr(lab, name, must_not_run)
+        with pytest.raises(OpucError):
+            convergence_study(given_family(seq), ONE_POINT, [n])
     with pytest.raises(OpucError):
         VerblunskySeq.from_values([0.3] * at + [bad])
+
+
+def test_a_bad_coefficient_past_the_look_ahead_is_not_read():
+    n = 50
+    at = n + ONE_POINT_LOOK_AHEAD
+    seq = VerblunskySeq(lambda m: np.where(m == at, 1.5, 0.3 * np.exp(-0.5j * m)))
+    report = convergence_study(given_family(seq), ONE_POINT, [n])
+    assert all(math.isfinite(v) for v in report.trace_values + report.site_values)
 
 
 @pytest.mark.parametrize("family", [
@@ -169,8 +197,8 @@ def test_a_bad_family_is_rejected_by_head(family):
     seq = family.sequence()
     with pytest.raises(OpucError):
         seq.head(10)
-    with pytest.raises(ModelError):
-        site_functional(seq, 10, ONE_POINT_ROUTE)
+    with pytest.raises(OpucError):
+        convergence_study(family, ONE_POINT, [10])
 
 
 def relative_gaps(got, want):
@@ -195,6 +223,49 @@ def test_study_equals_per_index_oracle():
     assert got.verdict == want.verdict
 
 
+@st.composite
+def study_points(draw):
+    """Critical points of degree d <= 4 at one or two float angles."""
+    d = draw(st.integers(1, 4))
+    if d == 1 or draw(st.booleans()):
+        mults = [d]
+    else:
+        first = draw(st.integers(1, d - 1))
+        mults = [first, d - first]
+    # angles over pi, from disjoint ranges so that they stay distinct
+    angles = [draw(st.floats(lo, lo + 0.9)) for lo in (0.0, 1.0)[:len(mults)]]
+    return CriticalPoints.from_pairs(list(zip(angles, mults)))
+
+
+def head_per_consumer_study(family, points, schedule):
+    """A study's routes, log sums and diagnostics with a fresh ``head`` per
+    consumer and point, each as long as that consumer reads."""
+    alpha = family.sequence()
+    h = build_h(points)
+    route = site_route(h)
+    trace_values, site_values, log_sums = [], [], []
+    for n in schedule:
+        log_sum = log_term(alpha.head(n))
+        trace_values.append(float(trace_v(ggt_matrix(alpha.head(n), n), h) - log_sum))
+        site_head = alpha.head(n + route.program.max_shift + 1)
+        site_values.append(float(site_functional(site_head, n, route)))
+        log_sums.append(float(log_sum))
+    n = schedule[-1]
+    diagnostics = condition_diagnostics(alpha.head(n + points.degree), points, n)
+    return trace_values, site_values, log_sums, diagnostics
+
+
+@settings(max_examples=25, deadline=None)
+@given(family=families(), points=study_points(), data=st.data())
+def test_one_head_study_equals_a_head_per_consumer(family, points, data):
+    schedule = sorted(data.draw(st.sets(st.integers(points.degree + 1, 300),
+                                        min_size=1, max_size=4)))
+    report = convergence_study(family, points, schedule).to_json()
+    got = (report["traceRoute"], report["corollaryRoute"], report["logTermSums"],
+           report["diagnostics"])
+    assert got == head_per_consumer_study(family, points, schedule)
+
+
 def test_red_case_study_equals_per_index_oracle_exactly():
     family = SequenceFamily.constant(0.5)
     points = CriticalPoints.from_pairs([(0.0, 2)])
@@ -208,7 +279,7 @@ def test_red_case_study_equals_per_index_oracle_exactly():
 
 
 def test_diagnostics_zero_sequence():
-    d = condition_diagnostics(VerblunskySeq.from_values([]), szego_points(), 40)
+    d = condition_diagnostics(VerblunskySeq.from_values([]).head(41), szego_points(), 40)
     assert d["difference_l2_sq"] == 0.0
     assert d["l2"] == 0.0 and d["l4"] == 0.0
     assert all(v == 0.0 for v in d["power_sums"].values())
@@ -221,7 +292,7 @@ def test_diagnostics_rotating_constant_telescopes():
     fam = SequenceFamily.constant(0.5, phase=theta * math.pi)
     pts = CriticalPoints.from_pairs([(theta, 1)])
     n = 150
-    d = condition_diagnostics(fam.sequence(), pts, n)
+    d = condition_diagnostics(fam.sequence().head(n + pts.degree), pts, n)
     assert d["difference_l2_sq"] <= 1e-24
     assert abs(d["power_sums"]["1"] - 0.5 ** 4 * n) <= 1e-10
 
@@ -230,8 +301,9 @@ def test_diagnostics_power_decay_pattern():
     # c/(n+1)^0.4: the difference and l4 sums converge, l2 diverges
     fam = SequenceFamily.power_decay(0.3, 0.4)
     pts = szego_points()
-    d_small = condition_diagnostics(fam.sequence(), pts, 400)
-    d_large = condition_diagnostics(fam.sequence(), pts, 3200)
+    head = fam.sequence().head(3200 + pts.degree)
+    d_small = condition_diagnostics(head, pts, 400)
+    d_large = condition_diagnostics(head, pts, 3200)
     assert d_large["difference_l2_sq"] - d_small["difference_l2_sq"] <= 1e-3
     assert d_large["l4"] - d_small["l4"] <= 2e-2
     # l2 partial sums keep growing like n^0.2
@@ -315,6 +387,17 @@ def test_schedule_must_increase():
     fam = SequenceFamily.constant(0.1)
     with pytest.raises(LabError):
         convergence_study(fam, szego_points(), schedule=(100, 50))
+
+
+@pytest.mark.parametrize("schedule", [
+    [], (), [10.5, 20], [True, 5], [0, 10], [-5, 10], "ab", 5, [10, 10], [10, 20001],
+], ids=["empty", "empty-tuple", "fraction", "bool", "zero", "negative", "text",
+        "number", "repeated", "over-max-n"])
+def test_schedule_is_checked_before_the_study(schedule):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lab, "build_h", must_not_run)
+        with pytest.raises(LabError):
+            convergence_study(SequenceFamily.constant(0.1), szego_points(), schedule)
 
 
 # -- report export -------------------------------------------------------------------

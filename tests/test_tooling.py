@@ -29,6 +29,8 @@ def test_tracer_sees_one_trace_route_call_per_schedule_point():
                           CriticalPoints.from_pairs([(0.0, 2)]), schedule)
     assert tracer.calls["opuc.ggt_matrix"] == len(schedule)
     assert tracer.calls["opuc.trace_v"] == len(schedule)
+    # every route reads slices of the study's one coefficient array
+    assert tracer.calls["opuc.head"] == 1
 
 
 def test_tracer_sees_one_site_route_compile_per_study():

@@ -97,7 +97,7 @@ def test_high_degree_weights_evaluate_to_the_product(pairs):
         direct *= (1.0 - np.cos(thetas - theta)) ** m
     assert np.max(np.abs(h.eval_numeric(thetas) - direct)) <= 1e-10 * np.max(direct)
     alpha = VerblunskySeq(lambda n: 0.3 / (n + 1), support=None)
-    assert math.isfinite(sum_rule_functional(alpha, 400, h))
+    assert math.isfinite(sum_rule_functional(alpha.head(400), 400, h))
 
 
 def test_z_h_equals_h0_and_quadrature():
