@@ -64,70 +64,40 @@ def table_for(k: int, h: TrigPoly, plain: Sequence[str] = ()) -> VarTable:
     return model_table(k, units=h.table.names, plain=plain)
 
 
+def in_polynomial_ring(poly: LaurentPoly) -> bool:
+    """True when no term of ``poly`` has a negative pair exponent."""
+    pair_slots = poly.table.pair_slots()
+    return all(e[i] >= 0 for e in poly.terms for i in pair_slots)
+
+
 def a_monomials(table: VarTable, k: int) -> list:
     """``a_{k,p} = prod_{s>=p} y_s * prod_{s>=p+1} x_s`` for p = 1..k."""
-    out = []
-    for p in range(1, k + 1):
-        exps: dict = {}
-        for s in range(p, k + 1):
-            exps[f"y{s}"] = 1
-        for s in range(p + 1, k + 1):
-            exps[f"x{s}"] = 1
-        out.append(table.monomial(exps))
-    return out
+    return [table.pair_monomial([0] * p + [1] * (k - p), [0] * (p - 1) + [1] * (k - p + 1))
+            for p in range(1, k + 1)]
 
 
 def b_monomials(table: VarTable, k: int) -> list:
     """``b_{k,p} = prod_{s<=p} x_s y_s`` for p = 1..k."""
-    out = []
-    for p in range(1, k + 1):
-        exps = {}
-        for s in range(1, p + 1):
-            exps[f"x{s}"] = 1
-            exps[f"y{s}"] = 1
-        out.append(table.monomial(exps))
-    return out
+    return [table.pair_monomial([1] * p + [0] * (k - p), [1] * p + [0] * (k - p))
+            for p in range(1, k + 1)]
 
 
 def c_monomials(table: VarTable, k: int) -> list:
     """``c_{k,p} = prod_{s>=p} x_s * prod_{p<=s<=k-1} y_s``."""
-    out = []
-    for p in range(1, k + 1):
-        exps: dict = {}
-        for s in range(p, k + 1):
-            exps[f"x{s}"] = 1
-        for s in range(p, k):
-            exps[f"y{s}"] = exps.get(f"y{s}", 0) + 1
-        out.append(table.monomial(exps))
-    return out
+    return [table.pair_monomial([0] * (p - 1) + [1] * (k - p + 1),
+                                [0] * (p - 1) + [1] * (k - p) + [0])
+            for p in range(1, k + 1)]
 
 
 def d_monomials(table: VarTable, k: int) -> list:
     """``d_{k,p} = prod_{s<=p} y_{s-1} x_s`` with ``y_0 := y_k``."""
-    out = []
-    for p in range(1, k + 1):
-        exps: dict = {}
-        for s in range(1, p + 1):
-            y_index = s - 1 if s > 1 else k
-            exps[f"y{y_index}"] = exps.get(f"y{y_index}", 0) + 1
-            exps[f"x{s}"] = exps.get(f"x{s}", 0) + 1
-        out.append(table.monomial(exps))
-    return out
+    return [table.pair_monomial(xs, xs[1:] + xs[:1])
+            for xs in ([1] * p + [0] * (k - p) for p in range(1, k + 1))]
 
 
 def e_monomials(table: VarTable, k: int) -> list:
     """``e_{k,p}``: equals ``c_{k,p}`` for p >= 2, and ``1/y_k`` for p = 1."""
-    cs = c_monomials(table, k)
-    return [table.monomial({f"y{k}": -1})] + cs[1:]
-
-
-def pair_product(table: VarTable, k: int, power: int = 1) -> LaurentPoly:
-    """``(x1*y1*...*xk*yk)^power``."""
-    exps = {}
-    for p in range(1, k + 1):
-        exps[f"x{p}"] = power
-        exps[f"y{p}"] = power
-    return table.monomial(exps)
+    return [table.pair_monomial([0] * k, [0] * (k - 1) + [-1])] + c_monomials(table, k)[1:]
 
 
 # -- compositions and symmetric sums ----------------------------------------------
@@ -153,23 +123,18 @@ def compositions(total: int, parts: int, positive: bool = False) -> Iterator[tup
     yield from rec(total, parts, ())
 
 
-def hom_sym(points: Sequence[LaurentPoly], degree: int) -> LaurentPoly:
-    """Complete homogeneous symmetric polynomial of the points.
+def hom_sums(points: Sequence[LaurentPoly], degree: int) -> list:
+    """Complete homogeneous symmetric polynomials ``[h_0, ..., h_degree]`` of the points.
 
-    ``hom_sym(pts, m) = sum over multisets of size m``; zero for negative
-    degree, one for degree zero.
+    One pass over the points of ``h_m(p_1..p_j) = h_m(p_1..p_{j-1}) + p_j *
+    h_{m-1}(p_1..p_j)``; only ``[h_0] = [1]`` for negative degree.
     """
     table = points[0].table
-    if degree < 0:
-        return table.zero()
-    out: dict = {}
-    for comp in compositions(degree, len(points)):
-        term = table.one()
-        for point, power in zip(points, comp):
-            if power:
-                term = term * point ** power
-        _accumulate(out, term.terms.items())
-    return LaurentPoly(table, out)
+    rows = [table.one()] + [table.zero()] * degree
+    for point in points:
+        for m in range(1, degree + 1):
+            rows[m] = rows[m] + point * rows[m - 1]
+    return rows
 
 
 # -- index tuples ------------------------------------------------------------------
@@ -226,30 +191,6 @@ def enum_d_direct(k: int, l: int) -> frozenset:
 def index_tuple_count(k: int, l: int) -> int:
     """``C(l+k-1, k-1) * C(l-1, k-1)``, the size of the index-tuple set."""
     return math.comb(l + k - 1, k - 1) * math.comb(l - 1, k - 1)
-
-
-def _tuple_monomial_pos(table: VarTable, tup: tuple, k: int) -> LaurentPoly:
-    exps: dict = {}
-    for p in range(k):
-        i, j = tup[2 * p], tup[2 * p + 1]
-        if i:
-            exps[f"x{p + 1}"] = exps.get(f"x{p + 1}", 0) + i
-        if j:
-            exps[f"y{p + 1}"] = exps.get(f"y{p + 1}", 0) + j
-    return table.monomial(exps)
-
-
-def _tuple_monomial_neg(table: VarTable, tup: tuple, k: int) -> LaurentPoly:
-    # prod_p y_{p-1}^{i_p} x_p^{j_p} with y_0 := y_k
-    exps: dict = {}
-    for p in range(k):
-        i, j = tup[2 * p], tup[2 * p + 1]
-        y_index = p if p >= 1 else k
-        if i:
-            exps[f"y{y_index}"] = exps.get(f"y{y_index}", 0) + i
-        if j:
-            exps[f"x{p + 1}"] = exps.get(f"x{p + 1}", 0) + j
-    return table.monomial(exps)
 
 
 # -- the evaluation map phi ---------------------------------------------------------
@@ -529,8 +470,9 @@ def g2k_trace_scaled(k: int, h: TrigPoly) -> LaurentPoly:
         s_pos: dict = {}
         s_neg: dict = {}
         for tup in enum_d(k, l):
-            _accumulate(s_pos, _tuple_monomial_pos(table, tup, k).terms.items())
-            _accumulate(s_neg, _tuple_monomial_neg(table, tup, k).terms.items())
+            # prod_p x_p^{i_p} y_p^{j_p}, and prod_p y_{p-1}^{i_p} x_p^{j_p} with y_0 := y_k
+            _accumulate(s_pos, table.pair_monomial(tup[::2], tup[1::2]).terms.items())
+            _accumulate(s_neg, table.pair_monomial(tup[1::2], tup[2::2] + tup[:1]).terms.items())
         _accumulate(out, (hc[l] * LaurentPoly(table, s_pos)).terms.items())
         _accumulate(out, (hc[-l] * LaurentPoly(table, s_neg)).terms.items())
     return (LaurentPoly(table, out) * _sign(k)).normal_form()
@@ -586,16 +528,18 @@ def _hom_double_sum(k: int, h: TrigPoly, table: VarTable,
     prod(d) * h_{l-k}(d)``; the negative point set is e (quotient ring) or
     c (cleared exponents).
     """
+    d = h.degree
     hc = _embedded_coeffs(h, table)
-    a_pts = a_monomials(table, k)
     b_pts = b_monomials(table, k)
     d_pts = d_monomials(table, k)
     prod_b = math.prod(b_pts, start=table.one())
     prod_d = math.prod(d_pts, start=table.one())
+    h_a, h_b = hom_sums(a_monomials(table, k), d), hom_sums(b_pts, d - k)
+    h_neg, h_d = hom_sums(neg_pts, d), hom_sums(d_pts, d - k)
     out: dict = {}
-    for l in range(k, h.degree + 1):
-        pos = hom_sym(a_pts, l) * prod_b * hom_sym(b_pts, l - k)
-        neg = hom_sym(neg_pts, l) * prod_d * hom_sym(d_pts, l - k)
+    for l in range(k, d + 1):
+        pos = h_a[l] * prod_b * h_b[l - k]
+        neg = h_neg[l] * prod_d * h_d[l - k]
         _accumulate(out, (hc[l] * pos).terms.items())
         _accumulate(out, (hc[-l] * neg).terms.items())
     return LaurentPoly(table, out)
@@ -684,7 +628,7 @@ def basis_relation_check(k: int) -> bool:
     b = b_monomials(table, k)
     d_m = d_monomials(table, k)
     e = e_monomials(table, k)
-    unit2 = pair_product(table, k, 2)
+    unit2 = table.pair_monomial([2] * k, [2] * k)
 
     def e_next(idx: int) -> LaurentPoly:
         # e_{idx+1} with the wrap e_{k+1} = e_1 (1-based idx in [1, k])
@@ -764,11 +708,9 @@ def site_poly(k: int, h: TrigPoly) -> LaurentPoly:
     table = table_for(k, h)
     total = (h.coeffs[0].embed(table) * _sign(k)
              + _hom_double_sum(k, h, table, c_monomials(table, k)))
-    out = total * pair_product(table, k, 2 * k)
-    pair_slots = table.pair_slots()
-    for e in out.terms:
-        if any(e[i] < 0 for i in pair_slots):
-            raise ModelError("site polynomial has a negative exponent")
+    out = total * table.pair_monomial([2 * k] * k, [2 * k] * k)
+    if not in_polynomial_ring(out):
+        raise ModelError("site polynomial has a negative exponent")
     return out
 
 
@@ -840,7 +782,7 @@ def h_at_pair_monomial(h: TrigPoly, table: VarTable) -> LaurentPoly:
         coeff = h.coeffs[l].embed(table)
         if coeff.is_zero:
             continue
-        out = out + coeff * table.monomial({"x1": l, "y1": 2 * l})
+        out = out + coeff * table.pair_monomial([l], [2 * l])
     return out
 
 
@@ -888,33 +830,21 @@ def l_degree(p: LaurentPoly, d: int, z_name: str = "z1") -> int:
     nonnegative pair exponents.  Zero polynomial returns 0.
     """
     table = p.table
-    k = table.pair_count
-    if k == 0:
+    if table.pair_count == 0:
         raise ModelError("contact degree needs pair variables")
-    pair_slots = table.pair_slots()
-    for e in p.terms:
-        if any(e[i] < 0 for i in pair_slots):
-            raise ModelError("contact degree needs nonnegative pair exponents")
+    if not in_polynomial_ring(p):
+        raise ModelError("contact degree needs nonnegative pair exponents")
     if p.is_zero:
         return 0
-    u_names = tuple(f"dx{i}" for i in range(1, k + 1))
-    v_names = tuple(f"dy{i}" for i in range(1, k + 1))
-    ext = VarTable(table.names + u_names + v_names,
-                   table.kinds + ("a",) * (2 * k))
+    pairs = [(name, kind) for name, kind in zip(table.names, table.kinds) if kind in ("x", "y")]
+    shifts = tuple("d" + name for name, _ in pairs)
+    ext = VarTable(table.names + shifts, table.kinds + ("a",) * len(shifts))
     z = ext.var(z_name)
-    bindings = {}
-    for i in range(1, k + 1):
-        bindings[f"x{i}"] = ext.var(f"dx{i}") + z.inverse()
-        bindings[f"y{i}"] = ext.var(f"dy{i}") + z
+    bindings = {name: ext.var(shift) + (z.inverse() if kind == "x" else z)
+                for (name, kind), shift in zip(pairs, shifts)}
     expanded = substitute(p.embed(ext), bindings)
-    u_slots = [ext.slot(name) for name in u_names]
-    v_slots = [ext.slot(name) for name in v_names]
-    best = None
-    for e in expanded.terms:
-        value = sum(min(e[s], d) for s in u_slots) + sum(min(e[s], d) for s in v_slots)
-        if best is None or value < best:
-            best = value
-    return best
+    shift_slots = range(table.arity, ext.arity)
+    return min(sum(min(e[s], d) for s in shift_slots) for e in expanded.terms)
 
 
 def representative_search(p: LaurentPoly, k: int, d: int, budget: int = 3,
@@ -932,15 +862,12 @@ def representative_search(p: LaurentPoly, k: int, d: int, budget: int = 3,
     pair_slots = table.pair_slots()
     target = p.normal_form()
 
-    def in_ring(poly: LaurentPoly) -> bool:
-        return all(all(e[i] >= 0 for i in pair_slots) for e in poly.terms)
-
     def score(poly: LaurentPoly) -> int:
         return l_degree(poly, d)
 
-    seeds = [p if in_ring(p) else target]
+    seeds = [p if in_polynomial_ring(p) else target]
     for cand in extra_candidates:
-        if in_ring(cand) and cand.normal_form() == target:
+        if in_polynomial_ring(cand) and cand.normal_form() == target:
             seeds.append(cand)
 
     shifts = sorted(range(-budget, budget + 1), key=lambda t: (abs(t), t))

@@ -69,6 +69,9 @@ class SequenceFamily:
             c = complex(self.params["c"])
             gamma = float(self.params["gamma"]) if self.name == "powerDecay" else None
             phase = float(self.params.get("phase", 0.0))
+            for name, value in (("c", c), ("gamma", gamma), ("phase", phase)):
+                if value is not None and not cmath.isfinite(value):
+                    raise LabError(f"{self.name} parameter {name} must be finite, not {value}")
             if abs(c) >= 1.0:
                 raise LabError(f"{self.name} needs |c| < 1")
 
@@ -89,6 +92,8 @@ class SequenceFamily:
             values = [complex(re, im) for re, im in self.params["values"]]
             return VerblunskySeq.from_values(values)
         if self.name == "file":
+            if not isinstance(self.params["path"], str):
+                raise LabError("file family needs a string path")
             try:
                 with open(self.params["path"], "rb") as fh:
                     pairs = json.load(fh)

@@ -253,6 +253,15 @@ class VarTable:
         kinds += ["a"] * len(plain)
         return VarTable(tuple(names), tuple(kinds))
 
+    def pair_monomial(self, xs: Sequence[int], ys: Sequence[int]) -> "LaurentPoly":
+        """``prod_p x_p^{xs[p-1]} * y_p^{ys[p-1]}``, one exponent per pair."""
+        vec = [0] * self.arity
+        for kind, exps in (("x", xs), ("y", ys)):
+            slots = [i for i, k in enumerate(self.kinds) if k == kind]
+            for slot, exp in zip(slots, exps, strict=True):
+                vec[slot] = exp
+        return LaurentPoly(self, {tuple(vec): GR_ONE})
+
     @property
     def arity(self) -> int:
         return len(self.names)

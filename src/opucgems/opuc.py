@@ -42,6 +42,9 @@ import numpy as np
 
 from .trig import TrigPoly
 
+# exclusive bound on the quadrature grid: the doubling loop stops here, so
+# a starting grid must lie below it for convergence to be checked at all
+MAX_GRID = 2 ** 20
 
 class OpucError(Exception):
     pass
@@ -266,14 +269,14 @@ def bs_weight_quadrature(alpha: VerblunskySeq, h: TrigPoly | None,
     """``(1/2pi) \\int H(e^{i theta}) log w(theta) d theta`` by quadrature.
 
     Uniform trapezoid rule on the periodic integrand (the grid mean); the
-    grid doubles until two successive results agree within ``tol``.  With
-    ``h=None`` the weight H is 1, which recovers the classical Szego sum
-    ``sum log(1 - |alpha_n|^2)``.
+    grid doubles until two successive results agree within ``tol`` or it
+    reaches ``MAX_GRID``.  With ``h=None`` the weight H is 1, which
+    recovers the classical Szego sum ``sum log(1 - |alpha_n|^2)``.
     """
     if alpha.support is None:
         raise OpucError("quadrature needs a finitely supported sequence")
-    if grid_size < 2 ** 10:
-        raise OpucError("grid size must be at least 2^10")
+    if not 2 ** 10 <= grid_size < MAX_GRID:
+        raise OpucError(f"grid size must be at least 2^10 and below {MAX_GRID}")
 
     def integral(m: int) -> float:
         thetas = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)
@@ -285,7 +288,7 @@ def bs_weight_quadrature(alpha: VerblunskySeq, h: TrigPoly | None,
 
     value = integral(grid_size)
     m = grid_size
-    while m < 2 ** 20:
+    while m < MAX_GRID:
         m *= 2
         refined = integral(m)
         if abs(refined - value) < tol:

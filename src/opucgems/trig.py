@@ -100,6 +100,8 @@ class CriticalPoints:
                 angles.append(None)
             elif isinstance(raw, str):
                 angles.append(Fraction(raw))
+            elif isinstance(raw, bool):
+                raise TrigError(f"unsupported angle {raw!r}")
             else:
                 angles.append(float(raw))
             mults.append(entry["m"])

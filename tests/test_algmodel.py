@@ -20,11 +20,15 @@ from opucgems.algmodel import (
     basis_relation_check,
     build_g2k_hl,
     build_g2k_trace,
+    c_monomials,
     constant_partial_sums,
     constant_sum_check,
+    compositions,
     critical_product,
+    d_monomials,
     degree2_product_check,
     diagonal_entry,
+    e_monomials,
     enum_d,
     enum_d_direct,
     g2k_hl_scaled_hom,
@@ -32,6 +36,7 @@ from opucgems.algmodel import (
     g2k_trace_scaled,
     hl_double_sum,
     hl_part,
+    hom_sums,
     index_tuple_count,
     l_degree,
     model_table,
@@ -423,6 +428,146 @@ def test_constant_sums(k):
 @pytest.mark.parametrize("k", range(1, 5))
 def test_basis_relations(k):
     assert basis_relation_check(k)
+
+
+# -- basis monomials and homogeneous sums against name-keyed oracles ---------------------
+
+
+def oracle_a(table, k):
+    out = []
+    for p in range(1, k + 1):
+        exps = {}
+        for s in range(p, k + 1):
+            exps[f"y{s}"] = 1
+        for s in range(p + 1, k + 1):
+            exps[f"x{s}"] = 1
+        out.append(table.monomial(exps))
+    return out
+
+
+def oracle_b(table, k):
+    out = []
+    for p in range(1, k + 1):
+        exps = {}
+        for s in range(1, p + 1):
+            exps[f"x{s}"] = 1
+            exps[f"y{s}"] = 1
+        out.append(table.monomial(exps))
+    return out
+
+
+def oracle_c(table, k):
+    out = []
+    for p in range(1, k + 1):
+        exps = {}
+        for s in range(p, k + 1):
+            exps[f"x{s}"] = 1
+        for s in range(p, k):
+            exps[f"y{s}"] = exps.get(f"y{s}", 0) + 1
+        out.append(table.monomial(exps))
+    return out
+
+
+def oracle_d(table, k):
+    out = []
+    for p in range(1, k + 1):
+        exps = {}
+        for s in range(1, p + 1):
+            y_index = s - 1 if s > 1 else k
+            exps[f"y{y_index}"] = exps.get(f"y{y_index}", 0) + 1
+            exps[f"x{s}"] = exps.get(f"x{s}", 0) + 1
+        out.append(table.monomial(exps))
+    return out
+
+
+def oracle_e(table, k):
+    return [table.monomial({f"y{k}": -1})] + oracle_c(table, k)[1:]
+
+
+def oracle_pair_product(table, k, power):
+    return table.monomial({name: power for p in range(1, k + 1) for name in (f"x{p}", f"y{p}")})
+
+
+def oracle_tuple_pos(table, tup, k):
+    exps = {}
+    for p in range(k):
+        i, j = tup[2 * p], tup[2 * p + 1]
+        if i:
+            exps[f"x{p + 1}"] = exps.get(f"x{p + 1}", 0) + i
+        if j:
+            exps[f"y{p + 1}"] = exps.get(f"y{p + 1}", 0) + j
+    return table.monomial(exps)
+
+
+def oracle_tuple_neg(table, tup, k):
+    # prod_p y_{p-1}^{i_p} x_p^{j_p} with y_0 := y_k
+    exps = {}
+    for p in range(k):
+        i, j = tup[2 * p], tup[2 * p + 1]
+        y_index = p if p >= 1 else k
+        if i:
+            exps[f"y{y_index}"] = exps.get(f"y{y_index}", 0) + i
+        if j:
+            exps[f"x{p + 1}"] = exps.get(f"x{p + 1}", 0) + j
+    return table.monomial(exps)
+
+
+def oracle_hom_sym(points, degree):
+    """Sum over every composition of ``degree`` of the matching point powers."""
+    table = points[0].table
+    out = table.zero()
+    for comp in compositions(degree, len(points)):
+        term = table.one()
+        for point, power in zip(points, comp):
+            term = term * point ** power
+        out = out + term
+    return out
+
+
+BASES = [(a_monomials, oracle_a), (b_monomials, oracle_b), (c_monomials, oracle_c),
+         (d_monomials, oracle_d), (e_monomials, oracle_e)]
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+@pytest.mark.parametrize("extra", [{}, {"units": ("z1",), "plain": ("s",)}])
+def test_pair_monomial_bases_equal_name_keyed_oracles(k, extra):
+    table = model_table(k, **extra)
+    for basis, oracle in BASES:
+        assert basis(table, k) == oracle(table, k)
+    for power in (-1, 2, 2 * k):
+        assert table.pair_monomial([power] * k, [power] * k) == oracle_pair_product(table, k, power)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_tuple_monomial_slices_equal_name_keyed_oracles(k):
+    table = model_table(k, units=("z1",))
+    for l in range(k, max(k + 1, 6) + 1):
+        for tup in enum_d(k, l):
+            assert table.pair_monomial(tup[::2], tup[1::2]) == oracle_tuple_pos(table, tup, k)
+            assert (table.pair_monomial(tup[1::2], tup[2::2] + tup[:1])
+                    == oracle_tuple_neg(table, tup, k))
+
+
+def test_pair_monomial_needs_one_exponent_per_pair():
+    with pytest.raises(ValueError):
+        model_table(2).pair_monomial([1], [1, 1])
+
+
+monomial_points = st.lists(
+    st.tuples(st.integers(-3, 3).filter(bool), st.lists(st.integers(-2, 2), min_size=5,
+                                                         max_size=5)),
+    min_size=1, max_size=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(points=monomial_points, degree=st.integers(0, 8))
+def test_hom_sums_equal_composition_oracle(points, degree):
+    table = model_table(2, units=("z1",))
+    pts = [LaurentPoly(table, {tuple(e): GaussianRational(c)}) for c, e in points]
+    rows = hom_sums(pts, degree)
+    assert len(rows) == degree + 1
+    for m, row in enumerate(rows):
+        assert row == oracle_hom_sym(pts, m)
 
 
 # -- site polynomial and functional ------------------------------------------------------

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import os
 
 import pytest
 
@@ -205,6 +206,10 @@ MALFORMED = [
     ("gem", {"schedule": [10.5, 20]}, None),
     ("gem", {"schedule": [True, 5]}, None),
     ("gem", {"schedule": [0, 10]}, None),
+    ("gem", {"criticalPoints": [{"thetaOverPi": True, "m": 1}]}, study_must_not_run),
+    ("gem", {"family": {"name": "powerDecay", "c": 0.3, "gamma": math.nan}}, None),
+    ("gem", {"family": {"name": "constant", "c": 0.3, "phase": math.inf}}, None),
+    ("szego-check --grid 1048576", [[0.5, 0.0]], None),
 ]
 
 
@@ -215,7 +220,9 @@ MALFORMED = [
     "gem-multiplicity-fraction", "gem-angle-nan", "szego-grid-too-small",
     "gem-csv-unwritable", "verify-kmax-zero", "verify-negative", "verify-dmax-zero",
     "gem-alpha-reaches-one-past-n", "gem-schedule-empty", "gem-schedule-fraction",
-    "gem-schedule-bool", "gem-schedule-zero"])
+    "gem-schedule-bool", "gem-schedule-zero", "gem-angle-bool", "gem-gamma-nan",
+    "gem-phase-infinite", "szego-grid-too-large"])
+@pytest.mark.filterwarnings("error")
 def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch,
                                                command, data, study):
     command, *options = command.split()
@@ -236,3 +243,20 @@ def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch,
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"{command}: ")
+
+
+def test_file_family_path_must_be_a_string(capsys, tmp_path):
+    alphas = tmp_path / "alphas.json"
+    alphas.write_text(json.dumps([[0.4, 0.0], [0.0, 0.2]]))
+    fd = os.open(alphas, os.O_RDONLY)
+    try:
+        config = tmp_path / "study.json"
+        config.write_text(json.dumps({**GOOD_GEM, "family": {"name": "file", "path": fd}}))
+        code = main(["gem", "--config", str(config)])
+    finally:
+        os.close(fd)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("gem: ")

@@ -188,17 +188,28 @@ def test_a_bad_coefficient_past_the_look_ahead_is_not_read():
     assert all(math.isfinite(v) for v in report.trace_values + report.site_values)
 
 
-@pytest.mark.parametrize("family", [
-    SequenceFamily.power_decay(0.9, -0.5),
-    SequenceFamily.power_decay(0.3, 1.0, phase=math.nan),
-    SequenceFamily.constant(0.3, phase=math.nan),
+# a non-finite parameter is rejected sooner, when the sequence is built
+@pytest.mark.parametrize("family,error", [
+    (SequenceFamily.power_decay(0.9, -0.5), OpucError),
+    (SequenceFamily.power_decay(0.3, 1.0, phase=math.nan), LabError),
+    (SequenceFamily.constant(0.3, phase=math.nan), LabError),
 ], ids=["growing", "nan-phase", "constant-nan-phase"])
-def test_a_bad_family_is_rejected_by_head(family):
-    seq = family.sequence()
-    with pytest.raises(OpucError):
-        seq.head(10)
-    with pytest.raises(OpucError):
+def test_a_bad_family_is_rejected_by_head(family, error):
+    with pytest.raises(error):
+        family.sequence().head(10)
+    with pytest.raises(error):
         convergence_study(family, ONE_POINT, [10])
+
+
+@pytest.mark.parametrize("params", [
+    {"c": math.nan, "gamma": 1.0}, {"c": complex(0.1, math.inf), "gamma": 1.0},
+    {"c": 0.3, "gamma": math.nan}, {"c": 0.3, "gamma": -math.inf},
+    {"c": 0.3, "gamma": 1.0, "phase": math.inf},
+])
+def test_non_finite_parameters_are_named(params):
+    name = next(key for key, value in params.items() if not cmath.isfinite(value))
+    with pytest.raises(LabError, match=f"parameter {name} must be finite"):
+        SequenceFamily("powerDecay", params).sequence()
 
 
 def relative_gaps(got, want):
