@@ -55,13 +55,9 @@ class ModelError(Exception):
 # -- tables and basis monomials ---------------------------------------------------
 
 
-def model_table(k: int, units: Sequence[str] = (), plain: Sequence[str] = ()) -> VarTable:
+def table_for(k: int, h: TrigPoly) -> VarTable:
     """Pair variables x1..yk plus the unit symbols of a weight."""
-    return VarTable.build(k, units=units, plain=plain)
-
-
-def table_for(k: int, h: TrigPoly, plain: Sequence[str] = ()) -> VarTable:
-    return model_table(k, units=h.table.names, plain=plain)
+    return VarTable.build(k, units=h.table.names)
 
 
 def in_polynomial_ring(poly: LaurentPoly) -> bool:
@@ -479,27 +475,24 @@ def g2k_trace_scaled(k: int, h: TrigPoly) -> LaurentPoly:
 
 
 def hl_double_sum(k: int, h: TrigPoly) -> LaurentPoly:
-    """The Hall-Littlewood double sum, by nested divided differences.
+    """The Hall-Littlewood double sum, by divided differences of powers.
 
     ``sum_{p,q} H(a_p b_q) / (prod_{s!=p}(1 - a_s/a_p) prod_{t!=q}(b_q/b_t
-    - 1))`` computed exactly as ``D(b_1..b_k)(f2) * prod b_t`` with ``f2 =
-    D(a_1..a_k)(f1(x, .))`` and ``f1(x, t) = H(t x) t^{k-1} x^{-1}``.
+    - 1))``.  Since ``H(t x) = sum_l h_l t^l x^l`` the sum is linear in the
+    coefficients h_l, and each power separates into a divided difference
+    over the a points times one over the b points:
+    ``prod b_t * sum_l h_l * D(a_1..a_k)(t^{l+k-1}) * D(b_1..b_k)(t^{l-1})``.
     Any division failure in the recursion signals a broken identity.
     """
-    d = h.degree
-    table = table_for(k, h, plain=("hl_s", "hl_t"))
-    hc = _embedded_coeffs(h, table)
-    f1 = table.zero()
-    for l in range(-d, d + 1):
-        if hc[l].is_zero:
-            continue
-        mono = table.monomial({"hl_t": l + k - 1, "hl_s": l - 1})
-        f1 = f1 + hc[l] * mono
+    table = table_for(k, h)
     a_pts = a_monomials(table, k)
     b_pts = b_monomials(table, k)
-    f2 = divided_diff(a_pts, f1, "hl_t")
-    ds = math.prod(b_pts, start=divided_diff(b_pts, f2, "hl_s"))
-    return ds.project(table_for(k, h))
+    out: dict = {}
+    for l, coeff in _embedded_coeffs(h, table).items():
+        if not coeff.is_zero:
+            term = coeff * divided_diff(a_pts, l + k - 1) * divided_diff(b_pts, l - 1)
+            _accumulate(out, term.terms.items())
+    return math.prod(b_pts, start=LaurentPoly(table, out))
 
 
 def g2k_hl_scaled_dd(k: int, h: TrigPoly) -> LaurentPoly:
@@ -622,7 +615,7 @@ def basis_relation_check(k: int) -> bool:
     ``prod_{s!=p}(1 - a_s/a_p) * prod_{t!=q}(b_q/b_t - 1)`` equals
     ``prod_{s!=q}(1 - e_{s+1}/e_{q+1}) * prod_{t!=p}(d_p/d_t - 1)``.
     """
-    table = model_table(k)
+    table = VarTable.build(k)
     one = table.one()
     a = a_monomials(table, k)
     b = b_monomials(table, k)
@@ -667,17 +660,16 @@ def constant_partial_sums(k: int) -> tuple:
     prod_{s != p} (t_p/t_s - 1)`` equals ``(-1)^{k+1}``; both are computed
     through exact divided differences of ``x^{k-1}`` and ``1/x``.
     """
-    table = VarTable.build(0, units=[f"t{i}" for i in range(1, k + 1)],
-                           plain=("s",))
+    table = VarTable.build(0, units=[f"t{i}" for i in range(1, k + 1)])
     pts = [table.var(f"t{i}") for i in range(1, k + 1)]
     sign = _sign(k)
 
-    a_poly = divided_diff(pts, table.var("s", k - 1), "s") * sign
+    a_poly = divided_diff(pts, k - 1) * sign
     if not a_poly.is_monomial and not a_poly.is_zero:
         raise ModelError("first constant sum did not collapse to a scalar")
 
     prod_t = math.prod(pts, start=table.one())
-    b_poly = divided_diff(pts, table.var("s", -1), "s") * prod_t * sign
+    b_poly = divided_diff(pts, -1) * prod_t * sign
     a_val = a_poly.constant_value()
     b_val = b_poly.constant_value()
     if table.const(a_val) != a_poly or table.const(b_val) != b_poly:

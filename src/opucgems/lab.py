@@ -31,8 +31,29 @@ SLOPE_DIVERGING = 1e-2
 RANGE_BOUNDED = 1.0
 
 
+# the parameters each family reads; any other key is rejected as a misspelling
+FAMILY_PARAMS = {
+    "powerDecay": ("c", "gamma", "phase"),
+    "constant": ("c", "phase"),
+    "finiteSupport": ("values",),
+    "file": ("path",),
+}
+
+
 class LabError(Exception):
     pass
+
+
+def _number(value, name: str):
+    """``value`` itself; a boolean is rejected instead of read as 0 or 1."""
+    if isinstance(value, bool):
+        raise LabError(f"{name} must be a number, not a boolean")
+    return value
+
+
+def _complex_values(pairs, name: str) -> list:
+    """``[re, im]`` pairs as complex numbers."""
+    return [complex(_number(re, name), _number(im, name)) for re, im in pairs]
 
 
 @dataclass(frozen=True)
@@ -65,10 +86,18 @@ class SequenceFamily:
         return SequenceFamily("file", {"path": str(path)})
 
     def sequence(self) -> VerblunskySeq:
+        if self.name not in FAMILY_PARAMS:
+            raise LabError(f"unknown family {self.name!r}")
+        unknown = sorted(set(self.params) - set(FAMILY_PARAMS[self.name]))
+        if unknown:
+            raise LabError(f"{self.name} family has no parameter {unknown[0]!r}")
         if self.name in ("powerDecay", "constant"):
-            c = complex(self.params["c"])
-            gamma = float(self.params["gamma"]) if self.name == "powerDecay" else None
-            phase = float(self.params.get("phase", 0.0))
+            params = {"phase": 0.0, **self.params}
+            for name, value in params.items():
+                _number(value, f"{self.name} parameter {name}")
+            c = complex(params["c"])
+            gamma = float(params["gamma"]) if self.name == "powerDecay" else None
+            phase = float(params["phase"])
             for name, value in (("c", c), ("gamma", gamma), ("phase", phase)):
                 if value is not None and not cmath.isfinite(value):
                     raise LabError(f"{self.name} parameter {name} must be finite, not {value}")
@@ -89,19 +118,17 @@ class SequenceFamily:
 
             return VerblunskySeq(closed_form)
         if self.name == "finiteSupport":
-            values = [complex(re, im) for re, im in self.params["values"]]
-            return VerblunskySeq.from_values(values)
-        if self.name == "file":
+            values = _complex_values(self.params["values"], "finiteSupport value")
+        else:  # file
             if not isinstance(self.params["path"], str):
                 raise LabError("file family needs a string path")
             try:
                 with open(self.params["path"], "rb") as fh:
                     pairs = json.load(fh)
-                values = [complex(re, im) for re, im in pairs]
+                values = _complex_values(pairs, "coefficient file value")
             except (OSError, ValueError, TypeError) as exc:
                 raise LabError(f"cannot read coefficient file: {exc}") from exc
-            return VerblunskySeq.from_values(values)
-        raise LabError(f"unknown family {self.name!r}")
+        return VerblunskySeq.from_values(values)
 
     def to_json(self) -> dict:
         return {"name": self.name, **self.params}

@@ -480,23 +480,6 @@ class LaurentPoly:
             out[tuple(vec)] = c
         return LaurentPoly(table, out)
 
-    def project(self, table: VarTable) -> "LaurentPoly":
-        """Reinterpret over a sub-table; dropped variables must not occur."""
-        if table == self.table:
-            return self
-        if not self.table.contains(table):
-            raise VarTableMismatch("target table is not a sub-table")
-        slots = [self.table.slot(name) for name in table.names]
-        kept = set(slots)
-        out = {}
-        for e, c in self.terms.items():
-            for i, exp in enumerate(e):
-                if exp and i not in kept:
-                    raise LaurentError(
-                        f"variable {self.table.names[i]!r} still occurs")
-            out[tuple(e[i] for i in slots)] = c
-        return LaurentPoly(table, out)
-
     def evaluate(self, values: Mapping[str, complex]) -> complex:
         """Numeric evaluation with every variable bound to a complex value."""
         vals = [values[name] for name in self.table.names]
@@ -686,25 +669,23 @@ def substitute(p: LaurentPoly, bindings: Mapping[str, LaurentPoly]) -> LaurentPo
 # -- divided differences ---------------------------------------------------------
 
 
-def divided_diff(points: Sequence[LaurentPoly], f: LaurentPoly, var: str) -> LaurentPoly:
-    """Divided-difference operator over interpolation points.
+def divided_diff(points: Sequence[LaurentPoly], power: int) -> LaurentPoly:
+    """Divided difference of the single power ``t^power`` over the points.
 
-    Computes ``D(p_1,...,p_n)(f) = sum_i f(p_i) / prod_{j != i} (p_j - p_i)``
-    by the two-point recursion, with an exact division at every step; the
-    result is always a polynomial, so a division failure signals a broken
-    identity upstream.  ``f`` is treated as univariate in ``var``; the
-    points must not involve ``var`` and must be pairwise distinct.
+    Computes ``D(p_1,...,p_n)(t^m) = sum_i p_i^m / prod_{j != i} (p_j - p_i)``
+    for ``m = power`` by the two-point recursion from ``p_i ** m``, with an exact
+    division at every step; the result is always a polynomial, so a
+    division failure signals a broken identity upstream.  The operator is
+    linear, so a Laurent ``f = sum_m c_m t^m`` has ``D(f) = sum_m c_m *
+    divided_diff(points, m)``.  A negative power needs monomial points
+    (:class:`NonInvertibleBinding` otherwise); the points must share one
+    table and be pairwise distinct.
     """
     if not points:
         raise LaurentError("at least one interpolation point required")
-    table = f.table
-    slot = table.slot(var)
-    pts = []
-    for point in points:
-        point._check_table(f)
-        if any(e[slot] for e in point.terms):
-            raise LaurentError("interpolation points must not involve the variable")
-        pts.append(point)
+    pts = list(points)
+    for point in pts[1:]:
+        point._check_table(pts[0])
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             if pts[i] == pts[j]:
@@ -717,7 +698,7 @@ def divided_diff(points: Sequence[LaurentPoly], f: LaurentPoly, var: str) -> Lau
         if cached is not None:
             return cached
         if len(idx) == 1:
-            value = substitute(f, {var: pts[idx[0]]})
+            value = pts[idx[0]] ** power
         else:
             tail = idx[2:]
             left = rec((idx[0],) + tail)

@@ -39,7 +39,6 @@ from opucgems.algmodel import (
     hom_sums,
     index_tuple_count,
     l_degree,
-    model_table,
     phi_eval,
     phi_terms,
     product_representative,
@@ -54,7 +53,7 @@ from opucgems.algmodel import (
     trace_table,
 )
 from opucgems.lab import SequenceFamily, convergence_study
-from opucgems.laurent import LaurentPoly
+from opucgems.laurent import LaurentPoly, VarTable, exact_div, substitute
 from opucgems.opuc import OpucError, VerblunskySeq, ggt_matrix, sum_rule_functional, trace_powers
 from opucgems.trig import CriticalPoints, build_h
 
@@ -104,7 +103,7 @@ def test_enum_tuples_satisfy_constraints():
 def test_phi_basic_monomial():
     rng = np.random.default_rng(0)
     alpha = random_seq(rng, 10)
-    t = model_table(1)
+    t = VarTable.build(1)
     value = phi_eval(t.monomial({"x1": 1, "y1": 2}), alpha.head(10), 3)
     assert abs(value - alpha(4) * np.conj(alpha(5))) <= 1e-15
 
@@ -112,7 +111,7 @@ def test_phi_basic_monomial():
 def test_phi_is_permutation_invariant_not_injective():
     rng = np.random.default_rng(1)
     alpha = random_seq(rng, 10)
-    t = model_table(2)
+    t = VarTable.build(2)
     p = t.monomial({"x1": 1, "y1": 1, "x2": 2, "y2": 2})
     q = t.monomial({"x1": 2, "y1": 2, "x2": 1, "y2": 1})
     n = 2
@@ -129,13 +128,13 @@ def test_phi_of_constant_is_modulus_power():
     rng = np.random.default_rng(2)
     alpha = random_seq(rng, 5)
     for k in (1, 2, 3):
-        t = model_table(k)
+        t = VarTable.build(k)
         val = phi_eval(t.one(), alpha.head(5), 2)
         assert abs(val - abs(alpha(2)) ** (2 * k)) <= 1e-15
 
 
 def test_phi_rejects_negative_exponents():
-    t = model_table(1)
+    t = VarTable.build(1)
     with pytest.raises(ModelError):
         phi_eval(t.monomial({"x1": -1}), VerblunskySeq.from_values([0.1]).head(1), 0)
 
@@ -343,6 +342,55 @@ def test_hl_double_sum_first_degree_is_h_at_pair_monomial():
     assert ds == expected
 
 
+def oracle_divided_diff(points, f, var):
+    """Divided difference of a Laurent ``f`` in ``var``, by substituting each point."""
+    memo = {}
+
+    def rec(idx):
+        if idx not in memo:
+            if len(idx) == 1:
+                memo[idx] = substitute(f, {var: points[idx[0]]})
+            else:
+                left = rec((idx[0],) + idx[2:])
+                right = rec((idx[1],) + idx[2:])
+                memo[idx] = exact_div(left - right, points[idx[1]] - points[idx[0]])
+        return memo[idx]
+
+    return rec(tuple(range(len(points))))
+
+
+def oracle_project(poly, table):
+    """``poly`` over a sub-table; the dropped variables must not occur."""
+    slots = [poly.table.slot(name) for name in table.names]
+    out = {}
+    for e, c in poly.terms.items():
+        assert not any(exp for i, exp in enumerate(e) if i not in slots)
+        out[tuple(e[i] for i in slots)] = c
+    return LaurentPoly(table, out)
+
+
+def oracle_hl_double_sum(k, h):
+    """The double sum as nested divided differences of ``f1(s, t) = H(t s)
+    t^{k-1} s^{-1}`` over two plain symbols: t over the a points, then s
+    over the b points."""
+    table = VarTable.build(k, units=h.table.names, plain=("hl_s", "hl_t"))
+    f1 = table.zero()
+    for l in range(-h.degree, h.degree + 1):
+        f1 = f1 + h.coeffs[l].embed(table) * table.monomial({"hl_t": l + k - 1, "hl_s": l - 1})
+    f2 = oracle_divided_diff(a_monomials(table, k), f1, "hl_t")
+    b_pts = b_monomials(table, k)
+    ds = math.prod(b_pts, start=oracle_divided_diff(b_pts, f2, "hl_s"))
+    return oracle_project(ds, table_for(k, h))
+
+
+@pytest.mark.parametrize("mults", [[d] for d in range(1, 6)]
+                         + [[d - 1, 1] for d in range(2, 6)])
+def test_hl_double_sum_equals_plain_symbol_oracle(mults):
+    h = build_h(CriticalPoints.generic(mults))
+    for k in range(1, h.degree + 1):
+        assert hl_double_sum(k, h) == oracle_hl_double_sum(k, h)
+
+
 @pytest.mark.parametrize("mults,k", [([1], 1), ([2], 1), ([2], 2), ([1, 1], 2)])
 def test_route_equivalence_small(mults, k):
     h = build_h(CriticalPoints.generic(mults))
@@ -531,7 +579,7 @@ BASES = [(a_monomials, oracle_a), (b_monomials, oracle_b), (c_monomials, oracle_
 @pytest.mark.parametrize("k", range(1, 7))
 @pytest.mark.parametrize("extra", [{}, {"units": ("z1",), "plain": ("s",)}])
 def test_pair_monomial_bases_equal_name_keyed_oracles(k, extra):
-    table = model_table(k, **extra)
+    table = VarTable.build(k, **extra)
     for basis, oracle in BASES:
         assert basis(table, k) == oracle(table, k)
     for power in (-1, 2, 2 * k):
@@ -540,7 +588,7 @@ def test_pair_monomial_bases_equal_name_keyed_oracles(k, extra):
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_tuple_monomial_slices_equal_name_keyed_oracles(k):
-    table = model_table(k, units=("z1",))
+    table = VarTable.build(k, units=("z1",))
     for l in range(k, max(k + 1, 6) + 1):
         for tup in enum_d(k, l):
             assert table.pair_monomial(tup[::2], tup[1::2]) == oracle_tuple_pos(table, tup, k)
@@ -550,7 +598,7 @@ def test_tuple_monomial_slices_equal_name_keyed_oracles(k):
 
 def test_pair_monomial_needs_one_exponent_per_pair():
     with pytest.raises(ValueError):
-        model_table(2).pair_monomial([1], [1, 1])
+        VarTable.build(2).pair_monomial([1], [1, 1])
 
 
 monomial_points = st.lists(
@@ -562,7 +610,7 @@ monomial_points = st.lists(
 @settings(max_examples=40, deadline=None)
 @given(points=monomial_points, degree=st.integers(0, 8))
 def test_hom_sums_equal_composition_oracle(points, degree):
-    table = model_table(2, units=("z1",))
+    table = VarTable.build(2, units=("z1",))
     pts = [LaurentPoly(table, {tuple(e): GaussianRational(c)}) for c, e in points]
     rows = hom_sums(pts, degree)
     assert len(rows) == degree + 1
@@ -609,7 +657,7 @@ def test_site_poly_exponent_range(mults, k):
 
 def double_sum_numeric(k, h, values):
     """The Hall-Littlewood double sum evaluated as a plain rational sum."""
-    t = model_table(k)
+    t = VarTable.build(k)
     a_vals = [complex(m.evaluate(values)) for m in a_monomials(t, k)]
     b_vals = [complex(m.evaluate(values)) for m in b_monomials(t, k)]
     unit_values = h.unit_values()
@@ -852,26 +900,26 @@ def test_critical_product_phi_image_is_shifted_difference_norm():
 
 
 def test_l_degree_centered_product():
-    t = model_table(1, units=("z1",))
+    t = VarTable.build(1, units=("z1",))
     x1, y1, z1 = t.var("x1"), t.var("y1"), t.var("z1")
     assert l_degree((x1 - z1.inverse()) * (y1 - z1), 1) == 2
 
 
 def test_l_degree_pair_product_has_constant():
-    t = model_table(1, units=("z1",))
+    t = VarTable.build(1, units=("z1",))
     assert l_degree(t.monomial({"x1": 1, "y1": 1}), 1) == 0
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_l_degree_power_products(m):
-    t = model_table(1, units=("z1",))
+    t = VarTable.build(1, units=("z1",))
     x1, y1, z1 = t.var("x1"), t.var("y1"), t.var("z1")
     p = (x1 - z1.inverse()) ** m * (y1 - z1) ** m
     assert l_degree(p, m) == 2 * m
 
 
 def test_l_degree_caps_exponents():
-    t = model_table(1, units=("z1",))
+    t = VarTable.build(1, units=("z1",))
     x1, y1, z1 = t.var("x1"), t.var("y1"), t.var("z1")
     p = (x1 - z1.inverse()) ** 4 * (y1 - z1) ** 4
     assert l_degree(p, 2) == 4

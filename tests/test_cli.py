@@ -88,10 +88,14 @@ def test_verify_flags_constant_sign(capsys):
 
 # SHA-256 of the whole stdout, recorded with the Fraction-pair scalar and the
 # max-scan division; guards every verify record (``comparedTerms`` included)
-# and the dump-g2k normal forms against silent drift in the exact kernel.
+# and the dump-g2k normal forms against silent drift in the exact kernel.  The
+# (3, 6) digest was recorded with the plain-symbol divided differences of the
+# whole weight, before they became divided differences of single powers.
 PINNED_STDOUT = [
     ("verify --kmax 2 --dmax 4",
      "13f1852e4a74ab5e7593df41d7871028d6ffaeeecfe5023d24f0e6db10e78594"),
+    ("verify --kmax 3 --dmax 6",
+     "5d27bbd33c9868e4055e6b79415c851336945cb506142e3d8c1c0d66689171fd"),
     ("dump-g2k --k 1 --d 3",
      "3da817de65c83def9cb6cc9aa5de178b08b46b0e9f63cfc8103eedf666398b38"),
     ("dump-g2k --k 2 --d 3",
@@ -210,6 +214,11 @@ MALFORMED = [
     ("gem", {"family": {"name": "powerDecay", "c": 0.3, "gamma": math.nan}}, None),
     ("gem", {"family": {"name": "constant", "c": 0.3, "phase": math.inf}}, None),
     ("szego-check --grid 1048576", [[0.5, 0.0]], None),
+    ("gem", {"family": {"name": "powerDecay", "c": 0.3, "gamma": True}}, None),
+    ("gem", {"family": {"name": "constant", "c": False}}, None),
+    ("gem", {"family": {"name": "constant", "c": 0.3, "phase": True}}, None),
+    ("gem", {"family": {"name": "finiteSupport", "values": [[False, 0.3]]}}, None),
+    ("gem", {"family": {"name": "constant", "c": 0.3, "phse": 1.0}}, None),
 ]
 
 
@@ -221,7 +230,8 @@ MALFORMED = [
     "gem-csv-unwritable", "verify-kmax-zero", "verify-negative", "verify-dmax-zero",
     "gem-alpha-reaches-one-past-n", "gem-schedule-empty", "gem-schedule-fraction",
     "gem-schedule-bool", "gem-schedule-zero", "gem-angle-bool", "gem-gamma-nan",
-    "gem-phase-infinite", "szego-grid-too-large"])
+    "gem-phase-infinite", "szego-grid-too-large", "gem-gamma-bool", "gem-c-bool",
+    "gem-phase-bool", "gem-values-bool", "gem-family-unknown-key"])
 @pytest.mark.filterwarnings("error")
 def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch,
                                                command, data, study):

@@ -212,6 +212,26 @@ def test_non_finite_parameters_are_named(params):
         SequenceFamily("powerDecay", params).sequence()
 
 
+# the boolean and misspelled-key cases of the gem command are rows of
+# tests/test_cli.py::MALFORMED; these are the other families' key sets
+@pytest.mark.parametrize("name,params,message", [
+    ("powerDecay", {"c": 0.3, "gamma": 1.0, "values": []}, "no parameter 'values'"),
+    ("finiteSupport", {"values": [], "path": "x.json"}, "no parameter 'path'"),
+    ("file", {"path": "x.json", "c": 0.3}, "no parameter 'c'"),
+    ("constat", {"c": 0.3}, "unknown family 'constat'"),
+])
+def test_family_rejects_unknown_keys(name, params, message):
+    with pytest.raises(LabError, match=message):
+        SequenceFamily(name, params).sequence()
+
+
+def test_file_family_rejects_boolean_values(tmp_path):
+    path = tmp_path / "alphas.json"
+    path.write_text(json.dumps([[0.1, 0.2], [0.3, True]]))
+    with pytest.raises(LabError, match="file value must be a number"):
+        SequenceFamily.from_file(str(path)).sequence()
+
+
 def relative_gaps(got, want):
     return [abs(g - w) / max(1.0, abs(w)) for g, w in zip(got, want)]
 

@@ -107,7 +107,7 @@ def test_normal_form_merges_equivalent_terms():
 
 
 def units_table():
-    return VarTable.build(0, units=("t1", "t2", "t3"), plain=("s",))
+    return VarTable.build(0, units=("t1", "t2", "t3"))
 
 
 def test_exact_div_difference_of_squares():
@@ -177,40 +177,65 @@ def test_substitute_negative_power_needs_monomial():
 # -- divided differences ----------------------------------------------------------------
 
 
+def divided_diff_of(points, f):
+    """Divided difference of ``f = sum_m f[m] t^m``, by linearity in the powers."""
+    return sum((c * divided_diff(points, m) for m, c in f.items()), points[0].table.zero())
+
+
 def test_divided_diff_single_point_is_evaluation():
     t = units_table()
-    f = t.var("s", 3) + 2 * t.var("s")
     a = t.var("t1")
-    assert divided_diff([a], f, "s") == a ** 3 + 2 * a
+    assert divided_diff_of([a], {3: 1, 1: 2}) == a ** 3 + 2 * a
+    assert divided_diff([a], -2) == t.monomial({"t1": -2})
+    assert divided_diff([a], 0) == t.one()
 
 
 def test_divided_diff_two_points_square():
     t = units_table()
     a, b = t.var("t1"), t.var("t2")
-    assert divided_diff([a, b], t.var("s", 2), "s") == -(a + b)
+    assert divided_diff([a, b], 2) == -(a + b)
 
 
 def test_divided_diff_three_points_linear_vanishes():
     t = units_table()
     pts = [t.var("t1"), t.var("t2"), t.var("t3")]
-    assert divided_diff(pts, t.var("s"), "s").is_zero
+    assert divided_diff(pts, 1).is_zero
 
 
 def test_divided_diff_rejects_duplicate_points():
     t = units_table()
     a = t.var("t1")
     with pytest.raises(DuplicatePoint):
-        divided_diff([a, a], t.var("s"), "s")
+        divided_diff([a, a], 1)
 
 
-def brute_force_numerator(points, f, var):
+def test_divided_diff_points_share_one_table():
+    a = units_table().var("t1")
+    b = VarTable.build(0, units=("t1", "t2")).var("t2")
+    with pytest.raises(VarTableMismatch):
+        divided_diff([a, b], 2)
+
+
+def test_divided_diff_negative_power_needs_monomial_points():
+    t = units_table()
+    a, b = t.var("t1"), t.var("t2")
+    with pytest.raises(NonInvertibleBinding):
+        divided_diff([a + b], -1)
+    with pytest.raises(NonInvertibleBinding):
+        divided_diff([a, a + b], -2)
+    # non-negative powers of a binomial point need no inverse
+    assert divided_diff([a, a + b], 2) == -(2 * a + b)
+
+
+def brute_force_numerator(points, f):
     """sum_i f(p_i) * prod_{m != i} C_m with C_m = prod_{j != m} (p_j - p_m).
 
-    Multiplication-only form of the defining rational expression; the
-    recursion result r must satisfy r * prod_i C_i == numerator.
+    Multiplication-only form of the defining rational expression for ``f =
+    sum_m f[m] t^m``; the recursion result r must satisfy r * prod_i C_i ==
+    numerator.
     """
     n = len(points)
-    table = f.table
+    table = points[0].table
     c = []
     for i in range(n):
         prod = table.one()
@@ -220,7 +245,7 @@ def brute_force_numerator(points, f, var):
         c.append(prod)
     total = table.zero()
     for i in range(n):
-        term = substitute(f, {var: points[i]})
+        term = sum((coeff * points[i] ** m for m, coeff in f.items()), table.zero())
         for m in range(n):
             if m != i:
                 term = term * c[m]
@@ -233,23 +258,39 @@ def brute_force_numerator(points, f, var):
 
 @pytest.mark.parametrize("n_points", [2, 3, 4])
 def test_divided_diff_matches_rational_definition(n_points):
-    t = VarTable.build(0, units=("t1", "t2", "t3", "t4"), plain=("s",))
+    t = VarTable.build(0, units=("t1", "t2", "t3", "t4"))
     points = [t.var(f"t{i}") for i in range(1, n_points + 1)]
     # Laurent test function with negative powers, degree span [-3, 6]
-    f = t.var("s", 6) - 2 * t.var("s", 3) + t.var("s", 1) \
-        + t.const(Fraction(1, 2)) * t.var("s", -1) - t.var("s", -3)
-    result = divided_diff(points, f, "s")
-    numerator, denominator = brute_force_numerator(points, f, "s")
+    f = {6: 1, 3: -2, 1: 1, -1: Fraction(1, 2), -3: -1}
+    result = divided_diff_of(points, f)
+    numerator, denominator = brute_force_numerator(points, f)
     assert result * denominator == numerator
 
 
+random_monomial_points = st.lists(
+    st.tuples(st.integers(-3, 3).filter(bool), st.integers(1, 3),
+              st.lists(st.integers(-2, 2), min_size=2, max_size=2)),
+    min_size=1, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(points=random_monomial_points, power=st.integers(-5, 8))
+def test_divided_diff_of_a_power_matches_rational_definition(points, power):
+    t = VarTable.build(0, units=("t1", "t2"))
+    pts = [LaurentPoly(t, {tuple(e): GaussianRational(Fraction(num, den))})
+           for num, den, e in points]
+    assume(len(set(pts)) == len(pts))
+    numerator, denominator = brute_force_numerator(pts, {power: 1})
+    assert divided_diff(pts, power) * denominator == numerator
+
+
 def test_divided_diff_is_symmetric_in_points():
-    t = VarTable.build(0, units=("t1", "t2", "t3"), plain=("s",))
+    t = VarTable.build(0, units=("t1", "t2", "t3"))
     pts = [t.var("t1"), t.var("t2"), t.var("t3")]
-    f = t.var("s", 5) - t.var("s", -2)
-    reference = divided_diff(pts, f, "s")
-    assert divided_diff([pts[2], pts[0], pts[1]], f, "s") == reference
-    assert divided_diff([pts[1], pts[2], pts[0]], f, "s") == reference
+    f = {5: 1, -2: -1}
+    reference = divided_diff_of(pts, f)
+    assert divided_diff_of([pts[2], pts[0], pts[1]], f) == reference
+    assert divided_diff_of([pts[1], pts[2], pts[0]], f) == reference
 
 
 def hom_direct(points, degree):
@@ -274,9 +315,9 @@ def hom_direct(points, degree):
 @pytest.mark.parametrize("n_points,m", [(n, m) for n in (1, 2, 3) for m in range(6)])
 def test_divided_diff_of_powers_gives_homogeneous_sums(n_points, m):
     # D(x_1..x_n)(x^m) = (-1)^{n+1} h_{m-n+1}(x_1..x_n)
-    t = VarTable.build(0, units=("t1", "t2", "t3"), plain=("s",))
+    t = VarTable.build(0, units=("t1", "t2", "t3"))
     points = [t.var(f"t{i}") for i in range(1, n_points + 1)]
-    lhs = divided_diff(points, t.var("s", m), "s")
+    lhs = divided_diff(points, m)
     rhs = hom_direct(points, m - n_points + 1) * ((-1) ** (n_points + 1))
     assert lhs == rhs
 
@@ -285,9 +326,9 @@ def test_divided_diff_of_powers_gives_homogeneous_sums(n_points, m):
 
 
 @st.composite
-def polys(draw, pairs=2, units=1, max_terms=4, max_exp=2):
+def polys(draw, pairs=2, units=1, min_terms=0, max_terms=4, max_exp=2):
     table = VarTable.build(pairs, units=tuple(f"z{i}" for i in range(1, units + 1)))
-    n_terms = draw(st.integers(0, max_terms))
+    n_terms = draw(st.integers(min_terms, max_terms))
     terms = {}
     for _ in range(n_terms):
         exp = tuple(
@@ -578,7 +619,7 @@ def test_heap_division_matches_max_scan_oracle(p, q):
 
 
 @settings(max_examples=150, deadline=None)
-@given(polys(max_terms=5), polys(max_terms=5), polys(max_terms=1))
+@given(polys(max_terms=5), polys(min_terms=2, max_terms=5), polys(min_terms=1, max_terms=1))
 def test_heap_division_rejects_non_multiples_like_the_oracle(p, q, r):
     # q has two or more terms, so it is no unit and cannot divide the monomial r
     assume(len(q.terms) >= 2 and r.is_monomial)
