@@ -377,13 +377,11 @@ def _orbit_sums(terms, n_sym: int) -> dict:
 @dataclass
 class TraceExpansionResult:
     """``compared_orbits`` shift orbits had a nonzero trace sum;
-    ``compared_terms`` counts their copies in ``window``, the interior of
-    an ``n_sym``-symbol truncation, where its trace is the infinite one's."""
+    ``compared_terms`` counts 3l + 1 - span copies of each, where span is
+    the orbit's largest index minus its least."""
 
     k: int
     l: int
-    n_sym: int
-    window: tuple
     compared_terms: int
     compared_orbits: int
     mismatches: list = field(default_factory=list)
@@ -427,7 +425,7 @@ def trace_orbit_check(k: int, l: int, tuples, weight: GaussianRational
     predicted = _orbit_sums(((vector(tup), weight) for tup in tuples), n)
     # an orbit of index span s has 3l + 1 - s copies in [2l, 5l]
     copies = sum(3 * l + 1 - max(i for i in range(n) if e[i] or e[n + i]) for e in actual)
-    result = TraceExpansionResult(k, l, 7 * l, (2 * l, 5 * l), copies, len(actual))
+    result = TraceExpansionResult(k, l, copies, len(actual))
     names = trace_table(n).names
     for e in sorted(set(actual) | set(predicted)):
         got, want = actual.get(e, GR_ZERO), predicted.get(e, GR_ZERO)

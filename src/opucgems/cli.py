@@ -157,6 +157,11 @@ def cmd_gem(args) -> int:
         _say(f"gem: cannot read config: {exc}")
         return EXIT_BAD_INPUT
     try:
+        if not isinstance(config, dict):
+            raise TypeError("config must be a JSON object")
+        unknown = sorted(set(config) - {"family", "criticalPoints", "schedule"})
+        if unknown:
+            raise ValueError(f"config has no key {unknown[0]!r}")
         family = lab.SequenceFamily.from_json(config["family"])
         points = CriticalPoints.from_json(config["criticalPoints"])
         schedule = config.get("schedule", list(lab.DEFAULT_SCHEDULE))
@@ -218,11 +223,12 @@ def cmd_dump_g2k(args) -> int:
 def cmd_szego_check(args) -> int:
     try:
         alpha = lab.SequenceFamily.from_file(args.alphas).sequence()
-        quad = bs_weight_quadrature(alpha, None, grid_size=args.grid)
+        values = alpha.head(alpha.support)
+        quad = bs_weight_quadrature(values, None, grid_size=args.grid)
     except (lab.LabError, OpucError) as exc:
         _say(f"szego-check: {exc}")
         return EXIT_BAD_INPUT
-    coeff_sum = log_term(alpha.head(alpha.support))
+    coeff_sum = log_term(values)
     diff = abs(quad - coeff_sum)
     passed = diff <= 1e-8
     _emit({"case": "szego-quadrature", "status": "pass" if passed else "fail",

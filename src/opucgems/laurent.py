@@ -542,19 +542,8 @@ def _accumulate(out: dict, items: Iterable[tuple]) -> dict:
 
 
 def _monomial_shift(poly: LaurentPoly) -> tuple:
-    """Per-variable minimum exponent over all terms (zero poly -> zeros)."""
-    arity = poly.table.arity
-    mins = [0] * arity
-    first = True
-    for e in poly.terms:
-        if first:
-            mins = list(e)
-            first = False
-        else:
-            for i, x in enumerate(e):
-                if x < mins[i]:
-                    mins[i] = x
-    return tuple(mins)
+    """Per-variable minimum exponent over the terms of a nonzero polynomial."""
+    return tuple(map(min, zip(*poly.terms)))
 
 
 def _grlex_key(exponent: tuple):
@@ -673,13 +662,16 @@ def divided_diff(points: Sequence[LaurentPoly], power: int) -> LaurentPoly:
     """Divided difference of the single power ``t^power`` over the points.
 
     Computes ``D(p_1,...,p_n)(t^m) = sum_i p_i^m / prod_{j != i} (p_j - p_i)``
-    for ``m = power`` by the two-point recursion from ``p_i ** m``, with an exact
-    division at every step; the result is always a polynomial, so a
-    division failure signals a broken identity upstream.  The operator is
-    linear, so a Laurent ``f = sum_m c_m t^m`` has ``D(f) = sum_m c_m *
-    divided_diff(points, m)``.  A negative power needs monomial points
-    (:class:`NonInvertibleBinding` otherwise); the points must share one
-    table and be pairwise distinct.
+    for ``m = power`` by a Newton table: start from ``p_i ** m`` and, at level
+    ``j = 1..n-1``, replace entry ``i >= j`` (from the bottom up) by
+    ``(T_i - T_{i-1}) / (p_{i-j} - p_i)``, one exact division per entry,
+    ``n(n-1)/2`` in all.  Dividing by ``p_{i-j} - p_i`` rather than
+    ``p_i - p_{i-j}`` gives the sign of the sum above.  The result is always
+    a polynomial, so a division failure signals a broken identity upstream.
+    The operator is linear, so a Laurent ``f = sum_m c_m t^m`` has ``D(f) =
+    sum_m c_m * divided_diff(points, m)``.  A negative power needs monomial
+    points (:class:`NonInvertibleBinding` otherwise); the points must share
+    one table and be pairwise distinct.
     """
     if not points:
         raise LaurentError("at least one interpolation point required")
@@ -690,21 +682,8 @@ def divided_diff(points: Sequence[LaurentPoly], power: int) -> LaurentPoly:
         for j in range(i + 1, len(pts)):
             if pts[i] == pts[j]:
                 raise DuplicatePoint(f"points {i} and {j} coincide")
-
-    memo: dict = {}
-
-    def rec(idx: tuple) -> LaurentPoly:
-        cached = memo.get(idx)
-        if cached is not None:
-            return cached
-        if len(idx) == 1:
-            value = pts[idx[0]] ** power
-        else:
-            tail = idx[2:]
-            left = rec((idx[0],) + tail)
-            right = rec((idx[1],) + tail)
-            value = exact_div(left - right, pts[idx[1]] - pts[idx[0]])
-        memo[idx] = value
-        return value
-
-    return rec(tuple(range(len(pts))))
+    table = [p ** power for p in pts]
+    for j in range(1, len(pts)):
+        for i in range(len(pts) - 1, j - 1, -1):
+            table[i] = exact_div(table[i] - table[i - 1], pts[i - j] - pts[i])
+    return table[-1]

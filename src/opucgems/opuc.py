@@ -45,6 +45,8 @@ from .trig import TrigPoly
 # exclusive bound on the quadrature grid: the doubling loop stops here, so
 # a starting grid must lie below it for convergence to be checked at all
 MAX_GRID = 2 ** 20
+# two successive quadrature grids agreeing this closely end the doubling
+QUADRATURE_TOL = 1e-10
 
 class OpucError(Exception):
     pass
@@ -232,21 +234,18 @@ def sum_rule_functional(head: np.ndarray, n: int, h: TrigPoly) -> float:
 # -- Bernstein-Szego quadrature oracle -------------------------------------------
 
 
-def szego_pstar_coeffs(alpha: VerblunskySeq) -> np.ndarray:
-    """Coefficients of the reversed monic polynomial Phi*_{N0}.
+def szego_pstar_coeffs(values: np.ndarray) -> np.ndarray:
+    """Coefficients of the reversed monic polynomial Phi*_{N0}, N0 = len(values).
 
     Szego recursion: Phi_{n+1} = z Phi_n - conj(alpha_n) Phi*_n and
     Phi*_{n+1} = Phi*_n - alpha_n z Phi_n.  Index i of the result is the
-    coefficient of z^i.  Requires finite support.
+    coefficient of z^i.
     """
-    if alpha.support is None:
-        raise OpucError("Szego weight needs a finitely supported sequence")
-    n0 = alpha.support
-    phi = np.zeros(n0 + 1, dtype=complex)
-    pstar = np.zeros(n0 + 1, dtype=complex)
+    phi = np.zeros(values.size + 1, dtype=complex)
+    pstar = np.zeros(values.size + 1, dtype=complex)
     phi[0] = 1.0
     pstar[0] = 1.0
-    for a in alpha.head(n0):
+    for a in values:
         shifted = np.roll(phi, 1)
         shifted[0] = 0.0
         phi_next = shifted - np.conj(a) * pstar
@@ -255,33 +254,31 @@ def szego_pstar_coeffs(alpha: VerblunskySeq) -> np.ndarray:
     return pstar
 
 
-def bs_weight_on_grid(alpha: VerblunskySeq, thetas: np.ndarray) -> np.ndarray:
-    """Bernstein-Szego weight ``w(theta)`` of a finitely supported sequence."""
-    pstar = szego_pstar_coeffs(alpha)
-    norm = float(np.prod(1.0 - np.abs(alpha.head(alpha.support)) ** 2))
+def bs_weight_on_grid(values: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """Bernstein-Szego weight ``w(theta)`` of the finite sequence ``values``."""
+    pstar = szego_pstar_coeffs(values)
+    norm = float(np.prod(1.0 - np.abs(values) ** 2))
     z = np.exp(1j * thetas)
-    values = np.polyval(pstar[::-1], z)
-    return norm / np.abs(values) ** 2
+    return norm / np.abs(np.polyval(pstar[::-1], z)) ** 2
 
 
-def bs_weight_quadrature(alpha: VerblunskySeq, h: TrigPoly | None,
-                         grid_size: int = 4096, tol: float = 1e-10) -> float:
+def bs_weight_quadrature(values: np.ndarray, h: TrigPoly | None,
+                         grid_size: int = 4096) -> float:
     """``(1/2pi) \\int H(e^{i theta}) log w(theta) d theta`` by quadrature.
 
-    Uniform trapezoid rule on the periodic integrand (the grid mean); the
-    grid doubles until two successive results agree within ``tol`` or it
-    reaches ``MAX_GRID``.  With ``h=None`` the weight H is 1, which
-    recovers the classical Szego sum ``sum log(1 - |alpha_n|^2)``.
+    ``values`` are the coefficients as :meth:`VerblunskySeq.head` returns
+    them; every later one is zero.  Uniform trapezoid rule on the periodic
+    integrand (the grid mean); the grid doubles until two successive
+    results agree within ``QUADRATURE_TOL`` or it reaches ``MAX_GRID``.
+    With ``h=None`` the weight H is 1, which recovers the classical Szego
+    sum ``sum log(1 - |alpha_n|^2)``.
     """
-    if alpha.support is None:
-        raise OpucError("quadrature needs a finitely supported sequence")
     if not 2 ** 10 <= grid_size < MAX_GRID:
         raise OpucError(f"grid size must be at least 2^10 and below {MAX_GRID}")
 
     def integral(m: int) -> float:
         thetas = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)
-        w = bs_weight_on_grid(alpha, thetas)
-        integrand = np.log(w)
+        integrand = np.log(bs_weight_on_grid(values, thetas))
         if h is not None:
             integrand = integrand * h.eval_numeric(thetas)
         return float(np.mean(integrand))
@@ -291,7 +288,7 @@ def bs_weight_quadrature(alpha: VerblunskySeq, h: TrigPoly | None,
     while m < MAX_GRID:
         m *= 2
         refined = integral(m)
-        if abs(refined - value) < tol:
+        if abs(refined - value) < QUADRATURE_TOL:
             return refined
         value = refined
     return value

@@ -95,6 +95,9 @@ class CriticalPoints:
         angles = []
         mults = []
         for entry in data:
+            unknown = sorted(set(entry) - {"thetaOverPi", "m"})
+            if unknown:
+                raise TrigError(f"critical point has no key {unknown[0]!r}")
             raw = entry.get("thetaOverPi")
             if raw is None:
                 angles.append(None)

@@ -253,7 +253,6 @@ def test_diagonal_entry_is_degree_part_of_all_walks(l):
 def test_orbit_check_agrees_with_window_oracle(k, l):
     r = trace_expansion_check(k, l)
     assert (r.passed, r.compared_terms) == window_check(k, l)
-    assert (r.n_sym, r.window) == (7 * l, (2 * l, 5 * l))
 
 
 @pytest.mark.parametrize("k,l", [(2, 3), (3, 4)])

@@ -219,6 +219,9 @@ MALFORMED = [
     ("gem", {"family": {"name": "constant", "c": 0.3, "phase": True}}, None),
     ("gem", {"family": {"name": "finiteSupport", "values": [[False, 0.3]]}}, None),
     ("gem", {"family": {"name": "constant", "c": 0.3, "phse": 1.0}}, None),
+    ("gem", {"schedul": [10, 20]}, study_must_not_run),
+    ("gem", {"criticalPoints": [{"thetaOverPi": 0.0, "m": 1, "mult": 3}]},
+     study_must_not_run),
 ]
 
 
@@ -231,7 +234,8 @@ MALFORMED = [
     "gem-alpha-reaches-one-past-n", "gem-schedule-empty", "gem-schedule-fraction",
     "gem-schedule-bool", "gem-schedule-zero", "gem-angle-bool", "gem-gamma-nan",
     "gem-phase-infinite", "szego-grid-too-large", "gem-gamma-bool", "gem-c-bool",
-    "gem-phase-bool", "gem-values-bool", "gem-family-unknown-key"])
+    "gem-phase-bool", "gem-values-bool", "gem-family-unknown-key",
+    "gem-config-unknown-key", "gem-point-unknown-key"])
 @pytest.mark.filterwarnings("error")
 def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch,
                                                command, data, study):
@@ -253,6 +257,17 @@ def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch,
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"{command}: ")
+
+
+@pytest.mark.parametrize("config", [[], "family", None, 3])
+def test_gem_config_must_be_an_object(capsys, tmp_path, config):
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(config))
+    code = main(["gem", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "gem: bad config: config must be a JSON object\n"
 
 
 def test_file_family_path_must_be_a_string(capsys, tmp_path):

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from opucgems import laurent
 from opucgems.laurent import (
     DuplicatePoint,
     GaussianRational,
@@ -207,6 +208,50 @@ def test_divided_diff_rejects_duplicate_points():
     a = t.var("t1")
     with pytest.raises(DuplicatePoint):
         divided_diff([a, a], 1)
+
+
+def six_distinct_points():
+    t = units_table()
+    a, b, c = t.var("t1"), t.var("t2"), t.var("t3")
+    return [a, b, c, a * b, b * c, a + c]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_divided_diff_is_a_newton_table_of_n_choose_2_divisions(monkeypatch, n):
+    calls = []
+
+    def counting(p, q):
+        calls.append((p, q))
+        return exact_div(p, q)
+
+    monkeypatch.setattr(laurent, "exact_div", counting)
+    pts = six_distinct_points()[:n]
+    result = divided_diff(pts, 7)
+    assert len(calls) == n * (n - 1) // 2
+    assert result == hom_direct(pts, 8 - n) * (-1) ** (n + 1)
+
+
+def fail_if_called(*args):
+    raise AssertionError("called before the duplicate-point check")
+
+
+@pytest.mark.parametrize("picks", [(0, 1, 0), (0, 1, 2, 1), (5, 3, 5)])
+def test_divided_diff_rejects_non_adjacent_duplicates_first(monkeypatch, picks):
+    pts = [six_distinct_points()[i] for i in picks]
+    monkeypatch.setattr(laurent, "exact_div", fail_if_called)
+    monkeypatch.setattr(LaurentPoly, "__pow__", fail_if_called)
+    with pytest.raises(DuplicatePoint):
+        divided_diff(pts, 3)
+
+
+def test_divided_diff_duplicate_check_precedes_inverse():
+    t = units_table()
+    a, b, c = t.var("t1"), t.var("t2"), t.var("t3")
+    # a + b has no inverse, but the duplicate is what is wrong with these points
+    with pytest.raises(DuplicatePoint):
+        divided_diff([a + b, c, a + b], -1)
+    with pytest.raises(DuplicatePoint):
+        divided_diff([a + b, a + b], -2)
 
 
 def test_divided_diff_points_share_one_table():
