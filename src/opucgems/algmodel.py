@@ -36,7 +36,7 @@ from .laurent import (
     _accumulate,
     divided_diff,
     exact_div,
-    substitute,
+    substitute,  # no caller here; perfbench/tracer.py rebinds this name
 )
 from .trig import TrigPoly
 
@@ -190,19 +190,6 @@ def index_tuple_count(k: int, l: int) -> int:
 
 
 # -- the evaluation map phi ---------------------------------------------------------
-
-
-def phi_eval(p: LaurentPoly, head: np.ndarray, n: int,
-             unit_values: Mapping[str, complex] | None = None) -> complex:
-    """Evaluate ``[phi_2k(p)]_n`` for p with nonnegative pair exponents.
-
-    Every pair contributes ``alpha_{n+b} * conj(alpha_{n+g})`` from
-    ``head``, including pairs with zero exponents, so ``phi(1) =
-    |alpha_n|^{2k}``.  This is the one-site case of :func:`phi_sites`.
-    """
-    program = phi_program([p], unit_values or {})
-    a = head[n:]
-    return complex(phi_sites(program, a, np.conj(a), 0, 1)[0][0])
 
 
 def phi_terms(poly: LaurentPoly, unit_values: Mapping[str, complex]) -> list:
@@ -490,7 +477,7 @@ def hl_double_sum(k: int, h: TrigPoly) -> LaurentPoly:
         if not coeff.is_zero:
             term = coeff * divided_diff(a_pts, l + k - 1) * divided_diff(b_pts, l - 1)
             _accumulate(out, term.terms.items())
-    return math.prod(b_pts, start=LaurentPoly(table, out))
+    return LaurentPoly(table, out) * math.prod(b_pts, start=table.one())
 
 
 def g2k_hl_scaled_dd(k: int, h: TrigPoly) -> LaurentPoly:
@@ -566,20 +553,6 @@ def g2k_routes_check(k: int, h: TrigPoly) -> RouteCheckResult:
                             len(diff.terms))
 
 
-def _divide_by_scale(poly: LaurentPoly, k: int, h: TrigPoly) -> LaurentPoly:
-    z_h = h.coeffs[0].embed(poly.table)
-    return exact_div(poly, z_h * Fraction(k))
-
-
-def build_g2k_trace(k: int, h: TrigPoly) -> LaurentPoly:
-    """Normal form of the trace-route G_2k (including the 1/(k Z_H) scale).
-
-    Raises :class:`NonDivisible` when ``Z_H`` is not constant and does not
-    divide the assembled polynomial; the scaled builders avoid this.
-    """
-    return _divide_by_scale(g2k_trace_scaled(k, h), k, h)
-
-
 def build_g2k_hl(k: int, h: TrigPoly) -> LaurentPoly:
     """Normal form of G'_2k built by both Hall-Littlewood routes.
 
@@ -591,18 +564,7 @@ def build_g2k_hl(k: int, h: TrigPoly) -> LaurentPoly:
     hom = g2k_hl_scaled_hom(k, h)
     if dd != hom:
         raise ModelError(f"route disagreement for k={k}, d={h.degree}")
-    return _divide_by_scale(dd, k, h)
-
-
-def hl_part(k: int, h: TrigPoly) -> LaurentPoly:
-    """The Hall-Littlewood double-sum part of G'_2k, without the -1/k term.
-
-    This is the piece whose class admits high-contact representatives at
-    the critical point; the constant -1/k is class-invariant and is
-    handled by the logarithm expansion instead.
-    """
-    ds = hl_double_sum(k, h)
-    return _divide_by_scale((ds * _sign(k)).normal_form(), k, h)
+    return exact_div(dd, h.coeffs[0].embed(dd.table) * Fraction(k))
 
 
 def basis_relation_check(k: int) -> bool:
@@ -799,101 +761,3 @@ def degree2_product_check(h: TrigPoly) -> ProductCheckResult:
     diff = lhs - rhs
     return ProductCheckResult(h.degree, h.points.count, diff.is_zero,
                               len(diff.terms))
-
-
-def product_representative(h: TrigPoly) -> LaurentPoly:
-    """The critical product divided by ``Z_H``: the k = 1 witness with full
-    contact order 2d at the critical point."""
-    table = table_for(1, h)
-    z_h = h.coeffs[0].embed(table)
-    return exact_div(critical_product(h, table), z_h)
-
-
-# -- Taylor contact degree and representative search ------------------------------------
-
-
-def l_degree(p: LaurentPoly, d: int, z_name: str = "z1") -> int:
-    """Minimum capped Taylor degree at the critical point.
-
-    Expands p around ``(x_p, y_p) = (1/z, z)`` and returns ``min_terms
-    sum_p (beta_p ^ d + gamma_p ^ d)`` where ``^`` caps at d.  Requires
-    nonnegative pair exponents.  Zero polynomial returns 0.
-    """
-    table = p.table
-    if table.pair_count == 0:
-        raise ModelError("contact degree needs pair variables")
-    if not in_polynomial_ring(p):
-        raise ModelError("contact degree needs nonnegative pair exponents")
-    if p.is_zero:
-        return 0
-    pairs = [(name, kind) for name, kind in zip(table.names, table.kinds) if kind in ("x", "y")]
-    shifts = tuple("d" + name for name, _ in pairs)
-    ext = VarTable(table.names + shifts, table.kinds + ("a",) * len(shifts))
-    z = ext.var(z_name)
-    bindings = {name: ext.var(shift) + (z.inverse() if kind == "x" else z)
-                for (name, kind), shift in zip(pairs, shifts)}
-    expanded = substitute(p.embed(ext), bindings)
-    shift_slots = range(table.arity, ext.arity)
-    return min(sum(min(e[s], d) for s in shift_slots) for e in expanded.terms)
-
-
-def representative_search(p: LaurentPoly, k: int, d: int, budget: int = 3,
-                          extra_candidates: Sequence[LaurentPoly] = ()) -> tuple:
-    """Best-effort search for a high-contact representative of p's class.
-
-    Greedy hill-climb over per-monomial shifts by ``(prod x_i y_i)^t`` for
-    ``t in [-budget, budget]`` (canonical monomial order, ties to smaller
-    |t|), maximizing :func:`l_degree`.  Extra candidates whose class
-    matches are used as additional seeds; this is how the exact k = 1
-    product witness enters.  Returns ``(representative, contact_degree)``
-    and never changes the quotient class.
-    """
-    table = p.table
-    pair_slots = table.pair_slots()
-    target = p.normal_form()
-
-    def score(poly: LaurentPoly) -> int:
-        return l_degree(poly, d)
-
-    seeds = [p if in_polynomial_ring(p) else target]
-    for cand in extra_candidates:
-        if in_polynomial_ring(cand) and cand.normal_form() == target:
-            seeds.append(cand)
-
-    shifts = sorted(range(-budget, budget + 1), key=lambda t: (abs(t), t))
-    best_poly = None
-    best_score = -1
-    for seed in seeds:
-        current = seed
-        current_score = score(current)
-        improved = True
-        while improved:
-            improved = False
-            for e, c in current.sorted_terms():
-                if e not in current.terms:
-                    continue
-                single = LaurentPoly(table, {e: current.terms[e]})
-                base = current - single
-                best_shift = None  # (score, |t|, t, candidate); ties to smaller |t|
-                for t in shifts:
-                    if t == 0:
-                        continue
-                    shifted_exp = list(e)
-                    for i in pair_slots:
-                        shifted_exp[i] += t
-                    if any(x < 0 for x in shifted_exp):
-                        continue
-                    cand = base + LaurentPoly(table, {tuple(shifted_exp): current.terms[e]})
-                    cand_score = score(cand)
-                    if cand_score > current_score and (
-                            best_shift is None or cand_score > best_shift[0]):
-                        best_shift = (cand_score, abs(t), t, cand)
-                if best_shift is not None:
-                    current, current_score = best_shift[3], best_shift[0]
-                    improved = True
-        if current_score > best_score:
-            best_poly, best_score = current, current_score
-
-    if best_poly.normal_form() != target:
-        raise ModelError("search changed the quotient class")
-    return best_poly, best_score

@@ -162,6 +162,9 @@ def cmd_gem(args) -> int:
         unknown = sorted(set(config) - {"family", "criticalPoints", "schedule"})
         if unknown:
             raise ValueError(f"config has no key {unknown[0]!r}")
+        for key in ("family", "criticalPoints"):
+            if key not in config:
+                raise ValueError(f"config needs key {key!r}")
         family = lab.SequenceFamily.from_json(config["family"])
         points = CriticalPoints.from_json(config["criticalPoints"])
         schedule = config.get("schedule", list(lab.DEFAULT_SCHEDULE))

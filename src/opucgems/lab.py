@@ -45,9 +45,10 @@ class LabError(Exception):
 
 
 def _number(value, name: str):
-    """``value`` itself; a boolean is rejected instead of read as 0 or 1."""
-    if isinstance(value, bool):
-        raise LabError(f"{name} must be a number, not a boolean")
+    """``value`` itself if it is an int, float or complex; anything else,
+    a boolean or a numeric string included, is rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, complex)):
+        raise LabError(f"{name} must be a number, not {type(value).__name__}")
     return value
 
 
@@ -91,6 +92,10 @@ class SequenceFamily:
         unknown = sorted(set(self.params) - set(FAMILY_PARAMS[self.name]))
         if unknown:
             raise LabError(f"{self.name} family has no parameter {unknown[0]!r}")
+        # every parameter but the phase (default 0) is required
+        missing = [p for p in FAMILY_PARAMS[self.name] if p != "phase" and p not in self.params]
+        if missing:
+            raise LabError(f"{self.name} family needs parameter {missing[0]!r}")
         if self.name in ("powerDecay", "constant"):
             params = {"phase": 0.0, **self.params}
             for name, value in params.items():
@@ -136,8 +141,9 @@ class SequenceFamily:
     @staticmethod
     def from_json(data: Mapping) -> "SequenceFamily":
         data = dict(data)
-        name = data.pop("name")
-        return SequenceFamily(name, data)
+        if "name" not in data:
+            raise LabError("family needs key 'name'")
+        return SequenceFamily(data.pop("name"), data)
 
 
 def shifted_difference(values: np.ndarray, points: CriticalPoints) -> np.ndarray:
@@ -205,21 +211,6 @@ class GemReport:
             "slope": self.slope,
             "range": self.value_range,
         }
-
-    @staticmethod
-    def from_json(data: Mapping) -> "GemReport":
-        return GemReport(
-            family=dict(data["family"]),
-            critical_points=list(data["criticalPoints"]),
-            schedule=list(data["schedule"]),
-            trace_values=list(data["traceRoute"]),
-            site_values=list(data["corollaryRoute"]),
-            log_sums=list(data["logTermSums"]),
-            diagnostics=dict(data["diagnostics"]),
-            verdict=data["verdict"],
-            slope=float(data["slope"]),
-            value_range=float(data["range"]),
-        )
 
 
 def classify_values(schedule: Sequence[int], values: Sequence[float]) -> tuple:

@@ -266,10 +266,6 @@ class VarTable:
     def arity(self) -> int:
         return len(self.names)
 
-    @property
-    def pair_count(self) -> int:
-        return self.kinds.count("x")
-
     def slot(self, name: str) -> int:
         try:
             return self.names.index(name)

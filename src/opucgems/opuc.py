@@ -30,7 +30,7 @@ factors still to come.  :func:`trace_powers` keeps exactly those offsets,
 so it is exact, not an approximation, and costs O(N * d^3) time and
 O(N * d) memory instead of O(d * N^3) and O(N^2).  This is the
 closed-walk structure that ``algmodel.trace_symbolic`` enumerates.  The
-dense fill, :meth:`GGTCorner.dense`, remains as the tests' oracle.
+dense N x N fill lives in the tests, as the oracle of this route.
 """
 
 from __future__ import annotations
@@ -57,10 +57,8 @@ class VerblunskySeq:
 
     ``fn`` is a vectorised generator: it maps an index array (entries >= 0)
     to the complex array of the coefficients there.  :meth:`head` evaluates
-    it and is the one place that checks |alpha| < 1; calling the sequence
-    is its scalar view, with ``alpha(-1) = -1`` and ``alpha(n) = 0`` for
-    n < -1 by convention.  ``support`` is the length of the nonzero head
-    for finitely supported sequences, or None.
+    it and is the one place that checks |alpha| < 1.  ``support`` is the
+    length of the nonzero head for finitely supported sequences, or None.
     """
 
     def __init__(self, fn: Callable[[np.ndarray], np.ndarray], support: int | None = None):
@@ -75,13 +73,6 @@ class VerblunskySeq:
         seq = VerblunskySeq(lambda n: padded[np.minimum(n, vals.size)], support=vals.size)
         seq.head(vals.size)
         return seq
-
-    def __call__(self, n: int) -> complex:
-        if n == -1:
-            return -1.0 + 0.0j
-        if n < -1:
-            return 0.0 + 0.0j
-        return complex(self._fn(np.array([n]))[0])
 
     def head(self, n: int) -> np.ndarray:
         """``alpha_0 .. alpha_{n-1}`` as an array, validating |alpha| < 1."""
@@ -121,23 +112,6 @@ class GGTCorner:
         for i in range(j):
             prods *= self.rho[i:n - j + i]
         return -self.a[:n - j] * np.conj(self.a[1 + j:]) * prods
-
-    def dense(self) -> np.ndarray:
-        """The full matrix, filled row by row: O(N^2) memory, for oracles."""
-        n = self.shape[0]
-        a, rho = self.a, self.rho
-        u = np.zeros((n, n), dtype=complex)
-        conj_tail = np.conj(a[1:])
-        for k in range(n):
-            # rho_k * ... * rho_{l-1} for l = k..n-1, leading factor 1
-            prods = np.empty(n - k, dtype=complex)
-            prods[0] = 1.0
-            if n - k > 1:
-                np.cumprod(rho[k:n - 1], out=prods[1:])
-            u[k, k:] = -a[k] * conj_tail[k:] * prods
-            if k + 1 < n:
-                u[k + 1, k] = rho[k]
-        return u
 
 
 def ggt_matrix(head: np.ndarray, n: int) -> GGTCorner:
@@ -220,15 +194,6 @@ def trace_v(u: GGTCorner | np.ndarray, h: TrigPoly) -> float:
 def log_term(head: np.ndarray) -> float:
     """``sum_j log(1 - |alpha_j|^2)`` over the validated coefficients ``head``."""
     return float(np.sum(np.log1p(-np.abs(head) ** 2)))
-
-
-def sum_rule_functional(head: np.ndarray, n: int, h: TrigPoly) -> float:
-    """``Tr(V(U_N)) - sum_{j<N} log(1 - |alpha_j|^2)`` over ``head[:n]``.
-
-    Bounded in N exactly when the weighted integral condition of the
-    higher-order sum rule holds.
-    """
-    return trace_v(ggt_matrix(head, n), h) - log_term(head[:n])
 
 
 # -- Bernstein-Szego quadrature oracle -------------------------------------------

@@ -107,6 +107,8 @@ class CriticalPoints:
                 raise TrigError(f"unsupported angle {raw!r}")
             else:
                 angles.append(float(raw))
+            if "m" not in entry:
+                raise TrigError("critical point needs key 'm'")
             mults.append(entry["m"])
         return CriticalPoints(tuple(angles), tuple(mults))
 
@@ -155,11 +157,6 @@ class TrigPoly:
     table: VarTable
     coeffs: Mapping[int, LaurentPoly]
     unit_polys: tuple
-
-    @property
-    def z_h(self):
-        """Normalization constant: the l = 0 Fourier coefficient."""
-        return self.coeffs[0]
 
     def z_h_numeric(self) -> float:
         return self.coeff_numeric(0).real

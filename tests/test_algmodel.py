@@ -19,7 +19,6 @@ from opucgems.algmodel import (
     b_monomials,
     basis_relation_check,
     build_g2k_hl,
-    build_g2k_trace,
     c_monomials,
     constant_partial_sums,
     constant_sum_check,
@@ -35,14 +34,11 @@ from opucgems.algmodel import (
     g2k_routes_check,
     g2k_trace_scaled,
     hl_double_sum,
-    hl_part,
     hom_sums,
     index_tuple_count,
-    l_degree,
-    phi_eval,
+    phi_program,
+    phi_sites,
     phi_terms,
-    product_representative,
-    representative_search,
     site_functional,
     site_poly,
     site_route,
@@ -54,8 +50,15 @@ from opucgems.algmodel import (
 )
 from opucgems.lab import SequenceFamily, convergence_study
 from opucgems.laurent import LaurentPoly, VarTable, exact_div, substitute
-from opucgems.opuc import OpucError, VerblunskySeq, ggt_matrix, sum_rule_functional, trace_powers
+from opucgems.opuc import OpucError, VerblunskySeq, ggt_matrix, trace_powers
 from opucgems.trig import CriticalPoints, build_h
+from oracles import (
+    hl_part,
+    l_degree,
+    product_representative,
+    representative_search,
+    sum_rule_functional,
+)
 
 
 def szego_h(mode="exact"):
@@ -100,23 +103,28 @@ def test_enum_tuples_satisfy_constraints():
 # -- the evaluation map ------------------------------------------------------------------
 
 
+def phi_eval(p, head, n, unit_values=None):
+    """``[phi_2k(p)]_n``: :func:`phi_sites` of ``phi_program([p])`` at one site."""
+    a = head[n:]
+    return complex(phi_sites(phi_program([p], unit_values or {}), a, np.conj(a), 0, 1)[0][0])
+
+
 def test_phi_basic_monomial():
     rng = np.random.default_rng(0)
-    alpha = random_seq(rng, 10)
+    head = random_seq(rng, 10).head(10)
     t = VarTable.build(1)
-    value = phi_eval(t.monomial({"x1": 1, "y1": 2}), alpha.head(10), 3)
-    assert abs(value - alpha(4) * np.conj(alpha(5))) <= 1e-15
+    value = phi_eval(t.monomial({"x1": 1, "y1": 2}), head, 3)
+    assert abs(value - head[4] * np.conj(head[5])) <= 1e-15
 
 
 def test_phi_is_permutation_invariant_not_injective():
     rng = np.random.default_rng(1)
-    alpha = random_seq(rng, 10)
+    head = random_seq(rng, 10).head(10)
     t = VarTable.build(2)
     p = t.monomial({"x1": 1, "y1": 1, "x2": 2, "y2": 2})
     q = t.monomial({"x1": 2, "y1": 2, "x2": 1, "y2": 1})
     n = 2
-    expected = abs(alpha(n + 1)) ** 2 * abs(alpha(n + 2)) ** 2
-    head = alpha.head(10)
+    expected = abs(head[n + 1]) ** 2 * abs(head[n + 2]) ** 2
     assert abs(phi_eval(p, head, n) - expected) <= 1e-15
     assert abs(phi_eval(p, head, n) - phi_eval(q, head, n)) <= 1e-15
     assert p != q  # distinct polynomials, equal images
@@ -126,11 +134,11 @@ def test_phi_of_constant_is_modulus_power():
     # every pair contributes, so a constant c maps to c * |alpha_n|^{2k};
     # this is what matches the k-th order of -log(1 - |alpha_n|^2)
     rng = np.random.default_rng(2)
-    alpha = random_seq(rng, 5)
+    head = random_seq(rng, 5).head(5)
     for k in (1, 2, 3):
         t = VarTable.build(k)
-        val = phi_eval(t.one(), alpha.head(5), 2)
-        assert abs(val - abs(alpha(2)) ** (2 * k)) <= 1e-15
+        val = phi_eval(t.one(), head, 2)
+        assert abs(val - abs(head[2]) ** (2 * k)) <= 1e-15
 
 
 def test_phi_rejects_negative_exponents():
@@ -188,13 +196,13 @@ def window_check(k, l):
 def test_symbolic_trace_matches_matrix_powers():
     rng = np.random.default_rng(3)
     for n in (4, 6, 8):
-        alpha = random_seq(rng, n)
-        u = ggt_matrix(alpha.head(n), n)
+        head = random_seq(rng, n).head(n)
+        u = ggt_matrix(head, n)
         numeric_traces = trace_powers(u, 4)
         values = {}
         for m in range(n):
-            values[f"al{m}"] = alpha(m)
-            values[f"ac{m}"] = np.conj(alpha(m))
+            values[f"al{m}"] = head[m]
+            values[f"ac{m}"] = np.conj(head[m])
         for l in range(1, 5):
             symbolic = trace_symbolic(l, n).evaluate(values)
             assert abs(symbolic - numeric_traces[l - 1]) <= 1e-10
@@ -292,6 +300,11 @@ def test_trace_expansion_multiplicity_case():
 
 
 # -- G_2k builders -----------------------------------------------------------------------
+
+
+def build_g2k_trace(k, h):
+    """The trace-route G_2k: ``g2k_trace_scaled`` divided by k * Z_H."""
+    return exact_div(g2k_trace_scaled(k, h), h.coeffs[0].embed(table_for(k, h)) * k)
 
 
 def test_trace_route_szego_case():
@@ -632,14 +645,14 @@ def test_site_poly_first_degree_form():
 
 def test_site_poly_phi_image():
     rng = np.random.default_rng(4)
-    alpha = random_seq(rng, 12)
+    head = random_seq(rng, 12).head(12)
     h = szego_h()
     sp = site_poly(1, h)
     n = 3
-    expected = abs(alpha(n + 2)) ** 2 \
-        - 0.5 * alpha(n + 3) * np.conj(alpha(n + 4)) \
-        - 0.5 * alpha(n + 4) * np.conj(alpha(n + 3))
-    assert abs(phi_eval(sp, alpha.head(12), n) - expected) <= 1e-14
+    expected = abs(head[n + 2]) ** 2 \
+        - 0.5 * head[n + 3] * np.conj(head[n + 4]) \
+        - 0.5 * head[n + 4] * np.conj(head[n + 3])
+    assert abs(phi_eval(sp, head, n) - expected) <= 1e-14
 
 
 @pytest.mark.parametrize("mults,k", [([1], 1), ([2], 1), ([2], 2),
@@ -721,9 +734,7 @@ def site_functional_loop(alpha, n, h):
             for beta, gamma in exps:
                 max_shift = max(max_shift, beta, gamma)
 
-    a_vals = np.array([alpha(m) for m in range(n + max_shift + 1)], dtype=complex)
-    if not np.all(np.abs(a_vals[:n]) < 1.0):
-        raise ModelError("Verblunsky coefficients must satisfy |alpha| < 1")
+    a_vals = alpha.head(n + max_shift + 1)
     a_conj = np.conj(a_vals)
     total = 0.0
     for j in range(n):
@@ -879,15 +890,15 @@ def test_critical_product_phi_image_is_shifted_difference_norm():
     # phi_2 of the product equals
     # 2^{-d} |(prod_j (S - e^{-i theta_j})^{m_j} alpha)_n|^2
     rng = np.random.default_rng(7)
-    alpha = random_seq(rng, 12)
+    head = random_seq(rng, 12).head(12)
     angles = [0.3, 1.2]
     mults = [2, 1]
     h = build_h(CriticalPoints.from_pairs(list(zip(angles, mults))))
     table = table_for(1, h)
     product = critical_product(h, table)
     n = 2
-    image = phi_eval(product, alpha.head(12), n, unit_values=h.unit_values())
-    block = np.array([alpha(m) for m in range(n, n + 5)])
+    image = phi_eval(product, head, n, unit_values=h.unit_values())
+    block = head[n:n + 5]
     for theta, m in zip(angles, mults):
         root = cmath.exp(-1j * theta * math.pi)
         for _ in range(m):
@@ -927,7 +938,7 @@ def test_l_degree_caps_exponents():
 def test_representative_search_is_class_preserving_noop():
     h = build_h(CriticalPoints.generic([1]))
     witness = product_representative(h)
-    rep, score = representative_search(witness, 1, 1, budget=2)
+    rep, score = representative_search(witness, 1, budget=2)
     assert rep == witness and score == 2
 
 
@@ -937,8 +948,7 @@ def test_representative_search_reaches_full_contact(d):
     h = build_h(CriticalPoints.generic([d]))
     part = hl_part(1, h)
     witness = product_representative(h)
-    rep, score = representative_search(part, 1, d, budget=3,
-                                       extra_candidates=[witness])
+    rep, score = representative_search(part, d, budget=3, extra_candidates=[witness])
     assert rep.normal_form() == part.normal_form()
     assert score >= 2 * d
 
@@ -948,5 +958,5 @@ def test_full_class_constant_blocks_contact():
     # representative has contact 0; the search reports that honestly
     h = build_h(CriticalPoints.generic([1]))
     g = build_g2k_hl(1, h)
-    rep, score = representative_search(g, 1, 1, budget=2)
+    rep, score = representative_search(g, 1, budget=2)
     assert score == 0

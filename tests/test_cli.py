@@ -222,6 +222,9 @@ MALFORMED = [
     ("gem", {"schedul": [10, 20]}, study_must_not_run),
     ("gem", {"criticalPoints": [{"thetaOverPi": 0.0, "m": 1, "mult": 3}]},
      study_must_not_run),
+    ("gem", {"family": {"name": "constant", "c": "0.3"}}, None),
+    ("gem", {"family": {"name": "powerDecay", "c": 0.3, "gamma": "1"}}, None),
+    ("gem", {"family": {"name": "constant", "c": 0.3, "phase": "0.2"}}, None),
 ]
 
 
@@ -235,7 +238,8 @@ MALFORMED = [
     "gem-schedule-bool", "gem-schedule-zero", "gem-angle-bool", "gem-gamma-nan",
     "gem-phase-infinite", "szego-grid-too-large", "gem-gamma-bool", "gem-c-bool",
     "gem-phase-bool", "gem-values-bool", "gem-family-unknown-key",
-    "gem-config-unknown-key", "gem-point-unknown-key"])
+    "gem-config-unknown-key", "gem-point-unknown-key", "gem-c-numeric-text",
+    "gem-gamma-text", "gem-phase-text"])
 @pytest.mark.filterwarnings("error")
 def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch,
                                                command, data, study):
@@ -268,6 +272,22 @@ def test_gem_config_must_be_an_object(capsys, tmp_path, config):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "gem: bad config: config must be a JSON object\n"
+
+
+@pytest.mark.parametrize("config,message", [
+    ({**GOOD_GEM, "criticalPoints": [{"thetaOverPi": 0.0}]}, "critical point needs key 'm'"),
+    ({**GOOD_GEM, "family": {"values": [[0.4, 0.0]]}}, "family needs key 'name'"),
+    ({**GOOD_GEM, "family": {"name": "powerDecay", "gamma": 1.0}},
+     "powerDecay family needs parameter 'c'"),
+    ({"family": GOOD_GEM["family"]}, "config needs key 'criticalPoints'"),
+])
+def test_missing_key_is_named(capsys, tmp_path, config, message):
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(config))
+    code = main(["gem", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"gem: bad config: {message}\n"
 
 
 def test_file_family_path_must_be_a_string(capsys, tmp_path):

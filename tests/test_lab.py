@@ -16,7 +16,6 @@ from opucgems import lab
 from opucgems.algmodel import site_functional, site_route
 from opucgems.lab import (
     DEFAULT_SCHEDULE,
-    GemReport,
     LabError,
     SequenceFamily,
     classify_values,
@@ -38,22 +37,22 @@ def szego_points():
 
 def test_power_decay_family_values():
     fam = SequenceFamily.power_decay(0.3, 0.4)
-    seq = fam.sequence()
-    assert abs(seq(0) - 0.3) <= 1e-15
-    assert abs(seq(7) - 0.3 / 8 ** 0.4) <= 1e-15
+    head = fam.sequence().head(8)
+    assert abs(head[0] - 0.3) <= 1e-15
+    assert abs(head[7] - 0.3 / 8 ** 0.4) <= 1e-15
 
 
 def test_rotating_constant_family_values():
     fam = SequenceFamily.constant(0.5, phase=0.7)
-    seq = fam.sequence()
-    assert abs(seq(3) - 0.5 * np.exp(-1j * 2.1)) <= 1e-15
+    head = fam.sequence().head(4)
+    assert abs(head[3] - 0.5 * np.exp(-1j * 2.1)) <= 1e-15
 
 
 def test_family_json_round_trip():
     fam = SequenceFamily.finite_support([0.1 + 0.2j, -0.3])
     again = SequenceFamily.from_json(fam.to_json())
     assert again == fam
-    assert again.sequence()(1) == -0.3 + 0.0j
+    assert again.sequence().head(2)[1] == -0.3 + 0.0j
 
 
 def test_family_rejects_large_modulus():
@@ -66,7 +65,7 @@ def test_file_family_reads_pairs(tmp_path):
     path.write_text(json.dumps([[0.1, 0.2], [-0.3, 0.0]]))
     fam = SequenceFamily.from_file(str(path))
     seq = fam.sequence()
-    assert seq(0) == 0.1 + 0.2j and seq(1) == -0.3 + 0.0j
+    assert list(seq.head(2)) == [0.1 + 0.2j, -0.3 + 0.0j]
     assert seq.support == 2
     with pytest.raises(LabError):
         SequenceFamily.from_file(str(tmp_path / "missing.json")).sequence()
@@ -137,9 +136,6 @@ def test_head_equals_per_index_oracle(family, n, as_file):
         assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
     else:
         assert got.tobytes() == want.tobytes()
-    for k in range(min(n, 3)):
-        assert seq(k) == got[k]
-    assert seq(-1) == -1.0 and seq(-2) == 0.0
 
 
 ONE_POINT = CriticalPoints.from_pairs([(0.3, 1)])
@@ -456,8 +452,7 @@ def test_csv_empty_schedule_is_header_only():
 
 def test_json_round_trip_identity():
     report = study_report()
-    again = GemReport.from_json(json.loads(export_report(report, "json")))
-    assert again == report
+    assert json.loads(export_report(report, "json")) == report.to_json()
 
 
 def test_default_schedule_shape():

@@ -397,11 +397,7 @@ def test_normal_form_idempotent(p):
 @settings(max_examples=60, deadline=None)
 @given(polys(pairs=2), st.integers(-3, 3))
 def test_normal_form_ignores_relation_powers(p, t_shift):
-    k = p.table.pair_count
-    unit = p.table.monomial(
-        {f"x{i}": t_shift for i in range(1, k + 1)}
-        | {f"y{i}": t_shift for i in range(1, k + 1)}
-    )
+    unit = p.table.pair_monomial([t_shift] * 2, [t_shift] * 2)
     assert (p * unit).normal_form() == p.normal_form()
 
 
@@ -409,11 +405,7 @@ def test_normal_form_ignores_relation_powers(p, t_shift):
 @given(polys(pairs=2), polys(pairs=2))
 def test_normal_form_constant_on_ideal_cosets(p, r):
     # adding any multiple of (x1 y1 x2 y2 - 1) never changes the normal form
-    k = p.table.pair_count
-    relation = p.table.monomial(
-        {f"x{i}": 1 for i in range(1, k + 1)}
-        | {f"y{i}": 1 for i in range(1, k + 1)}
-    ) - p.table.one()
+    relation = p.table.pair_monomial([1, 1], [1, 1]) - p.table.one()
     assert (p + relation * r).normal_form() == p.normal_form()
 
 

@@ -15,11 +15,11 @@ from opucgems.opuc import (
     bs_weight_quadrature,
     ggt_matrix,
     log_term,
-    sum_rule_functional,
     trace_powers,
     trace_v,
 )
 from opucgems.trig import CriticalPoints, build_h
+from oracles import sum_rule_functional
 
 
 def h_szego():
@@ -32,6 +32,24 @@ def random_seq(rng, n, radius=0.8):
 
 
 # -- dense oracles: the full matrix and repeated multiplication ---------------------
+
+
+def dense(u):
+    """The full matrix of a :class:`GGTCorner`, filled row by row: O(N^2) memory."""
+    n = u.shape[0]
+    a, rho = u.a, u.rho
+    m = np.zeros((n, n), dtype=complex)
+    conj_tail = np.conj(a[1:])
+    for k in range(n):
+        # rho_k * ... * rho_{l-1} for l = k..n-1, leading factor 1
+        prods = np.empty(n - k, dtype=complex)
+        prods[0] = 1.0
+        if n - k > 1:
+            np.cumprod(rho[k:n - 1], out=prods[1:])
+        m[k, k:] = -a[k] * conj_tail[k:] * prods
+        if k + 1 < n:
+            m[k + 1, k] = rho[k]
+    return m
 
 
 def dense_trace_powers(m, max_power):
@@ -73,7 +91,7 @@ def trace_v_inverse(m, h):
 
 def test_size_one_corner_is_conjugate_alpha0():
     a = VerblunskySeq.from_values([0.3 + 0.1j])
-    u = ggt_matrix(a.head(1), 1).dense()
+    u = dense(ggt_matrix(a.head(1), 1))
     assert u[0, 0] == np.conj(0.3 + 0.1j)
 
 
@@ -81,14 +99,14 @@ def test_size_two_corner():
     a0, a1 = 0.3 + 0.1j, -0.2 + 0.4j
     a = VerblunskySeq.from_values([a0, a1])
     rho0 = math.sqrt(1 - abs(a0) ** 2)
-    u = ggt_matrix(a.head(2), 2).dense()
+    u = dense(ggt_matrix(a.head(2), 2))
     expected = np.array(
         [[np.conj(a0), np.conj(a1) * rho0], [rho0, -a0 * np.conj(a1)]])
     assert np.max(np.abs(u - expected)) <= 1e-14
 
 
 def test_zero_sequence_gives_shift():
-    u = ggt_matrix(VerblunskySeq.from_values([]).head(3), 3).dense()
+    u = dense(ggt_matrix(VerblunskySeq.from_values([]).head(3), 3))
     expected = np.zeros((3, 3))
     expected[1, 0] = expected[2, 1] = 1.0
     assert np.max(np.abs(u - expected)) == 0.0
@@ -96,7 +114,7 @@ def test_zero_sequence_gives_shift():
 
 def test_strict_subdiagonal_zeros():
     rng = np.random.default_rng(3)
-    u = ggt_matrix(random_seq(rng, 6).head(6), 6).dense()
+    u = dense(ggt_matrix(random_seq(rng, 6).head(6), 6))
     for k in range(6):
         for l in range(6):
             if k >= l + 2:
@@ -105,16 +123,17 @@ def test_strict_subdiagonal_zeros():
 
 def test_entries_match_definition():
     rng = np.random.default_rng(4)
-    seq = random_seq(rng, 5)
     n = 5
-    u = ggt_matrix(seq.head(n), n).dense()
-    rho = [math.sqrt(1 - abs(seq(j)) ** 2) for j in range(n)]
+    head = random_seq(rng, n).head(n)
+    u = dense(ggt_matrix(head, n))
+    rho = [math.sqrt(1 - abs(head[j]) ** 2) for j in range(n)]
     for k in range(n):
         for l in range(k, n):
             prod = 1.0
             for j in range(k, l):
                 prod *= rho[j]
-            expected = -seq(k - 1) * np.conj(seq(l)) * prod
+            alpha_prev = head[k - 1] if k else -1.0  # alpha_{-1} = -1
+            expected = -alpha_prev * np.conj(head[l]) * prod
             assert abs(u[k, l] - expected) <= 1e-14
         if k + 1 < n:
             assert abs(u[k + 1, k] - rho[k]) <= 1e-14
@@ -127,11 +146,9 @@ def test_zero_sequence_powers_have_zero_trace():
 
 
 def test_sequence_index_conventions():
-    seq = VerblunskySeq.from_values([0.25j])
-    assert seq(-1) == -1.0 + 0.0j
-    assert seq(-4) == 0.0 + 0.0j
-    assert seq(0) == 0.25j
-    assert seq(5) == 0.0 + 0.0j  # past the support
+    head = VerblunskySeq.from_values([0.25j]).head(6)
+    assert head[0] == 0.25j
+    assert head[5] == 0.0 + 0.0j  # past the support
 
 
 def test_invalid_modulus_rejected():
@@ -161,10 +178,12 @@ def test_trace_v_zero_sequence_vanishes():
 def test_trace_v_first_order_formula():
     # for H = 1 - cos(theta): Tr V(U_N) = -sum Re(alpha_{n-1} conj(alpha_n))
     rng = np.random.default_rng(5)
-    seq = random_seq(rng, 7)
     n = 10
-    u = ggt_matrix(seq.head(n), n)
-    direct = -sum((seq(j - 1) * np.conj(seq(j))).real for j in range(n))
+    head = random_seq(rng, 7).head(n)
+    u = ggt_matrix(head, n)
+    # the j = 0 term reads alpha_{-1} = -1
+    direct = -sum((alpha_prev * np.conj(alpha_j)).real
+                  for alpha_prev, alpha_j in zip(np.append(-1.0, head), head))
     assert abs(trace_v(u, h_szego()) - direct) <= 1e-12
 
 
@@ -175,7 +194,7 @@ def test_trace_v_matrix_oracle_higher_degree():
     seq = random_seq(rng, 6)
     n = 7
     u = ggt_matrix(seq.head(n), n)
-    m = u.dense()
+    m = dense(u)
     v_of_u = np.zeros((n, n), dtype=complex)
     for l in range(1, h.degree + 1):
         coeff = h.coeff_numeric(l)
@@ -203,7 +222,7 @@ def test_adjoint_convention_against_inverse_near_unitary(eps, tol):
         boundary = (1 - eps) * np.exp(2j * np.pi * rng.random())
         seq = VerblunskySeq.from_values(list(vals) + [boundary])
         u = ggt_matrix(seq.head(4), 4)
-        assert abs(trace_v(u, h) - trace_v_inverse(u.dense(), h)) <= tol
+        assert abs(trace_v(u, h) - trace_v_inverse(dense(u), h)) <= tol
 
 
 def test_diagonals_equal_dense_fill_exactly():
@@ -211,7 +230,7 @@ def test_diagonals_equal_dense_fill_exactly():
     for _ in range(200):
         n = int(rng.integers(1, 40))
         u = ggt_matrix(random_seq(rng, n, radius=1.3).head(n), n)
-        m = u.dense()
+        m = dense(u)
         assert m.shape == u.shape == (n, n)
         for j in range(-n - 1, n + 2):
             assert np.array_equal(u.diagonal(j), m.diagonal(j))
@@ -223,7 +242,7 @@ def test_tiny_rho_products_stay_finite():
     seq = VerblunskySeq.from_values([np.nextafter(1.0, 0.0)] * 60 + [0.3] * 4)
     u = ggt_matrix(seq.head(64), 64)
     for j in range(-1, 64):
-        assert np.array_equal(u.diagonal(j), u.dense().diagonal(j))
+        assert np.array_equal(u.diagonal(j), dense(u).diagonal(j))
     assert all(np.isfinite(t) for t in trace_powers(u, 6))
 
 
@@ -252,7 +271,7 @@ def test_banded_trace_route_equals_dense_oracle(n, d, radius, seed, data):
     rng = np.random.default_rng(seed)
     vals = radius * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
     u = ggt_matrix(VerblunskySeq.from_values(vals.tolist()).head(n), n)
-    m = u.dense()
+    m = dense(u)
     banded = trace_powers(u, d)
     assert trace_powers(m, d) == banded
     for got, want in zip(banded, dense_trace_powers(m, d), strict=True):
@@ -292,7 +311,7 @@ def test_functional_single_coefficient_value():
     value = sum_rule_functional(seq.head(4), 4, h_szego())
     assert abs(value - (0.5 - math.log(0.75))) <= 1e-14
     # brute-force matrix oracle: build V(U) entrywise from powers
-    u = ggt_matrix(seq.head(4), 4).dense()
+    u = dense(ggt_matrix(seq.head(4), 4))
     h = h_szego()
     v_of_u = np.zeros((4, 4), dtype=complex)
     for l in range(1, 2):

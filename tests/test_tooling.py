@@ -1,12 +1,38 @@
-"""The benchmark's traced run (``perfbench/tracer.py``) still finds what it wraps."""
+"""The benchmark (``perfbench/``) still finds what its workloads call and its tracer wraps."""
 
 import importlib.util
+import json
+import sys
 from pathlib import Path
+
+import pytest
 
 from opucgems.lab import SequenceFamily, convergence_study
 from opucgems.trig import CriticalPoints
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
+WORKLOADS_PY = PERFBENCH / "workloads.py"
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PY)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+WORKLOADS = load_workloads()
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_every_workload_runs_one_tiny_pass(name):
+    # the calls each benchmark workload makes into the package still exist and pass
+    reference = json.loads((PERFBENCH / "reference.json").read_text())
+    result = WORKLOADS[name](seed=1, reference=reference, tiny=True).run_pass()
+    assert result.attempted > 0
+    assert result.failures == []
 
 
 def test_tracer_targets_exist():
