@@ -44,8 +44,9 @@ from .trig import TrigPoly
 # point produce polynomials too large for desk use
 MAX_TRACE_COMPLEXITY = 18
 MAX_TRACE_WINDOW = 80
-# sites per block in site_functional: bounds its working memory
-SITE_BLOCK = 64
+# complex entries in each intermediate array of site_functional: bounds its
+# working memory, and fixes its block of sites through SiteRoute.block
+SITE_ELEMENTS = 2 ** 15
 
 
 class ModelError(Exception):
@@ -677,6 +678,18 @@ class SiteRoute:
     prefs: tuple
     program: PhiProgram
 
+    @property
+    def block(self) -> int:
+        """Sites per block in :func:`site_functional`.
+
+        Its widest intermediates, the pair factors and one polynomial's term
+        products, then hold at most ``SITE_ELEMENTS`` entries each: wide
+        blocks for a small program, where numpy's per-call cost dominates,
+        narrow ones for a large program.
+        """
+        program = self.program
+        return SITE_ELEMENTS // max(len(program.shifts), *map(len, program.coeffs))
+
 
 def site_route(h: TrigPoly) -> SiteRoute:
     """Build and compile every site polynomial of h once."""
@@ -696,17 +709,22 @@ def site_functional(a: np.ndarray, n: int, route: SiteRoute) -> float:
     by a bounded amount that depends only on coefficients near both ends
     of the window, so it is not constant in N.
 
-    ``a`` holds the validated ``alpha_0 .. alpha_{n + max_shift}``;
-    ``route`` is :func:`site_route` of the weight, built once and reused
-    for every n.  Sites are evaluated ``SITE_BLOCK`` at a time by
-    :func:`phi_sites`, so working memory is bounded by the block and the
-    number of terms, not by n.
+    ``a`` holds the validated coefficients from the first site on, at
+    least ``n + max_shift + 1`` of them; ``route`` is :func:`site_route` of
+    the weight, built once and reused for every n.  Site j reads only
+    ``a_j .. a_{j + max_shift}``, so its term does not depend on n, and
+    ``site_functional(head[m:], n - m, route)`` is the share of sites m ..
+    n-1 in the value at n: a study adds these segments up instead of
+    starting again from site 0.  Sites are evaluated ``route.block`` at a
+    time by :func:`phi_sites`, so working memory is bounded by
+    ``SITE_ELEMENTS``, not by n.
     """
     program = route.program
+    block = route.block
     a_conj = np.conj(a[:n + program.max_shift + 1])
     total = 0.0
-    for start in range(0, n, SITE_BLOCK):
-        stop = min(start + SITE_BLOCK, n)
+    for start in range(0, n, block):
+        stop = min(start + block, n)
         site = np.zeros(stop - start, dtype=complex)
         for pref, acc in zip(route.prefs, phi_sites(program, a, a_conj, start, stop)):
             site += pref * acc

@@ -54,6 +54,9 @@ def _number(value, name: str):
 
 def _complex_values(pairs, name: str) -> list:
     """``[re, im]`` pairs as complex numbers."""
+    if not isinstance(pairs, (list, tuple)) or not all(
+            isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in pairs):
+        raise LabError(f"{name}s must be a list of [re, im] pairs")
     return [complex(_number(re, name), _number(im, name)) for re, im in pairs]
 
 
@@ -87,7 +90,7 @@ class SequenceFamily:
         return SequenceFamily("file", {"path": str(path)})
 
     def sequence(self) -> VerblunskySeq:
-        if self.name not in FAMILY_PARAMS:
+        if not isinstance(self.name, str) or self.name not in FAMILY_PARAMS:
             raise LabError(f"unknown family {self.name!r}")
         unknown = sorted(set(self.params) - set(FAMILY_PARAMS[self.name]))
         if unknown:
@@ -140,6 +143,8 @@ class SequenceFamily:
 
     @staticmethod
     def from_json(data: Mapping) -> "SequenceFamily":
+        if not isinstance(data, Mapping):
+            raise LabError("family must be a JSON object")
         data = dict(data)
         if "name" not in data:
             raise LabError("family needs key 'name'")
@@ -245,7 +250,10 @@ def convergence_study(family: SequenceFamily, points: CriticalPoints,
     The verdict is driven by the trace route; the per-site route is
     recorded alongside (their difference stays bounded in N).  Every
     route reads slices of one ``alpha.head(N_max + L)``, where ``L =
-    max(max_shift + 1, d)`` is the longest look-ahead of any route.
+    max(max_shift + 1, d)`` is the longest look-ahead of any route.  The
+    trace route and the log sums are computed afresh at each N; the site
+    route is a running sum that each N extends by the sites above the
+    previous N, so a study evaluates each site once.
     """
     if (not isinstance(schedule, (list, tuple)) or not schedule
             or not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1
@@ -263,12 +271,17 @@ def convergence_study(family: SequenceFamily, points: CriticalPoints,
     trace_values = []
     site_values = []
     log_sums = []
+    site_sum = 0.0
+    prev = 0
     for n in schedule:
         u = ggt_matrix(head, n)
         log_sum = log_term(head[:n])
         trace_values.append(float(trace_v(u, h) - log_sum))
-        site_values.append(float(site_functional(head, n, route)))
+        # a site's term does not depend on N: add only the sites new at this point
+        site_sum += site_functional(head[prev:], n - prev, route)
+        site_values.append(site_sum)
         log_sums.append(float(log_sum))
+        prev = n
     verdict, slope, value_range = classify_values(schedule, trace_values)
     diagnostics = condition_diagnostics(head, points, schedule[-1])
     return GemReport(

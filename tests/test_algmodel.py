@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from opucgems import algmodel
 from opucgems.algmodel import (
-    SITE_BLOCK,
     GaussianRational,
     ModelError,
     a_monomials,
@@ -850,14 +849,18 @@ def test_site_route_equals_per_site_loop(n, h, alpha, bad, at):
         convergence_study(given_family(broken), h.points, [n])
 
 
-@pytest.mark.parametrize("n", [SITE_BLOCK - 1, SITE_BLOCK, SITE_BLOCK + 1,
-                               2 * SITE_BLOCK + 5])
-def test_site_route_blocks_cover_every_site(n):
+@pytest.mark.parametrize("pairs", [[(0.3, 1), (1.2, 1)], [(0.3, 3), (1.1, 2)]],
+                         ids=["d2", "d5"])
+@pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (2, 5)],
+                         ids=["width-1", "width", "width+1", "2width+5"])
+def test_site_route_blocks_cover_every_site(pairs, blocks, extra):
     # a rotating constant gives every site the same nonzero share, so a
-    # site lost or counted twice at a block edge moves the sum
-    h = build_h(CriticalPoints.from_pairs([(0.3, 1), (1.2, 1)]))
+    # site lost or counted twice at a block edge moves the sum; the block
+    # width follows from the program, so each degree has its own edges
+    h = build_h(CriticalPoints.from_pairs(pairs))
     alpha = VerblunskySeq(lambda m: 0.5 * np.exp(-0.7j * m))
     route = site_route(h)
+    n = blocks * route.block + extra
     want = site_functional_loop(alpha, n, h)
     assert abs(site_functional(site_head(alpha, n, route), n, route) - want) \
         <= 1e-12 * max(1.0, abs(want))

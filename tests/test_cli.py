@@ -225,10 +225,20 @@ MALFORMED = [
     ("gem", {"family": {"name": "constant", "c": "0.3"}}, None),
     ("gem", {"family": {"name": "powerDecay", "c": 0.3, "gamma": "1"}}, None),
     ("gem", {"family": {"name": "constant", "c": 0.3, "phase": "0.2"}}, None),
+    # rows with a fourth entry name the full message after "gem: bad config: "
+    ("gem", {"family": {"name": "finiteSupport", "values": [[0.1]]}}, None,
+     "finiteSupport values must be a list of [re, im] pairs"),
+    ("gem", {"family": {"name": "finiteSupport", "values": 5}}, None,
+     "finiteSupport values must be a list of [re, im] pairs"),
+    ("gem", {"family": {"name": "finiteSupport", "values": [0.1]}}, None,
+     "finiteSupport values must be a list of [re, im] pairs"),
+    ("gem", {"family": {"name": ["x"]}}, None, "unknown family ['x']"),
+    ("gem", {"family": "powerDecay"}, None, "family must be a JSON object"),
 ]
 
 
-@pytest.mark.parametrize("command,data,study", MALFORMED, ids=[
+@pytest.mark.parametrize("command,data,study,message",
+                         [(*row, None)[:4] for row in MALFORMED], ids=[
     "gem-nan-value", "gem-angle-text", "gem-c-text", "gem-schedule-text",
     "gem-schedule-below-degree", "szego-nan-value", "gem-nan-report",
     "gem-gamma-underflow", "gem-gamma-overflow", "gem-points-object",
@@ -239,10 +249,11 @@ MALFORMED = [
     "gem-phase-infinite", "szego-grid-too-large", "gem-gamma-bool", "gem-c-bool",
     "gem-phase-bool", "gem-values-bool", "gem-family-unknown-key",
     "gem-config-unknown-key", "gem-point-unknown-key", "gem-c-numeric-text",
-    "gem-gamma-text", "gem-phase-text"])
+    "gem-gamma-text", "gem-phase-text", "gem-values-pair-short", "gem-values-number",
+    "gem-values-flat", "gem-name-list", "gem-family-text"])
 @pytest.mark.filterwarnings("error")
 def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch,
-                                               command, data, study):
+                                               command, data, study, message):
     command, *options = command.split()
     if study is not None:
         monkeypatch.setattr(lab, "convergence_study", study)
@@ -261,6 +272,8 @@ def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch,
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"{command}: ")
+    if message is not None:
+        assert lines[0] == f"{command}: bad config: {message}"
 
 
 @pytest.mark.parametrize("config", [[], "family", None, 3])

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from opucgems import lab
 from opucgems.algmodel import site_functional, site_route
@@ -282,15 +282,31 @@ def head_per_consumer_study(family, points, schedule):
     return trace_values, site_values, log_sums, diagnostics
 
 
+# two double points: a program whose block of sites is narrower than the
+# drawn schedules reach
+NARROW_POINTS = CriticalPoints.from_pairs([(0.3, 2), (1.2, 2)])
+NARROW_BLOCK = site_route(build_h(NARROW_POINTS)).block
+
+
 @settings(max_examples=25, deadline=None)
-@given(family=families(), points=study_points(), data=st.data())
-def test_one_head_study_equals_a_head_per_consumer(family, points, data):
-    schedule = sorted(data.draw(st.sets(st.integers(points.degree + 1, 300),
-                                        min_size=1, max_size=4)))
+@given(family=families(), points=study_points(),
+       schedule=st.sets(st.integers(1, 300), min_size=1, max_size=4).map(sorted))
+# adjacent points, one point, and segments that end at and cross block edges
+@example(SequenceFamily.power_decay(0.5, 0.6, 0.3), CriticalPoints.from_pairs([(0.0, 2)]),
+         [37, 38, 39])
+@example(SequenceFamily.constant(0.5), CriticalPoints.from_pairs([(0.0, 2)]), [300])
+@example(SequenceFamily.power_decay(0.4, 0.2, 1.1), NARROW_POINTS,
+         [NARROW_BLOCK - 1, NARROW_BLOCK + 1, 2 * NARROW_BLOCK + 5])
+def test_one_head_study_equals_a_head_per_consumer(family, points, schedule):
+    assume(schedule[0] > points.degree)
     report = convergence_study(family, points, schedule).to_json()
-    got = (report["traceRoute"], report["corollaryRoute"], report["logTermSums"],
-           report["diagnostics"])
-    assert got == head_per_consumer_study(family, points, schedule)
+    trace_values, site_values, log_sums, diagnostics = head_per_consumer_study(
+        family, points, schedule)
+    assert report["traceRoute"] == trace_values
+    assert report["logTermSums"] == log_sums
+    assert report["diagnostics"] == diagnostics
+    # the study sums the site route segment by segment, the oracle from site 0
+    assert max(relative_gaps(report["corollaryRoute"], site_values)) <= 1e-12
 
 
 def test_red_case_study_equals_per_index_oracle_exactly():

@@ -69,6 +69,8 @@ def test_tracer_sees_one_site_route_compile_per_study():
         convergence_study(SequenceFamily.power_decay(0.3, 1.0), points, schedule)
     # the benchmark's per-point clock marks each return of lab.site_functional
     assert tracer.calls["algmodel.site_functional"] == len(schedule)
+    # each point evaluates only the sites above the previous point
+    assert tracer.counts["algmodel.site_functional.sites"] == schedule[-1]
     assert tracer.calls["algmodel.site_poly"] == points.degree
 
 
