@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -47,6 +48,9 @@ MAX_TRACE_WINDOW = 80
 # complex entries in each intermediate array of site_functional: bounds its
 # working memory, and fixes its block of sites through SiteRoute.block
 SITE_ELEMENTS = 2 ** 15
+# largest weight degree a study compiles a site route for: on a 2-core host
+# the K = 1 compile takes about 1.4 s at d = 8 and 8.9 s (430 MB) at d = 9
+MAX_SITE_DEGREE = 8
 
 
 class ModelError(Exception):
@@ -201,20 +205,26 @@ def phi_terms(poly: LaurentPoly, unit_values: Mapping[str, complex]) -> list:
     :class:`ModelError` on plain symbols and negative pair exponents.
     """
     table = poly.table
-    xs = [i for i, kind in enumerate(table.kinds) if kind == "x"]
-    ys = [i for i, kind in enumerate(table.kinds) if kind == "y"]
+    kinds = table.kinds
+    xs = [i for i, kind in enumerate(kinds) if kind == "x"]
+    ys = [i for i, kind in enumerate(kinds) if kind == "y"]
+    pairs = len(xs)
+    pick = itemgetter(*xs, *ys) if pairs else (lambda e: ())
+    units = [(i, name) for i, (name, kind) in enumerate(zip(table.names, kinds))
+             if kind == "z"]
+    plain = [i for i, kind in enumerate(kinds) if kind == "a"]
     compiled = []
     for e, c in poly.terms.items():
         value = complex(c)
-        for slot, (name, kind) in enumerate(zip(table.names, table.kinds)):
-            if kind == "z" and e[slot]:
+        for slot, name in units:
+            if e[slot]:
                 value *= unit_values[name] ** e[slot]
-            elif kind == "a" and e[slot]:
-                raise ModelError("phi is undefined on plain symbols")
-        exps = tuple((e[x], e[y]) for x, y in zip(xs, ys))
-        if any(beta < 0 or gamma < 0 for beta, gamma in exps):
+        if any(e[slot] for slot in plain):
+            raise ModelError("phi is undefined on plain symbols")
+        flat = pick(e)
+        if flat and min(flat) < 0:
             raise ModelError("phi needs nonnegative pair exponents")
-        compiled.append((value, exps))
+        compiled.append((value, tuple(zip(flat[:pairs], flat[pairs:]))))
     return compiled
 
 
@@ -224,7 +234,8 @@ class PhiProgram:
 
     ``shifts[i] = (b, g)`` is the pair factor ``alpha_{n+b} *
     conj(alpha_{n+g})``.  Polynomial q is ``sum_t coeffs[q][t] * prod_p
-    factor[slots[q][t, p]]``; ``max_shift`` is the largest b or g.
+    factor[slots[q][t, p]]``; ``max_shift`` is the largest b or g.  No two
+    rows of a polynomial multiply the same pair factors.
     """
 
     shifts: tuple
@@ -233,19 +244,31 @@ class PhiProgram:
     max_shift: int
 
 
-def phi_program(polys: Sequence[LaurentPoly],
-                unit_values: Mapping[str, complex]) -> PhiProgram:
-    """Compile polynomials with :func:`phi_terms` into one :class:`PhiProgram`."""
+def phi_program(polys: Sequence, unit_values: Mapping[str, complex]) -> PhiProgram:
+    """Compile polynomials with :func:`phi_terms` into one :class:`PhiProgram`.
+
+    Each entry is a :class:`LaurentPoly` or a nonempty sequence of
+    ``(weight, part)`` pairs standing for ``sum weight * part``, the parts
+    over one table and the weights complex numbers.  phi sends terms whose
+    pair exponents ``(b_p, g_p)`` are equal up to the order of the pairs
+    to the same product of pair factors, so their rows merge into one,
+    with the pairs sorted and the coefficients summed.
+    """
     index: dict = {}
     coeffs = []
     slots = []
-    for poly in polys:
-        terms = phi_terms(poly, unit_values)
-        pairs = poly.table.kinds.count("x")
-        coeffs.append(np.array([c for c, _ in terms], dtype=complex))
+    for entry in polys:
+        parts = [(1, entry)] if isinstance(entry, LaurentPoly) else entry
+        rows: dict = {}
+        for weight, part in parts:
+            for c, exps in phi_terms(part, unit_values):
+                exps = tuple(sorted(exps))
+                rows[exps] = rows.get(exps, 0) + weight * c
+        pairs = parts[0][1].table.kinds.count("x")
+        coeffs.append(np.array(list(rows.values()), dtype=complex))
         slots.append(np.array(
-            [[index.setdefault(pair, len(index)) for pair in exps] for _, exps in terms],
-            dtype=np.intp).reshape(len(terms), pairs))
+            [[index.setdefault(pair, len(index)) for pair in exps] for exps in rows],
+            dtype=np.intp).reshape(len(rows), pairs))
     max_shift = max((max(pair) for pair in index), default=0)
     return PhiProgram(tuple(index), tuple(coeffs), tuple(slots), max_shift)
 
@@ -499,26 +522,32 @@ def g2k_hl_scaled_hom(k: int, h: TrigPoly) -> LaurentPoly:
     return (ds * _sign(k)).normal_form()
 
 
-def _hom_double_sum(k: int, h: TrigPoly, table: VarTable,
-                    neg_pts: Sequence[LaurentPoly]) -> LaurentPoly:
-    """``sum_{l=k}^{d} h_l * pos_l + h_{-l} * neg_l`` by complete homogeneous sums.
+def _pair_parts(k: int, d: int, table: VarTable, neg_pts: Sequence[LaurentPoly],
+                scale: LaurentPoly) -> list:
+    """``(l, scale * pos_l, scale * neg_l)`` for l = k..d by complete homogeneous sums.
 
     ``pos_l = h_l(a) * prod(b) * h_{l-k}(b)`` and ``neg_l = h_l(neg_pts) *
     prod(d) * h_{l-k}(d)``; the negative point set is e (quotient ring) or
-    c (cleared exponents).
+    c (cleared exponents), and ``scale`` is a monomial.  The parts have
+    integer coefficients and no unit symbol: they do not depend on the
+    weight, only on its degree.
     """
-    d = h.degree
-    hc = _embedded_coeffs(h, table)
     b_pts = b_monomials(table, k)
     d_pts = d_monomials(table, k)
-    prod_b = math.prod(b_pts, start=table.one())
-    prod_d = math.prod(d_pts, start=table.one())
+    prod_b = math.prod(b_pts, start=scale)
+    prod_d = math.prod(d_pts, start=scale)
     h_a, h_b = hom_sums(a_monomials(table, k), d), hom_sums(b_pts, d - k)
     h_neg, h_d = hom_sums(neg_pts, d), hom_sums(d_pts, d - k)
+    return [(l, h_a[l] * prod_b * h_b[l - k], h_neg[l] * prod_d * h_d[l - k])
+            for l in range(k, d + 1)]
+
+
+def _hom_double_sum(k: int, h: TrigPoly, table: VarTable,
+                    neg_pts: Sequence[LaurentPoly]) -> LaurentPoly:
+    """``sum_{l=k}^{d} h_l * pos_l + h_{-l} * neg_l`` over :func:`_pair_parts`."""
+    hc = _embedded_coeffs(h, table)
     out: dict = {}
-    for l in range(k, d + 1):
-        pos = h_a[l] * prod_b * h_b[l - k]
-        neg = h_neg[l] * prod_d * h_d[l - k]
+    for l, pos, neg in _pair_parts(k, h.degree, table, neg_pts, table.one()):
         _accumulate(out, (hc[l] * pos).terms.items())
         _accumulate(out, (hc[-l] * neg).terms.items())
     return LaurentPoly(table, out)
@@ -654,7 +683,8 @@ def site_poly(k: int, h: TrigPoly) -> LaurentPoly:
     rewriting of the negative part (monomials c and d), adds the constant
     ``h_0 * (-1)^{k+1}``, and multiplies by ``(prod x_i y_i)^{2k}``.  The
     result lies in the plain polynomial ring; a negative exponent would
-    mean a broken identity and raises.
+    mean a broken identity and raises.  :func:`site_route` compiles the
+    same sum from its weight-free parts; this exact form is its oracle.
     """
     if k > h.degree:
         raise ModelError("k cannot exceed the weight degree")
@@ -672,7 +702,7 @@ class SiteRoute:
     """``site_poly(k, h)`` for k = 1..d, compiled for :func:`site_functional`.
 
     ``prefs[k-1] = (-1)^{k+1} / (k Z_H)``; ``program`` holds polynomial k
-    at position k - 1.
+    at position k - 1, one row per distinct product of pair factors.
     """
 
     prefs: tuple
@@ -685,19 +715,45 @@ class SiteRoute:
         Its widest intermediates, the pair factors and one polynomial's term
         products, then hold at most ``SITE_ELEMENTS`` entries each: wide
         blocks for a small program, where numpy's per-call cost dominates,
-        narrow ones for a large program.
+        narrow ones for a large program.  A block holds at least one site,
+        so a polynomial of more than ``SITE_ELEMENTS`` rows bounds working
+        memory by its own row count instead.
         """
         program = self.program
-        return SITE_ELEMENTS // max(len(program.shifts), *map(len, program.coeffs))
+        return max(1, SITE_ELEMENTS // max(len(program.shifts), *map(len, program.coeffs)))
+
+
+def _site_parts(k: int, h: TrigPoly) -> list:
+    """``site_poly(k, h)`` as ``(weight, part)`` pairs for :func:`phi_program`.
+
+    The parts are ``U``, ``pos_l * U`` and ``neg_l * U`` (:func:`_pair_parts`
+    over the c points) with ``U = (prod x_i y_i)^{2k}``, built over the
+    pair variables alone; their weights are the numeric ``(-1)^{k+1} h_0``,
+    ``h_l`` and ``h_{-l}``.  A part whose exact coefficient is zero is left
+    out, as it is from the exact sum.
+    """
+    table = VarTable.build(k)
+    unit = table.pair_monomial([2 * k] * k, [2 * k] * k)
+    out = [((-1) ** (k + 1) * h.coeff_numeric(0), unit)]
+    for l, pos, neg in _pair_parts(k, h.degree, table, c_monomials(table, k), unit):
+        out += [(h.coeff_numeric(m), part) for m, part in ((l, pos), (-l, neg))
+                if not h.coeffs[m].is_zero]
+    return out
 
 
 def site_route(h: TrigPoly) -> SiteRoute:
-    """Build and compile every site polynomial of h once."""
+    """Compile every site polynomial of h once, from its weight-free parts.
+
+    Polynomial k is compiled from :func:`_site_parts` rather than from the
+    exact ``site_poly(k, h)``, which would carry each ``h_l``'s unit
+    symbols into every term; phi of the two agrees to rounding.  Raises
+    :class:`ModelError` on a negative exponent, which would mean a broken
+    identity.
+    """
     d = h.degree
     z_h = h.z_h_numeric()
-    polys = [site_poly(k, h) for k in range(1, d + 1)]
     prefs = tuple((-1) ** (k + 1) / (k * z_h) for k in range(1, d + 1))
-    return SiteRoute(prefs, phi_program(polys, h.unit_values()))
+    return SiteRoute(prefs, phi_program([_site_parts(k, h) for k in range(1, d + 1)], {}))
 
 
 def site_functional(a: np.ndarray, n: int, route: SiteRoute) -> float:

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .algmodel import site_functional, site_route
+from .algmodel import MAX_SITE_DEGREE, site_functional, site_route
 from .opuc import VerblunskySeq, ggt_matrix, log_term, trace_v
 from .trig import CriticalPoints, build_h
 
@@ -253,7 +253,9 @@ def convergence_study(family: SequenceFamily, points: CriticalPoints,
     max(max_shift + 1, d)`` is the longest look-ahead of any route.  The
     trace route and the log sums are computed afresh at each N; the site
     route is a running sum that each N extends by the sites above the
-    previous N, so a study evaluates each site once.
+    previous N, so a study evaluates each site once.  The schedule and
+    the weight degree (at most ``MAX_SITE_DEGREE``) are checked before
+    anything is built.
     """
     if (not isinstance(schedule, (list, tuple)) or not schedule
             or not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1
@@ -264,6 +266,9 @@ def convergence_study(family: SequenceFamily, points: CriticalPoints,
         raise LabError("schedule must be strictly increasing")
     if schedule[-1] > max_n:
         raise LabError("schedule exceeds the configured limit")
+    if points.degree > MAX_SITE_DEGREE:
+        raise LabError(f"weight degree {points.degree} exceeds the ceiling of "
+                       f"{MAX_SITE_DEGREE} for compiling the site route")
     alpha = family.sequence()
     h = build_h(points, "exact")
     route = site_route(h)

@@ -18,7 +18,11 @@ All values are immutable after construction and every operation is pure,
 so polynomials can be shared freely across threads.  :func:`_accumulate`
 is the only place the layer merges coefficients (add, then drop a zero
 sum); it mutates only dicts the calling operation owns, never the
-``terms`` of a constructed polynomial.
+``terms`` of a constructed polynomial.  A product with a monomial factor
+merges nothing: the shift is injective on exponents and a product of
+nonzero scalars is nonzero, so it scales and shifts term by term.  The
+public constructor drops zero coefficients; the layer's own results,
+which never hold one, are built by :func:`_poly` without that copy.
 
 :func:`exact_div` takes each leading term from a heap of the remainder's
 exponents.  The graded order is translation invariant, so the terms a
@@ -260,7 +264,7 @@ class VarTable:
             slots = [i for i, k in enumerate(self.kinds) if k == kind]
             for slot, exp in zip(slots, exps, strict=True):
                 vec[slot] = exp
-        return LaurentPoly(self, {tuple(vec): GR_ONE})
+        return _poly(self, {tuple(vec): GR_ONE})
 
     @property
     def arity(self) -> int:
@@ -285,7 +289,7 @@ class VarTable:
         return tuple(perm)
 
     def zero(self) -> "LaurentPoly":
-        return LaurentPoly(self, {})
+        return _poly(self, {})
 
     def one(self) -> "LaurentPoly":
         return self.const(GR_ONE)
@@ -294,12 +298,12 @@ class VarTable:
         value = GaussianRational.coerce(value)
         if not value:
             return self.zero()
-        return LaurentPoly(self, {(0,) * self.arity: value})
+        return _poly(self, {(0,) * self.arity: value})
 
     def var(self, name: str, exp: int = 1) -> "LaurentPoly":
         vec = [0] * self.arity
         vec[self.slot(name)] = exp
-        return LaurentPoly(self, {tuple(vec): GR_ONE})
+        return _poly(self, {tuple(vec): GR_ONE})
 
     def monomial(self, exponents: Mapping[str, int], coeff=GR_ONE) -> "LaurentPoly":
         coeff = GaussianRational.coerce(coeff)
@@ -308,7 +312,7 @@ class VarTable:
         vec = [0] * self.arity
         for name, exp in exponents.items():
             vec[self.slot(name)] = exp
-        return LaurentPoly(self, {tuple(vec): coeff})
+        return _poly(self, {tuple(vec): coeff})
 
     def contains(self, other: "VarTable") -> bool:
         """True when every variable of ``other`` exists here with equal kind."""
@@ -362,7 +366,7 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             other = self.table.const(other)
         self._check_table(other)
-        return LaurentPoly(self.table, _accumulate(dict(self.terms), other.terms.items()))
+        return _poly(self.table, _accumulate(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
 
@@ -375,21 +379,24 @@ class LaurentPoly:
         return (-self) + other
 
     def __neg__(self):
-        return LaurentPoly(self.table, {e: -c for e, c in self.terms.items()})
+        return _poly(self.table, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, LaurentPoly):
             scalar = GaussianRational.coerce(other)
             if not scalar:
                 return self.table.zero()
-            return LaurentPoly(self.table, {e: c * scalar for e, c in self.terms.items()})
+            return _poly(self.table, {e: c * scalar for e, c in self.terms.items()})
         self._check_table(other)
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
+        if len(a) == 1:
+            ((ea, ca),) = a.items()
+            return _poly(self.table, {tuple(map(add, ea, eb)): ca * cb for eb, cb in b.items()})
         out = _accumulate({}, ((tuple(map(add, ea, eb)), ca * cb)
                                for ea, ca in a.items() for eb, cb in b.items()))
-        return LaurentPoly(self.table, out)
+        return _poly(self.table, out)
 
     __rmul__ = __mul__
 
@@ -398,6 +405,9 @@ class LaurentPoly:
             raise TypeError("polynomial powers must be integers")
         if n < 0:
             return self.inverse() ** (-n)
+        if self.is_monomial:
+            ((e, c),) = self.terms.items()
+            return _poly(self.table, {tuple(x * n for x in e): _scalar_pow(c, n)})
         result = self.table.one()
         base = self
         while n:
@@ -414,7 +424,7 @@ class LaurentPoly:
         if not self.is_monomial:
             raise NonInvertibleBinding("only monomials are invertible")
         ((e, c),) = self.terms.items()
-        return LaurentPoly(self.table, {tuple(-x for x in e): GR_ONE / c})
+        return _poly(self.table, {tuple(-x for x in e): GR_ONE / c})
 
     def conjugate(self) -> "LaurentPoly":
         """Apply the table conjugation: i -> -i, z -> 1/z, x_p <-> y_p."""
@@ -431,7 +441,7 @@ class LaurentPoly:
             return tuple(vec)
 
         out = _accumulate({}, ((conj_key(e), c.conjugate()) for e, c in self.terms.items()))
-        return LaurentPoly(self.table, out)
+        return _poly(self.table, out)
 
     # -- quotient ring normal form ------------------------------------------
 
@@ -457,7 +467,7 @@ class LaurentPoly:
             return tuple(vec)
 
         out = _accumulate({}, ((reduced(e), c) for e, c in self.terms.items()))
-        return LaurentPoly(self.table, out)
+        return _poly(self.table, out)
 
     # -- embeddings and evaluation -------------------------------------------
 
@@ -474,7 +484,7 @@ class LaurentPoly:
             for i, exp in enumerate(e):
                 vec[slots[i]] = exp
             out[tuple(vec)] = c
-        return LaurentPoly(table, out)
+        return _poly(table, out)
 
     def evaluate(self, values: Mapping[str, complex]) -> complex:
         """Numeric evaluation with every variable bound to a complex value."""
@@ -514,6 +524,29 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"<LaurentPoly {self.to_text()}>"
+
+
+_new_poly = object.__new__
+
+
+def _poly(table: VarTable, terms: dict) -> LaurentPoly:
+    """Polynomial over ``terms`` as given: a dict with no zero coefficient
+    that no one else holds."""
+    out = _new_poly(LaurentPoly)
+    out.table, out.terms = table, terms
+    return out
+
+
+def _scalar_pow(c: GaussianRational, n: int) -> GaussianRational:
+    """``c ** n`` for ``n >= 0`` by repeated squaring."""
+    out = GR_ONE
+    while n:
+        if n & 1:
+            out = out * c
+        n >>= 1
+        if n:
+            c = c * c
+    return out
 
 
 # -- coefficient merging ------------------------------------------------------
@@ -600,7 +633,7 @@ def exact_div(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
 
     shift = tuple(map(sub, p_shift, q_shift))
     out = {tuple(map(add, e, shift)): c for e, c in quotient.items()}
-    return LaurentPoly(p.table, out)
+    return _poly(p.table, out)
 
 
 # -- substitution ---------------------------------------------------------------
@@ -644,11 +677,11 @@ def substitute(p: LaurentPoly, bindings: Mapping[str, LaurentPoly]) -> LaurentPo
             if vec[slot]:
                 factors.append(power(slot, vec[slot]))
                 vec[slot] = 0
-        term = LaurentPoly(table, {tuple(vec): c})
+        term = _poly(table, {tuple(vec): c})
         for f in factors:
             term = term * f
         _accumulate(out, term.terms.items())
-    return LaurentPoly(table, out)
+    return _poly(table, out)
 
 
 # -- divided differences ---------------------------------------------------------

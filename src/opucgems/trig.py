@@ -102,7 +102,10 @@ class CriticalPoints:
             if raw is None:
                 angles.append(None)
             elif isinstance(raw, str):
-                angles.append(Fraction(raw))
+                try:
+                    angles.append(Fraction(raw))
+                except ZeroDivisionError:
+                    raise TrigError(f"critical angle {raw!r} has a zero denominator") from None
             elif isinstance(raw, bool):
                 raise TrigError(f"unsupported angle {raw!r}")
             else:

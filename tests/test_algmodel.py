@@ -12,8 +12,11 @@ from hypothesis import given, settings, strategies as st
 
 from opucgems import algmodel
 from opucgems.algmodel import (
+    SITE_ELEMENTS,
     GaussianRational,
     ModelError,
+    PhiProgram,
+    SiteRoute,
     a_monomials,
     b_monomials,
     basis_relation_check,
@@ -864,6 +867,48 @@ def test_site_route_blocks_cover_every_site(pairs, blocks, extra):
     want = site_functional_loop(alpha, n, h)
     assert abs(site_functional(site_head(alpha, n, route), n, route) - want) \
         <= 1e-12 * max(1.0, abs(want))
+
+
+@settings(max_examples=20, deadline=None)
+@given(h=exact_weights(), alpha=bounded_sequences(), start=st.integers(0, 60))
+def test_site_route_program_equals_compiled_site_polys(h, alpha, start):
+    # the route compiled from weight-free parts against the exact site polynomials
+    route = site_route(h)
+    oracle = phi_program([site_poly(k, h) for k in range(1, h.degree + 1)], h.unit_values())
+    assert route.program.max_shift == oracle.max_shift
+    stop = start + 7
+    a = alpha.head(stop + oracle.max_shift)
+    a_conj = np.conj(a)
+    got = phi_sites(route.program, a, a_conj, start, stop)
+    want = phi_sites(oracle, a, a_conj, start, stop)
+    for g, w in zip(got, want, strict=True):
+        assert np.all(np.abs(g - w) <= 1e-12 * np.maximum(1.0, np.abs(w)))
+
+
+@pytest.mark.parametrize("pairs", [[(0.3, 1), (1.2, 1)], [(0.3, 3), (1.1, 2)]],
+                         ids=["d2", "d5"])
+def test_compiled_rows_are_distinct_products_of_pair_factors(pairs):
+    # phi of a row is its coefficient times a product of pair factors; rows
+    # with the same factors, in any pair order, are merged into one
+    h = build_h(CriticalPoints.from_pairs(pairs))
+    oracle = phi_program([site_poly(k, h) for k in range(1, h.degree + 1)], h.unit_values())
+    for program in (site_route(h).program, oracle):
+        for slots in program.slots:
+            products = [tuple(sorted(program.shifts[i] for i in row)) for row in slots.tolist()]
+            assert len(set(products)) == len(products)
+
+
+def test_site_block_holds_one_site_past_the_element_budget():
+    # one polynomial of more rows than SITE_ELEMENTS: |a_j|^2 spread over
+    # its rows, so that each site's term is -log(1 - |a_j|^2)
+    rows = SITE_ELEMENTS + 1
+    program = PhiProgram(((0, 0),), (np.full(rows, 1 / rows, dtype=complex),),
+                         (np.zeros((rows, 1), dtype=np.intp),), 0)
+    route = SiteRoute((1.0,), program)
+    assert route.block == 1
+    a = 0.5 * np.exp(-0.7j * np.arange(4))
+    want = -float(np.sum(np.log1p(-np.abs(a[:3]) ** 2)))
+    assert abs(site_functional(a, 3, route) - want) <= 1e-12
 
 
 def test_site_functional_at_n_20000_stays_small_in_memory():

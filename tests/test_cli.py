@@ -234,6 +234,10 @@ MALFORMED = [
      "finiteSupport values must be a list of [re, im] pairs"),
     ("gem", {"family": {"name": ["x"]}}, None, "unknown family ['x']"),
     ("gem", {"family": "powerDecay"}, None, "family must be a JSON object"),
+    ("gem", {"criticalPoints": [{"thetaOverPi": "1/0", "m": 1}]}, study_must_not_run,
+     "critical angle '1/0' has a zero denominator"),
+    ("gem", {"criticalPoints": [{"thetaOverPi": 0.3, "m": 40}], "schedule": [100]}, None,
+     "weight degree 40 exceeds the ceiling of 8 for compiling the site route"),
 ]
 
 
@@ -250,7 +254,8 @@ MALFORMED = [
     "gem-phase-bool", "gem-values-bool", "gem-family-unknown-key",
     "gem-config-unknown-key", "gem-point-unknown-key", "gem-c-numeric-text",
     "gem-gamma-text", "gem-phase-text", "gem-values-pair-short", "gem-values-number",
-    "gem-values-flat", "gem-name-list", "gem-family-text"])
+    "gem-values-flat", "gem-name-list", "gem-family-text", "gem-angle-zero-denominator",
+    "gem-degree-above-ceiling"])
 @pytest.mark.filterwarnings("error")
 def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch,
                                                command, data, study, message):

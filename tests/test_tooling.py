@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from opucgems import lab
 from opucgems.lab import SequenceFamily, convergence_study
 from opucgems.trig import CriticalPoints
 
@@ -59,19 +60,27 @@ def test_tracer_sees_one_trace_route_call_per_schedule_point():
     assert tracer.calls["opuc.head"] == 1
 
 
-def test_tracer_sees_one_site_route_compile_per_study():
+def test_tracer_sees_one_site_route_compile_per_study(monkeypatch):
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     schedule = (10, 20, 40)
     points = CriticalPoints.from_pairs([(0.3, 2), (1.2, 1)])
+    compiles = []
+    site_route = lab.site_route
+
+    def counted(h):
+        compiles.append(h)
+        return site_route(h)
+
+    monkeypatch.setattr(lab, "site_route", counted)
     with module.Tracer() as tracer:
         convergence_study(SequenceFamily.power_decay(0.3, 1.0), points, schedule)
     # the benchmark's per-point clock marks each return of lab.site_functional
     assert tracer.calls["algmodel.site_functional"] == len(schedule)
     # each point evaluates only the sites above the previous point
     assert tracer.counts["algmodel.site_functional.sites"] == schedule[-1]
-    assert tracer.calls["algmodel.site_poly"] == points.degree
+    assert len(compiles) == 1
 
 
 def test_tracer_sees_one_weight_build_per_study():
