@@ -12,6 +12,10 @@ independent ways and compared as normal forms:
   ``a_{k,p}`` and ``b_{k,q}``, itself evaluated both by nested divided
   differences and by complete homogeneous symmetric sums.
 
+Both are linear in the weight's coefficients h_l, so every route builds
+weight-free ``(l, part)`` pairs and ``_weighted`` alone multiplies them by
+the exact h_l; the site route weights the same parts by numeric h_l.
+
 The evaluation map ``phi`` sends ``x_p^b y_p^g`` (per pair) to
 ``alpha_{n+b} * conj(alpha_{n+g})``; in particular a constant c maps to
 ``c * |alpha_n|^{2k}``, which is what makes the ``-1/k`` term match the
@@ -46,7 +50,7 @@ from .trig import TrigPoly
 MAX_TRACE_COMPLEXITY = 18
 MAX_TRACE_WINDOW = 80
 # complex entries in each intermediate array of site_functional: bounds its
-# working memory, and fixes its block of sites through SiteRoute.block
+# working memory, and fixes its block of sites through PhiProgram.block
 SITE_ELEMENTS = 2 ** 15
 # largest weight degree a study compiles a site route for: on a 2-core host
 # the K = 1 compile takes about 1.4 s at d = 8 and 8.9 s (430 MB) at d = 9
@@ -243,13 +247,26 @@ class PhiProgram:
     slots: tuple
     max_shift: int
 
+    @property
+    def block(self) -> int:
+        """Sites per block in :func:`site_functional`.
+
+        Its widest intermediates, the pair factors and one polynomial's term
+        products, then hold at most ``SITE_ELEMENTS`` entries each: wide
+        blocks for a small program, where numpy's per-call cost dominates,
+        narrow ones for a large program.  A block holds at least one site,
+        so a polynomial of more than ``SITE_ELEMENTS`` rows bounds working
+        memory by its own row count instead.
+        """
+        return max(1, SITE_ELEMENTS // max(len(self.shifts), *map(len, self.coeffs)))
+
 
 def phi_program(polys: Sequence, unit_values: Mapping[str, complex]) -> PhiProgram:
     """Compile polynomials with :func:`phi_terms` into one :class:`PhiProgram`.
 
-    Each entry is a :class:`LaurentPoly` or a nonempty sequence of
-    ``(weight, part)`` pairs standing for ``sum weight * part``, the parts
-    over one table and the weights complex numbers.  phi sends terms whose
+    Each entry is a nonempty sequence of ``(weight, part)`` pairs standing
+    for ``sum weight * part``, the parts :class:`LaurentPoly` over one table
+    and the weights complex numbers.  phi sends terms whose
     pair exponents ``(b_p, g_p)`` are equal up to the order of the pairs
     to the same product of pair factors, so their rows merge into one,
     with the pairs sorted and the coefficients summed.
@@ -258,13 +275,12 @@ def phi_program(polys: Sequence, unit_values: Mapping[str, complex]) -> PhiProgr
     coeffs = []
     slots = []
     for entry in polys:
-        parts = [(1, entry)] if isinstance(entry, LaurentPoly) else entry
         rows: dict = {}
-        for weight, part in parts:
+        for weight, part in entry:
             for c, exps in phi_terms(part, unit_values):
                 exps = tuple(sorted(exps))
                 rows[exps] = rows.get(exps, 0) + weight * c
-        pairs = parts[0][1].table.kinds.count("x")
+        pairs = entry[0][1].table.kinds.count("x")
         coeffs.append(np.array(list(rows.values()), dtype=complex))
         slots.append(np.array(
             [[index.setdefault(pair, len(index)) for pair in exps] for exps in rows],
@@ -450,37 +466,47 @@ def trace_orbit_check(k: int, l: int, tuples, weight: GaussianRational
 # -- the G_2k builders ----------------------------------------------------------------
 
 
-def _embedded_coeffs(h: TrigPoly, table: VarTable) -> dict:
-    return {l: poly.embed(table) for l, poly in h.coeffs.items()}
-
-
 def _sign(k: int) -> GaussianRational:
     """The route sign ``(-1)^{k+1}``."""
     return GR_ONE if k % 2 else -GR_ONE
 
 
-def g2k_trace_scaled(k: int, h: TrigPoly) -> LaurentPoly:
-    """Trace-route ``k * Z_H * G_2k`` in normal form.
-
-    ``(-1)^{k+1} * sum_{l=1}^{d} [h_l * S_l^+ + h_{-l} * S_l^-]`` where the
-    S-sums run over index tuples in their positive and negative monomial
-    forms.  Empty (zero) when k exceeds the weight degree.
-    """
-    if k < 1:
-        raise ModelError("k must be positive")
-    table = table_for(k, h)
-    hc = _embedded_coeffs(h, table)
+def _weighted(parts, h: TrigPoly, table: VarTable) -> LaurentPoly:
+    """``sum_l h_l * part_l`` over ``(l, part)`` pairs: the one place the exact
+    weight enters a route.  Parts whose h_l is zero are skipped."""
     out: dict = {}
-    for l in range(k, h.degree + 1):
+    for l, part in parts:
+        coeff = h.coeffs[l]
+        if not coeff.is_zero:
+            _accumulate(out, (coeff.embed(table) * part).terms.items())
+    return LaurentPoly(table, out)
+
+
+def _trace_parts(k: int, d: int, table: VarTable) -> list:
+    """``(l, S_l^+)`` and ``(-l, S_l^-)`` for l = k..d: the index tuples of
+    :func:`enum_d` in their positive and negative monomial forms, summed."""
+    out = []
+    for l in range(k, d + 1):
         s_pos: dict = {}
         s_neg: dict = {}
         for tup in enum_d(k, l):
             # prod_p x_p^{i_p} y_p^{j_p}, and prod_p y_{p-1}^{i_p} x_p^{j_p} with y_0 := y_k
             _accumulate(s_pos, table.pair_monomial(tup[::2], tup[1::2]).terms.items())
             _accumulate(s_neg, table.pair_monomial(tup[1::2], tup[2::2] + tup[:1]).terms.items())
-        _accumulate(out, (hc[l] * LaurentPoly(table, s_pos)).terms.items())
-        _accumulate(out, (hc[-l] * LaurentPoly(table, s_neg)).terms.items())
-    return (LaurentPoly(table, out) * _sign(k)).normal_form()
+        out += [(l, LaurentPoly(table, s_pos)), (-l, LaurentPoly(table, s_neg))]
+    return out
+
+
+def g2k_trace_scaled(k: int, h: TrigPoly) -> LaurentPoly:
+    """Trace-route ``k * Z_H * G_2k`` in normal form.
+
+    ``(-1)^{k+1} * sum_{l=1}^{d} [h_l * S_l^+ + h_{-l} * S_l^-]`` over
+    :func:`_trace_parts`.  Empty (zero) when k exceeds the weight degree.
+    """
+    if k < 1:
+        raise ModelError("k must be positive")
+    table = table_for(k, h)
+    return (_weighted(_trace_parts(k, h.degree, table), h, table) * _sign(k)).normal_form()
 
 
 def hl_double_sum(k: int, h: TrigPoly) -> LaurentPoly:
@@ -496,12 +522,9 @@ def hl_double_sum(k: int, h: TrigPoly) -> LaurentPoly:
     table = table_for(k, h)
     a_pts = a_monomials(table, k)
     b_pts = b_monomials(table, k)
-    out: dict = {}
-    for l, coeff in _embedded_coeffs(h, table).items():
-        if not coeff.is_zero:
-            term = coeff * divided_diff(a_pts, l + k - 1) * divided_diff(b_pts, l - 1)
-            _accumulate(out, term.terms.items())
-    return LaurentPoly(table, out) * math.prod(b_pts, start=table.one())
+    parts = [(l, divided_diff(a_pts, l + k - 1) * divided_diff(b_pts, l - 1))
+             for l, coeff in h.coeffs.items() if not coeff.is_zero]
+    return _weighted(parts, h, table) * math.prod(b_pts, start=table.one())
 
 
 def g2k_hl_scaled_dd(k: int, h: TrigPoly) -> LaurentPoly:
@@ -518,19 +541,19 @@ def g2k_hl_scaled_hom(k: int, h: TrigPoly) -> LaurentPoly:
     from the l = 0 coefficient cancels the ``- Z_H`` exactly.
     """
     table = table_for(k, h)
-    ds = _hom_double_sum(k, h, table, e_monomials(table, k))
-    return (ds * _sign(k)).normal_form()
+    parts = _pair_parts(k, h.degree, table, e_monomials(table, k), table.one())
+    return (_weighted(parts, h, table) * _sign(k)).normal_form()
 
 
 def _pair_parts(k: int, d: int, table: VarTable, neg_pts: Sequence[LaurentPoly],
                 scale: LaurentPoly) -> list:
-    """``(l, scale * pos_l, scale * neg_l)`` for l = k..d by complete homogeneous sums.
+    """``(l, scale * pos_l)`` and ``(-l, scale * neg_l)`` for l = k..d.
 
-    ``pos_l = h_l(a) * prod(b) * h_{l-k}(b)`` and ``neg_l = h_l(neg_pts) *
-    prod(d) * h_{l-k}(d)``; the negative point set is e (quotient ring) or
-    c (cleared exponents), and ``scale`` is a monomial.  The parts have
-    integer coefficients and no unit symbol: they do not depend on the
-    weight, only on its degree.
+    By complete homogeneous sums, ``pos_l = h_l(a) * prod(b) * h_{l-k}(b)``
+    and ``neg_l = h_l(neg_pts) * prod(d) * h_{l-k}(d)``; the negative point
+    set is e (quotient ring) or c (cleared exponents), and ``scale`` is a
+    monomial.  The parts have integer coefficients and no unit symbol: they
+    do not depend on the weight, only on its degree.
     """
     b_pts = b_monomials(table, k)
     d_pts = d_monomials(table, k)
@@ -538,19 +561,10 @@ def _pair_parts(k: int, d: int, table: VarTable, neg_pts: Sequence[LaurentPoly],
     prod_d = math.prod(d_pts, start=scale)
     h_a, h_b = hom_sums(a_monomials(table, k), d), hom_sums(b_pts, d - k)
     h_neg, h_d = hom_sums(neg_pts, d), hom_sums(d_pts, d - k)
-    return [(l, h_a[l] * prod_b * h_b[l - k], h_neg[l] * prod_d * h_d[l - k])
-            for l in range(k, d + 1)]
-
-
-def _hom_double_sum(k: int, h: TrigPoly, table: VarTable,
-                    neg_pts: Sequence[LaurentPoly]) -> LaurentPoly:
-    """``sum_{l=k}^{d} h_l * pos_l + h_{-l} * neg_l`` over :func:`_pair_parts`."""
-    hc = _embedded_coeffs(h, table)
-    out: dict = {}
-    for l, pos, neg in _pair_parts(k, h.degree, table, neg_pts, table.one()):
-        _accumulate(out, (hc[l] * pos).terms.items())
-        _accumulate(out, (hc[-l] * neg).terms.items())
-    return LaurentPoly(table, out)
+    out = []
+    for l in range(k, d + 1):
+        out += [(l, h_a[l] * prod_b * h_b[l - k]), (-l, h_neg[l] * prod_d * h_d[l - k])]
+    return out
 
 
 @dataclass
@@ -676,87 +690,53 @@ def constant_sum_check(k: int) -> GaussianRational:
 # -- per-site expansion polynomial (phi-ready form) -----------------------------------
 
 
+def _site_part_list(k: int, d: int, table: VarTable) -> list:
+    """``(0, (-1)^{k+1} U)`` and the :func:`_pair_parts` over the c points scaled
+    by ``U = (prod x_i y_i)^{2k}``: the parts of the degree-2k site polynomial."""
+    unit = table.pair_monomial([2 * k] * k, [2 * k] * k)
+    return [(0, unit * _sign(k))] + _pair_parts(k, d, table, c_monomials(table, k), unit)
+
+
 def site_poly(k: int, h: TrigPoly) -> LaurentPoly:
     """The degree-2k site polynomial with all exponents cleared to >= 0.
 
-    Assembles the double sum per degree with the positive-composition
-    rewriting of the negative part (monomials c and d), adds the constant
-    ``h_0 * (-1)^{k+1}``, and multiplies by ``(prod x_i y_i)^{2k}``.  The
-    result lies in the plain polynomial ring; a negative exponent would
-    mean a broken identity and raises.  :func:`site_route` compiles the
-    same sum from its weight-free parts; this exact form is its oracle.
+    The double sum per degree with the positive-composition rewriting of
+    the negative part (monomials c and d), plus the constant ``h_0 *
+    (-1)^{k+1}``, times ``(prod x_i y_i)^{2k}``.  The result lies in the
+    plain polynomial ring; a negative exponent would mean a broken identity
+    and raises.  :func:`site_route` weights the same parts numerically.
     """
     if k > h.degree:
         raise ModelError("k cannot exceed the weight degree")
     table = table_for(k, h)
-    total = (h.coeffs[0].embed(table) * _sign(k)
-             + _hom_double_sum(k, h, table, c_monomials(table, k)))
-    out = total * table.pair_monomial([2 * k] * k, [2 * k] * k)
+    out = _weighted(_site_part_list(k, h.degree, table), h, table)
     if not in_polynomial_ring(out):
         raise ModelError("site polynomial has a negative exponent")
     return out
 
 
-@dataclass(frozen=True)
-class SiteRoute:
-    """``site_poly(k, h)`` for k = 1..d, compiled for :func:`site_functional`.
-
-    ``prefs[k-1] = (-1)^{k+1} / (k Z_H)``; ``program`` holds polynomial k
-    at position k - 1, one row per distinct product of pair factors.
-    """
-
-    prefs: tuple
-    program: PhiProgram
-
-    @property
-    def block(self) -> int:
-        """Sites per block in :func:`site_functional`.
-
-        Its widest intermediates, the pair factors and one polynomial's term
-        products, then hold at most ``SITE_ELEMENTS`` entries each: wide
-        blocks for a small program, where numpy's per-call cost dominates,
-        narrow ones for a large program.  A block holds at least one site,
-        so a polynomial of more than ``SITE_ELEMENTS`` rows bounds working
-        memory by its own row count instead.
-        """
-        program = self.program
-        return max(1, SITE_ELEMENTS // max(len(program.shifts), *map(len, program.coeffs)))
-
-
 def _site_parts(k: int, h: TrigPoly) -> list:
-    """``site_poly(k, h)`` as ``(weight, part)`` pairs for :func:`phi_program`.
+    """``pref_k * site_poly(k, h)`` as ``(weight, part)`` pairs: the parts of
+    :func:`_site_part_list` over the pair variables alone, weighted by the
+    numeric ``pref_k * h_l`` with ``pref_k = (-1)^{k+1} / (k Z_H)``.  Parts
+    whose exact h_l is zero are left out, as they are from the exact sum."""
+    pref = (-1) ** (k + 1) / (k * h.z_h_numeric())
+    return [(pref * h.coeff_numeric(l), part)
+            for l, part in _site_part_list(k, h.degree, VarTable.build(k))
+            if not h.coeffs[l].is_zero]
 
-    The parts are ``U``, ``pos_l * U`` and ``neg_l * U`` (:func:`_pair_parts`
-    over the c points) with ``U = (prod x_i y_i)^{2k}``, built over the
-    pair variables alone; their weights are the numeric ``(-1)^{k+1} h_0``,
-    ``h_l`` and ``h_{-l}``.  A part whose exact coefficient is zero is left
-    out, as it is from the exact sum.
+
+def site_route(h: TrigPoly) -> PhiProgram:
+    """``pref_k * site_poly(k, h)`` for k = 1..d, compiled for :func:`site_functional`.
+
+    Polynomial k, at position k - 1, is compiled from :func:`_site_parts`,
+    not from the exact ``site_poly(k, h)``, which would carry each h_l's
+    unit symbols into every term; phi of the two agrees to rounding.
     """
-    table = VarTable.build(k)
-    unit = table.pair_monomial([2 * k] * k, [2 * k] * k)
-    out = [((-1) ** (k + 1) * h.coeff_numeric(0), unit)]
-    for l, pos, neg in _pair_parts(k, h.degree, table, c_monomials(table, k), unit):
-        out += [(h.coeff_numeric(m), part) for m, part in ((l, pos), (-l, neg))
-                if not h.coeffs[m].is_zero]
-    return out
+    return phi_program([_site_parts(k, h) for k in range(1, h.degree + 1)], {})
 
 
-def site_route(h: TrigPoly) -> SiteRoute:
-    """Compile every site polynomial of h once, from its weight-free parts.
-
-    Polynomial k is compiled from :func:`_site_parts` rather than from the
-    exact ``site_poly(k, h)``, which would carry each ``h_l``'s unit
-    symbols into every term; phi of the two agrees to rounding.  Raises
-    :class:`ModelError` on a negative exponent, which would mean a broken
-    identity.
-    """
-    d = h.degree
-    z_h = h.z_h_numeric()
-    prefs = tuple((-1) ** (k + 1) / (k * z_h) for k in range(1, d + 1))
-    return SiteRoute(prefs, phi_program([_site_parts(k, h) for k in range(1, d + 1)], {}))
-
-
-def site_functional(a: np.ndarray, n: int, route: SiteRoute) -> float:
+def site_functional(a: np.ndarray, n: int, route: PhiProgram) -> float:
     """Per-site reformulation of the sum-rule functional.
 
     ``sum_{j<n} [ sum_k pref_k * phi_2k(site_poly(k)) - log(1-|a_j|^2)
@@ -767,25 +747,23 @@ def site_functional(a: np.ndarray, n: int, route: SiteRoute) -> float:
 
     ``a`` holds the validated coefficients from the first site on, at
     least ``n + max_shift + 1`` of them; ``route`` is :func:`site_route` of
-    the weight, built once and reused for every n.  Site j reads only
-    ``a_j .. a_{j + max_shift}``, so its term does not depend on n, and
-    ``site_functional(head[m:], n - m, route)`` is the share of sites m ..
-    n-1 in the value at n: a study adds these segments up instead of
-    starting again from site 0.  Sites are evaluated ``route.block`` at a
-    time by :func:`phi_sites`, so working memory is bounded by
+    the weight, built once and reused for every n.  Its polynomials carry
+    their pref_k, so a site's k-sum is the sum of its :func:`phi_sites`
+    values.  Site j reads only ``a_j .. a_{j + max_shift}``, so its term
+    does not depend on n, and ``site_functional(head[m:], n - m, route)``
+    is the share of sites m .. n-1 in the value at n: a study adds these
+    segments up instead of starting again from site 0.  Sites are
+    evaluated ``route.block`` at a time, so working memory is bounded by
     ``SITE_ELEMENTS``, not by n.
     """
-    program = route.program
     block = route.block
-    a_conj = np.conj(a[:n + program.max_shift + 1])
+    a_conj = np.conj(a[:n + route.max_shift + 1])
     total = 0.0
     for start in range(0, n, block):
         stop = min(start + block, n)
-        site = np.zeros(stop - start, dtype=complex)
-        for pref, acc in zip(route.prefs, phi_sites(program, a, a_conj, start, stop)):
-            site += pref * acc
+        site = sum(phi_sites(route, a, a_conj, start, stop))
         mod2 = np.abs(a[start:stop]) ** 2
-        power_part = sum(mod2 ** k / k for k in range(1, len(route.prefs) + 1))
+        power_part = sum(mod2 ** k / k for k in range(1, len(route.coeffs) + 1))
         total += float(np.sum(site.real - np.log1p(-mod2) - power_part))
     return total
 
@@ -803,13 +781,8 @@ class ProductCheckResult:
 
 def h_at_pair_monomial(h: TrigPoly, table: VarTable) -> LaurentPoly:
     """``H(x1 * y1^2)``, the weight evaluated at ``a_{1,1} b_{1,1}``."""
-    out = table.zero()
-    for l in range(-h.degree, h.degree + 1):
-        coeff = h.coeffs[l].embed(table)
-        if coeff.is_zero:
-            continue
-        out = out + coeff * table.pair_monomial([l], [2 * l])
-    return out
+    parts = [(l, table.pair_monomial([l], [2 * l])) for l in range(-h.degree, h.degree + 1)]
+    return _weighted(parts, h, table)
 
 
 def critical_product(h: TrigPoly, table: VarTable) -> LaurentPoly:

@@ -272,7 +272,7 @@ def convergence_study(family: SequenceFamily, points: CriticalPoints,
     alpha = family.sequence()
     h = build_h(points, "exact")
     route = site_route(h)
-    head = alpha.head(schedule[-1] + max(route.program.max_shift + 1, points.degree))
+    head = alpha.head(schedule[-1] + max(route.max_shift + 1, points.degree))
     trace_values = []
     site_values = []
     log_sums = []

@@ -29,7 +29,7 @@ above d - m cannot be brought back to the diagonal by the at most d - m
 factors still to come.  :func:`trace_powers` keeps exactly those offsets,
 so it is exact, not an approximation, and costs O(N * d^3) time and
 O(N * d) memory instead of O(d * N^3) and O(N^2).  This is the
-closed-walk structure that ``algmodel.trace_symbolic`` enumerates.  The
+closed-walk structure that ``algmodel.diagonal_entry`` enumerates.  The
 dense N x N fill lives in the tests, as the oracle of this route.
 """
 
@@ -52,12 +52,20 @@ class OpucError(Exception):
     pass
 
 
+def _check_modulus(values: np.ndarray) -> np.ndarray:
+    """``values``, once every entry is checked to satisfy |alpha| < 1 (NaN fails)."""
+    if not np.all(np.abs(values) < 1.0):
+        raise OpucError("Verblunsky coefficients must satisfy |alpha| < 1")
+    return values
+
+
 class VerblunskySeq:
     """A coefficient sequence ``alpha_0, alpha_1, ...`` with |alpha_n| < 1.
 
     ``fn`` is a vectorised generator: it maps an index array (entries >= 0)
     to the complex array of the coefficients there.  :meth:`head` evaluates
-    it and is the one place that checks |alpha| < 1.  ``support`` is the
+    it and checks |alpha| < 1 by :func:`_check_modulus`, which
+    :meth:`from_values` applies to its stored values.  ``support`` is the
     length of the nonzero head for finitely supported sequences, or None.
     """
 
@@ -67,21 +75,17 @@ class VerblunskySeq:
 
     @staticmethod
     def from_values(values: Sequence[complex]) -> "VerblunskySeq":
-        """The stored values followed by zeros, validated by :meth:`head`."""
-        vals = np.asarray(values, dtype=complex)
+        """The stored values, validated as they are stored, followed by zeros."""
+        vals = _check_modulus(np.asarray(values, dtype=complex))
         padded = np.append(vals, 0.0)
-        seq = VerblunskySeq(lambda n: padded[np.minimum(n, vals.size)], support=vals.size)
-        seq.head(vals.size)
-        return seq
+        return VerblunskySeq(lambda n: padded[np.minimum(n, vals.size)], support=vals.size)
 
     def head(self, n: int) -> np.ndarray:
         """``alpha_0 .. alpha_{n-1}`` as an array, validating |alpha| < 1."""
         out = np.asarray(self._fn(np.arange(n)), dtype=complex)
         if out.shape != (n,):
             raise OpucError("a coefficient generator must return one value per index")
-        if not np.all(np.abs(out) < 1.0):
-            raise OpucError("Verblunsky coefficients must satisfy |alpha| < 1")
-        return out
+        return _check_modulus(out)
 
 
 class GGTCorner:

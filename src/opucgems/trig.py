@@ -99,6 +99,7 @@ class CriticalPoints:
             if unknown:
                 raise TrigError(f"critical point has no key {unknown[0]!r}")
             raw = entry.get("thetaOverPi")
+            bad = f'critical angle {raw!r} must be a number, a "p/q" string or null'
             if raw is None:
                 angles.append(None)
             elif isinstance(raw, str):
@@ -106,10 +107,12 @@ class CriticalPoints:
                     angles.append(Fraction(raw))
                 except ZeroDivisionError:
                     raise TrigError(f"critical angle {raw!r} has a zero denominator") from None
-            elif isinstance(raw, bool):
-                raise TrigError(f"unsupported angle {raw!r}")
-            else:
+                except ValueError:
+                    raise TrigError(bad) from None
+            elif isinstance(raw, (int, float)) and not isinstance(raw, bool):
                 angles.append(float(raw))
+            else:
+                raise TrigError(bad)
             if "m" not in entry:
                 raise TrigError("critical point needs key 'm'")
             mults.append(entry["m"])

@@ -212,7 +212,7 @@ def test_acceptance_6_site_vs_trace_agreement():
         h_num = build_h(points, "numeric")
         route = site_route(build_h(points, "exact"))
         n0 = support + 2 * d * (d + 1) + 1
-        head = alpha.head(n0 + 17 + route.program.max_shift + 1)
+        head = alpha.head(n0 + 17 + route.max_shift + 1)
         trace_base = sum_rule_functional(head, n0, h_num)
         site_base = site_functional(head, n0, route)
         for n in (n0 + 5, n0 + 17):

@@ -16,7 +16,6 @@ from opucgems.algmodel import (
     GaussianRational,
     ModelError,
     PhiProgram,
-    SiteRoute,
     a_monomials,
     b_monomials,
     basis_relation_check,
@@ -51,7 +50,7 @@ from opucgems.algmodel import (
     trace_table,
 )
 from opucgems.lab import SequenceFamily, convergence_study
-from opucgems.laurent import LaurentPoly, VarTable, exact_div, substitute
+from opucgems.laurent import LaurentPoly, VarTable, divided_diff, exact_div, substitute
 from opucgems.opuc import OpucError, VerblunskySeq, ggt_matrix, trace_powers
 from opucgems.trig import CriticalPoints, build_h
 from oracles import (
@@ -106,9 +105,10 @@ def test_enum_tuples_satisfy_constraints():
 
 
 def phi_eval(p, head, n, unit_values=None):
-    """``[phi_2k(p)]_n``: :func:`phi_sites` of ``phi_program([p])`` at one site."""
+    """``[phi_2k(p)]_n``: :func:`phi_sites` of ``phi_program([[(1, p)]])`` at one site."""
     a = head[n:]
-    return complex(phi_sites(phi_program([p], unit_values or {}), a, np.conj(a), 0, 1)[0][0])
+    program = phi_program([[(1, p)]], unit_values or {})
+    return complex(phi_sites(program, a, np.conj(a), 0, 1)[0][0])
 
 
 def test_phi_basic_monomial():
@@ -424,6 +424,38 @@ def test_route_equivalence_with_exact_fixed_angles():
     h = build_h(CriticalPoints.from_pairs([(Fraction(0), 1), (Fraction(1, 2), 1)]))
     assert g2k_routes_check(1, h).passed
     assert g2k_routes_check(2, h).passed
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_route_parts_agree_degree_by_degree(k):
+    # each route is linear in h_l: per degree l, the weight-free part that
+    # h_l multiplies has one normal form on all three routes
+    d = 4
+    table = VarTable.build(k, units=("z1", "z2"))
+    units = [i for i, kind in enumerate(table.kinds) if kind == "z"]
+    sign = algmodel._sign(k)
+    zero = table.zero()
+    unit = table.pair_monomial([2 * k] * k, [2 * k] * k)
+    trace = dict(algmodel._trace_parts(k, d, table))
+    hom_parts = algmodel._pair_parts(k, d, table, e_monomials(table, k), table.one())
+    site_parts = algmodel._pair_parts(k, d, table, c_monomials(table, k), unit)
+    for _, part in hom_parts + site_parts:
+        for e, c in part.terms.items():
+            assert not any(e[i] for i in units)
+            assert c.b == 0 and c.d == 1
+    hom = dict(hom_parts)
+    assert set(trace) == set(hom) == {s * l for l in range(k, d + 1) for s in (1, -1)}
+    a_pts, b_pts = a_monomials(table, k), b_monomials(table, k)
+    prod_b = math.prod(b_pts, start=table.one())
+    for l in range(-d, d + 1):
+        dd = (divided_diff(a_pts, l + k - 1) * divided_diff(b_pts, l - 1) * prod_b
+              * sign).normal_form()
+        if l == 0:
+            assert dd == table.one()
+            continue
+        # below degree k neither the trace nor the hom route has a part
+        assert (trace.get(l, zero) * sign).normal_form() == dd
+        assert (hom.get(l, zero) * sign).normal_form() == dd
 
 
 # SHA-256 of to_text() for fixed inputs: the exact normal forms, pinned byte for byte
@@ -758,7 +790,7 @@ def site_functional_loop(alpha, n, h):
 
 def site_head(alpha, n, route):
     """The coefficients the site route reads at n, from one ``head`` call."""
-    return alpha.head(n + route.program.max_shift + 1)
+    return alpha.head(n + route.max_shift + 1)
 
 
 def given_family(seq):
@@ -844,7 +876,7 @@ def test_site_route_equals_per_site_loop(n, h, alpha, bad, at):
     assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
     # one coefficient at |alpha| >= 1 or NaN anywhere a study at n reads,
     # the site route's look-ahead past n included, rejects the study
-    look_ahead = max(route.program.max_shift + 1, h.degree)
+    look_ahead = max(route.max_shift + 1, h.degree)
     values = alpha.head(n + look_ahead)
     values[at % (n + look_ahead)] = bad
     broken = VerblunskySeq(lambda m: values[m])
@@ -869,17 +901,25 @@ def test_site_route_blocks_cover_every_site(pairs, blocks, extra):
         <= 1e-12 * max(1.0, abs(want))
 
 
+def scaled_site_polys(h):
+    """The exact site polynomials, each scaled by pref_k = (-1)^{k+1} / (k Z_H),
+    compiled term by term."""
+    z_h = h.z_h_numeric()
+    return phi_program([[((-1) ** (k + 1) / (k * z_h), site_poly(k, h))]
+                        for k in range(1, h.degree + 1)], h.unit_values())
+
+
 @settings(max_examples=20, deadline=None)
 @given(h=exact_weights(), alpha=bounded_sequences(), start=st.integers(0, 60))
 def test_site_route_program_equals_compiled_site_polys(h, alpha, start):
     # the route compiled from weight-free parts against the exact site polynomials
     route = site_route(h)
-    oracle = phi_program([site_poly(k, h) for k in range(1, h.degree + 1)], h.unit_values())
-    assert route.program.max_shift == oracle.max_shift
+    oracle = scaled_site_polys(h)
+    assert route.max_shift == oracle.max_shift
     stop = start + 7
     a = alpha.head(stop + oracle.max_shift)
     a_conj = np.conj(a)
-    got = phi_sites(route.program, a, a_conj, start, stop)
+    got = phi_sites(route, a, a_conj, start, stop)
     want = phi_sites(oracle, a, a_conj, start, stop)
     for g, w in zip(got, want, strict=True):
         assert np.all(np.abs(g - w) <= 1e-12 * np.maximum(1.0, np.abs(w)))
@@ -891,8 +931,7 @@ def test_compiled_rows_are_distinct_products_of_pair_factors(pairs):
     # phi of a row is its coefficient times a product of pair factors; rows
     # with the same factors, in any pair order, are merged into one
     h = build_h(CriticalPoints.from_pairs(pairs))
-    oracle = phi_program([site_poly(k, h) for k in range(1, h.degree + 1)], h.unit_values())
-    for program in (site_route(h).program, oracle):
+    for program in (site_route(h), scaled_site_polys(h)):
         for slots in program.slots:
             products = [tuple(sorted(program.shifts[i] for i in row)) for row in slots.tolist()]
             assert len(set(products)) == len(products)
@@ -904,11 +943,10 @@ def test_site_block_holds_one_site_past_the_element_budget():
     rows = SITE_ELEMENTS + 1
     program = PhiProgram(((0, 0),), (np.full(rows, 1 / rows, dtype=complex),),
                          (np.zeros((rows, 1), dtype=np.intp),), 0)
-    route = SiteRoute((1.0,), program)
-    assert route.block == 1
+    assert program.block == 1
     a = 0.5 * np.exp(-0.7j * np.arange(4))
     want = -float(np.sum(np.log1p(-np.abs(a[:3]) ** 2)))
-    assert abs(site_functional(a, 3, route) - want) <= 1e-12
+    assert abs(site_functional(a, 3, program) - want) <= 1e-12
 
 
 def test_site_functional_at_n_20000_stays_small_in_memory():

@@ -187,7 +187,8 @@ def study_must_not_run(*args):
 # (command with any options, input data, replacement for lab.convergence_study or None)
 MALFORMED = [
     ("gem", {"family": {"name": "finiteSupport", "values": [[math.nan, 0.0]]}}, None),
-    ("gem", {"criticalPoints": [{"thetaOverPi": "abc", "m": 1}]}, None),
+    ("gem", {"criticalPoints": [{"thetaOverPi": "abc", "m": 1}]}, None,
+     """critical angle 'abc' must be a number, a "p/q" string or null"""),
     ("gem", {"family": {"name": "powerDecay", "c": "zz", "gamma": 1.0}}, None),
     ("gem", {"schedule": [10, "x"]}, None),
     ("gem", {"criticalPoints": [{"thetaOverPi": 0.0, "m": 3}], "schedule": [2, 20]},
@@ -238,6 +239,10 @@ MALFORMED = [
      "critical angle '1/0' has a zero denominator"),
     ("gem", {"criticalPoints": [{"thetaOverPi": 0.3, "m": 40}], "schedule": [100]}, None,
      "weight degree 40 exceeds the ceiling of 8 for compiling the site route"),
+    ("gem", {"criticalPoints": [{"thetaOverPi": [1], "m": 1}]}, study_must_not_run,
+     'critical angle [1] must be a number, a "p/q" string or null'),
+    ("gem", {"criticalPoints": [{"thetaOverPi": {"a": 1}, "m": 1}]}, study_must_not_run,
+     """critical angle {'a': 1} must be a number, a "p/q" string or null"""),
 ]
 
 
@@ -255,7 +260,7 @@ MALFORMED = [
     "gem-config-unknown-key", "gem-point-unknown-key", "gem-c-numeric-text",
     "gem-gamma-text", "gem-phase-text", "gem-values-pair-short", "gem-values-number",
     "gem-values-flat", "gem-name-list", "gem-family-text", "gem-angle-zero-denominator",
-    "gem-degree-above-ceiling"])
+    "gem-degree-above-ceiling", "gem-angle-list", "gem-angle-dict"])
 @pytest.mark.filterwarnings("error")
 def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch,
                                                command, data, study, message):

@@ -141,7 +141,7 @@ def test_head_equals_per_index_oracle(family, n, as_file):
 ONE_POINT = CriticalPoints.from_pairs([(0.3, 1)])
 ONE_POINT_ROUTE = site_route(build_h(ONE_POINT))
 # the look-ahead of a study's one head past its largest N
-ONE_POINT_LOOK_AHEAD = max(ONE_POINT_ROUTE.program.max_shift + 1, ONE_POINT.degree)
+ONE_POINT_LOOK_AHEAD = max(ONE_POINT_ROUTE.max_shift + 1, ONE_POINT.degree)
 
 
 def given_family(seq):
@@ -274,7 +274,7 @@ def head_per_consumer_study(family, points, schedule):
     for n in schedule:
         log_sum = log_term(alpha.head(n))
         trace_values.append(float(trace_v(ggt_matrix(alpha.head(n), n), h) - log_sum))
-        site_head = alpha.head(n + route.program.max_shift + 1)
+        site_head = alpha.head(n + route.max_shift + 1)
         site_values.append(float(site_functional(site_head, n, route)))
         log_sums.append(float(log_sum))
     n = schedule[-1]

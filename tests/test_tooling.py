@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -24,22 +25,43 @@ def load_workloads():
     return module.WORKLOADS
 
 
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 WORKLOADS = load_workloads()
+REFERENCE = json.loads((PERFBENCH / "reference.json").read_text())
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_every_workload_runs_one_tiny_pass(name):
     # the calls each benchmark workload makes into the package still exist and pass
-    reference = json.loads((PERFBENCH / "reference.json").read_text())
-    result = WORKLOADS[name](seed=1, reference=reference, tiny=True).run_pass()
+    result = WORKLOADS[name](seed=1, reference=REFERENCE, tiny=True).run_pass()
     assert result.attempted > 0
     assert result.failures == []
 
 
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_every_workload_runs_one_traced_tiny_pass(name):
+    # a traced pass rebinds the wrapped names; the workload must still pass
+    # and the tracer must report its per-layer metrics
+    workload = WORKLOADS[name](seed=1, reference=REFERENCE, tiny=True)
+    with load_tracer().Tracer() as tracer:
+        start = time.perf_counter()
+        result = workload.run_pass()
+        metrics = tracer.metrics(time.perf_counter() - start)
+    assert result.attempted > 0
+    assert result.failures == []
+    if name == "verify-routes":
+        for builder in ("g2k_trace_scaled", "g2k_hl_scaled_dd", "g2k_hl_scaled_hom"):
+            assert metrics[f"algmodel.{builder}.calls"] > 0
+
+
 def test_tracer_targets_exist():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = load_tracer()
     missing = [f"{prefix}: {owner.__name__}.{attr}"
                for prefix, targets in tracer.TARGETS.items()
                for owner, attr in targets if attr not in owner.__dict__]
@@ -47,9 +69,7 @@ def test_tracer_targets_exist():
 
 
 def test_tracer_sees_one_trace_route_call_per_schedule_point():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = load_tracer()
     schedule = (10, 20, 40)
     with module.Tracer() as tracer:
         convergence_study(SequenceFamily.power_decay(0.3, 1.0),
@@ -61,9 +81,7 @@ def test_tracer_sees_one_trace_route_call_per_schedule_point():
 
 
 def test_tracer_sees_one_site_route_compile_per_study(monkeypatch):
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = load_tracer()
     schedule = (10, 20, 40)
     points = CriticalPoints.from_pairs([(0.3, 2), (1.2, 1)])
     compiles = []
@@ -84,11 +102,24 @@ def test_tracer_sees_one_site_route_compile_per_study(monkeypatch):
 
 
 def test_tracer_sees_one_weight_build_per_study():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = load_tracer()
     with module.Tracer() as tracer:
         convergence_study(SequenceFamily.power_decay(0.3, 1.0),
                           CriticalPoints.from_pairs([(0.3, 2), (1.2, 1)]), (10, 20, 40))
     # the trace route and the site route share one exact weight
     assert tracer.calls["trig.build_h"] == 1
+
+
+@pytest.mark.parametrize("stored", ["finiteSupport", "file"])
+def test_tracer_sees_one_head_call_per_stored_values_study(tmp_path, stored):
+    # stored values are checked as they are stored, not by a head call
+    values = [[0.3, 0.0], [0.2, -0.1]]
+    if stored == "file":
+        path = tmp_path / "alphas.json"
+        path.write_text(json.dumps(values))
+        family = SequenceFamily.from_file(str(path))
+    else:
+        family = SequenceFamily.finite_support([complex(*v) for v in values])
+    with load_tracer().Tracer() as tracer:
+        convergence_study(family, CriticalPoints.from_pairs([(0.0, 2)]), (10, 20, 40))
+    assert tracer.calls["opuc.head"] == 1
