@@ -506,7 +506,39 @@ def g2k_trace_scaled(k: int, h: TrigPoly) -> LaurentPoly:
     if k < 1:
         raise ModelError("k must be positive")
     table = table_for(k, h)
-    return (_weighted(_trace_parts(k, h.degree, table), h, table) * _sign(k)).normal_form()
+    return _weighted(_normal_forms(_trace_parts(k, h.degree, table)), h, table) * _sign(k)
+
+
+def _dd_parts(k: int, h: TrigPoly, table: VarTable) -> list:
+    """``(l, D(a)(t^{l+k-1}) * prod b * D(b)(t^{l-1}))`` for each l with h_l != 0.
+
+    The divided differences run over the k points ``a_1..a_k`` and
+    ``b_1..b_k``, and one of ``t^m`` over k points is zero exactly when
+    ``0 <= m <= k-2``.  The factor with the smaller power, ``D(b)(t^{l-1})``
+    for l >= 0 and ``D(a)(t^{l+k-1})`` for l < 0, is formed first and is the
+    one that can vanish: for ``1 <= l < k`` and for ``1-k <= l < 0``.  Those
+    parts are left out without forming the other factor; the rest take
+    ``prod b`` into the short factor before the long product.
+    """
+    a_pts = a_monomials(table, k)
+    b_pts = b_monomials(table, k)
+    prod_b = math.prod(b_pts, start=table.one())
+    out = []
+    for l, coeff in h.coeffs.items():
+        if coeff.is_zero:
+            continue
+        short, long = (((b_pts, l - 1), (a_pts, l + k - 1)) if l >= 0
+                       else ((a_pts, l + k - 1), (b_pts, l - 1)))
+        f = divided_diff(*short)
+        if not f.is_zero:
+            out.append((l, f * prod_b * divided_diff(*long)))
+    return out
+
+
+def _normal_forms(parts) -> list:
+    """The parts in normal form.  h_l has no pair exponent, so a weighted sum
+    of normal forms (and a constant added to it) is again in normal form."""
+    return [(l, part.normal_form()) for l, part in parts]
 
 
 def hl_double_sum(k: int, h: TrigPoly) -> LaurentPoly:
@@ -516,21 +548,21 @@ def hl_double_sum(k: int, h: TrigPoly) -> LaurentPoly:
     - 1))``.  Since ``H(t x) = sum_l h_l t^l x^l`` the sum is linear in the
     coefficients h_l, and each power separates into a divided difference
     over the a points times one over the b points:
-    ``prod b_t * sum_l h_l * D(a_1..a_k)(t^{l+k-1}) * D(b_1..b_k)(t^{l-1})``.
-    Any division failure in the recursion signals a broken identity.
+    ``prod b_t * sum_l h_l * D(a_1..a_k)(t^{l+k-1}) * D(b_1..b_k)(t^{l-1})``,
+    the weighted sum of the :func:`_dd_parts`.  The term of l is zero for
+    ``1 <= |l| < k``, where one factor is the divided difference of a power
+    in 0..k-2.  Any division failure in the recursion signals a broken
+    identity.
     """
     table = table_for(k, h)
-    a_pts = a_monomials(table, k)
-    b_pts = b_monomials(table, k)
-    parts = [(l, divided_diff(a_pts, l + k - 1) * divided_diff(b_pts, l - 1))
-             for l, coeff in h.coeffs.items() if not coeff.is_zero]
-    return _weighted(parts, h, table) * math.prod(b_pts, start=table.one())
+    return _weighted(_dd_parts(k, h, table), h, table)
 
 
 def g2k_hl_scaled_dd(k: int, h: TrigPoly) -> LaurentPoly:
     """Divided-difference route for ``k * Z_H * G'_2k`` in normal form."""
-    z_h = h.coeffs[0].embed(table_for(k, h))
-    return (hl_double_sum(k, h) * _sign(k) - z_h).normal_form()
+    table = table_for(k, h)
+    parts = _normal_forms(_dd_parts(k, h, table))
+    return _weighted(parts, h, table) * _sign(k) - h.coeffs[0].embed(table)
 
 
 def g2k_hl_scaled_hom(k: int, h: TrigPoly) -> LaurentPoly:
@@ -542,7 +574,7 @@ def g2k_hl_scaled_hom(k: int, h: TrigPoly) -> LaurentPoly:
     """
     table = table_for(k, h)
     parts = _pair_parts(k, h.degree, table, e_monomials(table, k), table.one())
-    return (_weighted(parts, h, table) * _sign(k)).normal_form()
+    return _weighted(_normal_forms(parts), h, table) * _sign(k)
 
 
 def _pair_parts(k: int, d: int, table: VarTable, neg_pts: Sequence[LaurentPoly],

@@ -24,10 +24,16 @@ nonzero scalars is nonzero, so it scales and shifts term by term.  The
 public constructor drops zero coefficients; the layer's own results,
 which never hold one, are built by :func:`_poly` without that copy.
 
-:func:`exact_div` takes each leading term from a heap of the remainder's
-exponents.  The graded order is translation invariant, so the terms a
-division step adds all rank below the lead it cancels; leads strictly
-decrease, and a heap entry whose exponent has since cancelled is skipped.
+:func:`exact_div` picks its path from the divisor's term count.  A
+monomial divides by its inverse.  A binomial ``c1*X^e1 + c2*X^e2``, such as
+every divisor ``p_{i-j} - p_i`` of a divided difference, maps each line
+``e + Z*(e2 - e1)`` of exponents to itself, so the quotient comes from one
+recurrence along each line of the dividend: a prefix sum when the ratio
+``-c2/c1`` is 1.  A longer divisor takes each leading term from a heap of
+the remainder's exponents.  The graded order is translation invariant, so
+the terms a division step adds all rank below the lead it cancels; leads
+strictly decrease, and a heap entry whose exponent has since cancelled is
+skipped.  Both paths emit the quotient in decreasing graded order.
 """
 
 from __future__ import annotations
@@ -587,10 +593,12 @@ def _heap_entry(exponent: tuple) -> tuple:
 def exact_div(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     """Exact quotient ``p / q``; raises :class:`NonDivisible` otherwise.
 
-    Works in the Laurent ring: monomial factors are stripped first, then
-    ordinary polynomial division runs on the primitive parts with a graded
-    leading-term order.  A nonzero remainder can only appear when ``p`` is
-    genuinely not a multiple of ``q``.
+    Works in the Laurent ring.  A monomial ``q`` multiplies by its inverse,
+    and a two-term ``q`` takes one pass along each line of ``p``'s
+    exponents (:func:`_binomial_div`).  Otherwise monomial factors are
+    stripped first, then ordinary polynomial division runs on the primitive
+    parts with a graded leading-term order.  A nonzero remainder can only
+    appear when ``p`` is genuinely not a multiple of ``q``.
 
     Leading terms come from a heap of the remainder's exponents; an entry
     whose exponent has left the remainder is skipped when popped (the
@@ -603,6 +611,8 @@ def exact_div(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
         return p.table.zero()
     if q.is_monomial:
         return p * q.inverse()
+    if len(q.terms) == 2:
+        return _binomial_div(p, q)
 
     p_shift = _monomial_shift(p)
     q_shift = _monomial_shift(q)
@@ -634,6 +644,60 @@ def exact_div(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     shift = tuple(map(sub, p_shift, q_shift))
     out = {tuple(map(add, e, shift)): c for e, c in quotient.items()}
     return _poly(p.table, out)
+
+
+def _binomial_div(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
+    """``p / q`` for ``q = c1*X^e1 + c2*X^e2``, one pass along each line.
+
+    With ``r = e2 - e1`` and ``rho = -c2/c1``, ``q = c1*X^e1*(1 - rho*X^r)``
+    and the factor ``1 - rho*X^r`` maps each line ``base + Z*r`` of
+    exponents to itself.  Along a line whose terms of p run from ``t = lo``
+    to ``hi``, the quotient's coefficients are ``Q_t = p_t + rho*Q_{t-1}``
+    (``Q_{lo-1} = 0``) for ``t < hi``, and ``Q_hi`` must vanish.  The
+    quotient comes out in decreasing graded order, as the heap division
+    emits its leading terms.
+    """
+    (e1, c1), (e2, c2) = q.terms.items()
+    r = tuple(map(sub, e2, e1))
+    axis = next(i for i, x in enumerate(r) if x)
+    step = r[axis]
+    # the line of e is keyed by base = e - t*r with t = e[axis] // step, so that
+    # base[axis] lies in one fixed residue range of step
+    along: dict = {}
+    lines: dict = {}
+    for e, c in p.terms.items():
+        t = e[axis] // step
+        offset = along.get(t)
+        if offset is None:
+            offset = along[t] = tuple(t * x for x in r)
+        base = tuple(map(sub, e, offset))
+        line = lines.get(base)
+        if line is None:
+            lines[base] = {t: c}
+        else:
+            line[t] = c
+    rho = -c2 / c1
+    unit_rho = rho == GR_ONE
+    inv = None if c1 == GR_ONE else GR_ONE / c1
+    at: dict = {}  # t -> t*r - e1, the shift from a line's base to its quotient term
+    out = {}
+    for base, line in lines.items():
+        lo, hi = min(line), max(line)
+        acc = line[lo]
+        for t in range(lo, hi):
+            if acc:
+                shift = at.get(t)
+                if shift is None:
+                    shift = at[t] = tuple(t * x - y for x, y in zip(r, e1))
+                out[tuple(map(add, base, shift))] = acc if inv is None else acc * inv
+            if not unit_rho:
+                acc = rho * acc
+            c = line.get(t + 1)
+            if c is not None:
+                acc = acc + c
+        if acc:
+            raise NonDivisible("remainder at the top of a line")
+    return _poly(p.table, {e: out[e] for e in sorted(out, key=_grlex_key, reverse=True)})
 
 
 # -- substitution ---------------------------------------------------------------

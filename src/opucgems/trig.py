@@ -110,7 +110,7 @@ class CriticalPoints:
                 except ValueError:
                     raise TrigError(bad) from None
             elif isinstance(raw, (int, float)) and not isinstance(raw, bool):
-                angles.append(float(raw))
+                angles.append(_angle_float(raw))
             else:
                 raise TrigError(bad)
             if "m" not in entry:
@@ -144,8 +144,17 @@ class CriticalPoints:
         for theta in self.angles:
             if theta is None:
                 raise TrigError("generic angle has no numeric value")
-            out.append(float(theta) * math.pi)
+            out.append(_angle_float(theta) * math.pi)
         return out
+
+
+def _angle_float(theta) -> float:
+    """``float(theta)`` for an angle over pi; an int or Fraction beyond the
+    float range is a :class:`TrigError`, not an ``OverflowError``."""
+    try:
+        return float(theta)
+    except OverflowError:
+        raise TrigError("critical angle is too large for a float") from None
 
 
 @dataclass(frozen=True)

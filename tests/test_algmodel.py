@@ -356,6 +356,17 @@ def test_hl_double_sum_first_degree_is_h_at_pair_monomial():
     assert ds == expected
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_dd_factors_vanish_exactly_where_the_parts_are_skipped(k):
+    # the premise of _dd_parts: D(b)(t^{l-1}) = 0 iff 1 <= l < k and
+    # D(a)(t^{l+k-1}) = 0 iff 1-k <= l < 0, over |l| <= k
+    table = VarTable.build(k)
+    a_pts, b_pts = a_monomials(table, k), b_monomials(table, k)
+    for l in range(-k, k + 1):
+        assert divided_diff(b_pts, l - 1).is_zero == (1 <= l < k)
+        assert divided_diff(a_pts, l + k - 1).is_zero == (1 - k <= l < 0)
+
+
 def oracle_divided_diff(points, f, var):
     """Divided difference of a Laurent ``f`` in ``var``, by substituting each point."""
     memo = {}

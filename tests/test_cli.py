@@ -243,6 +243,10 @@ MALFORMED = [
      'critical angle [1] must be a number, a "p/q" string or null'),
     ("gem", {"criticalPoints": [{"thetaOverPi": {"a": 1}, "m": 1}]}, study_must_not_run,
      """critical angle {'a': 1} must be a number, a "p/q" string or null"""),
+    ("gem", {"criticalPoints": [{"thetaOverPi": 10 ** 400, "m": 1}]}, study_must_not_run,
+     "critical angle is too large for a float"),
+    ("gem", {"criticalPoints": [{"thetaOverPi": f"{10 ** 400}/1", "m": 1}]}, None,
+     "critical angle is too large for a float"),
 ]
 
 
@@ -260,7 +264,8 @@ MALFORMED = [
     "gem-config-unknown-key", "gem-point-unknown-key", "gem-c-numeric-text",
     "gem-gamma-text", "gem-phase-text", "gem-values-pair-short", "gem-values-number",
     "gem-values-flat", "gem-name-list", "gem-family-text", "gem-angle-zero-denominator",
-    "gem-degree-above-ceiling", "gem-angle-list", "gem-angle-dict"])
+    "gem-degree-above-ceiling", "gem-angle-list", "gem-angle-dict", "gem-angle-int-huge",
+    "gem-angle-text-huge"])
 @pytest.mark.filterwarnings("error")
 def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch,
                                                command, data, study, message):

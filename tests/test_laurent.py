@@ -665,3 +665,46 @@ def test_heap_division_rejects_non_multiples_like_the_oracle(p, q, r):
         max_scan_exact_div(f, q)
     with pytest.raises(NonDivisible):
         exact_div(f, q)
+
+
+# -- binomial division ----------------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys(max_terms=5), polys(min_terms=2, max_terms=2))
+def test_binomial_division_matches_max_scan_oracle(p, q):
+    # random coefficient ratios, exponents in [-2, 2] on the pairs and the unit z1
+    assume(len(q.terms) == 2)
+    got = exact_div(p * q, q)
+    assert list(got.terms.items()) == list(max_scan_exact_div(p * q, q).terms.items())
+    assert got == p
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys(max_terms=5), polys(min_terms=2, max_terms=2), polys(min_terms=1, max_terms=1))
+def test_binomial_division_rejects_non_multiples(p, q, r):
+    assume(len(q.terms) == 2 and r.is_monomial)
+    with pytest.raises(NonDivisible):
+        exact_div(p * q + r, q)
+
+
+def test_binomial_division_with_a_general_ratio():
+    t = table_k1()
+    x1, y1, z1 = vars_k1(t)
+    q = 2 * x1.inverse() * z1 + GaussianRational(Fraction(-1, 3), 1) * y1 ** 2
+    p = GaussianRational(0, Fraction(5, 2)) * z1 ** -2 - x1 * y1 ** -1 + 7 * x1 ** 3
+    got = exact_div(p * q, q)
+    assert got == p
+    assert list(got.terms.items()) == list(max_scan_exact_div(p * q, q).terms.items())
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_binomial_quotient_can_be_denser_than_the_dividend(n):
+    # (u^n - 1)/(u - 1) = 1 + u + ... + u^{n-1}: one line, n quotient terms from two
+    t = VarTable.build(1, units=("u",))
+    u, shift = t.var("u"), t.monomial({"x1": -1, "y1": 2})
+    p = (u ** n - t.one()) * shift
+    got = exact_div(p, u - t.one())
+    assert got == sum((u ** j for j in range(n)), t.zero()) * shift
+    assert len(got.terms) == n
+    assert list(got.terms.items()) == list(max_scan_exact_div(p, u - t.one()).terms.items())

@@ -56,8 +56,10 @@ def test_every_workload_runs_one_traced_tiny_pass(name):
     assert result.attempted > 0
     assert result.failures == []
     if name == "verify-routes":
-        for builder in ("g2k_trace_scaled", "g2k_hl_scaled_dd", "g2k_hl_scaled_hom"):
-            assert metrics[f"algmodel.{builder}.calls"] > 0
+        for layer in ("algmodel.g2k_trace_scaled", "algmodel.g2k_hl_scaled_dd",
+                      "algmodel.g2k_hl_scaled_hom", "laurent.exact_div",
+                      "laurent.divided_diff"):
+            assert metrics[f"{layer}.calls"] > 0
 
 
 def test_tracer_targets_exist():
