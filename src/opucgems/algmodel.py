@@ -65,7 +65,12 @@ class ModelError(Exception):
 
 
 def table_for(k: int, h: TrigPoly) -> VarTable:
-    """Pair variables x1..yk plus the unit symbols of a weight."""
+    """Pair variables x1..yk plus the unit symbols of a weight.
+
+    Every G_2k builder starts here, so this is where k < 1 is rejected.
+    """
+    if k < 1:
+        raise ModelError("k must be positive")
     return VarTable.build(k, units=h.table.names)
 
 
@@ -471,14 +476,15 @@ def _sign(k: int) -> GaussianRational:
     return GR_ONE if k % 2 else -GR_ONE
 
 
-def _weighted(parts, h: TrigPoly, table: VarTable) -> LaurentPoly:
-    """``sum_l h_l * part_l`` over ``(l, part)`` pairs: the one place the exact
-    weight enters a route.  Parts whose h_l is zero are skipped."""
+def _weighted(parts, h: TrigPoly, table: VarTable, sign=GR_ONE) -> LaurentPoly:
+    """``sign * sum_l h_l * part_l`` over ``(l, part)`` pairs: the one place the
+    exact weight enters a route.  Parts whose h_l is zero are skipped, and the
+    sign scales each h_l, which has a few terms, not the sum."""
     out: dict = {}
     for l, part in parts:
         coeff = h.coeffs[l]
         if not coeff.is_zero:
-            _accumulate(out, (coeff.embed(table) * part).terms.items())
+            _accumulate(out, ((coeff * sign).embed(table) * part).terms.items())
     return LaurentPoly(table, out)
 
 
@@ -503,10 +509,8 @@ def g2k_trace_scaled(k: int, h: TrigPoly) -> LaurentPoly:
     ``(-1)^{k+1} * sum_{l=1}^{d} [h_l * S_l^+ + h_{-l} * S_l^-]`` over
     :func:`_trace_parts`.  Empty (zero) when k exceeds the weight degree.
     """
-    if k < 1:
-        raise ModelError("k must be positive")
     table = table_for(k, h)
-    return _weighted(_normal_forms(_trace_parts(k, h.degree, table)), h, table) * _sign(k)
+    return _weighted(_normal_forms(_trace_parts(k, h.degree, table)), h, table, _sign(k))
 
 
 def _dd_parts(k: int, h: TrigPoly, table: VarTable) -> list:
@@ -562,7 +566,7 @@ def g2k_hl_scaled_dd(k: int, h: TrigPoly) -> LaurentPoly:
     """Divided-difference route for ``k * Z_H * G'_2k`` in normal form."""
     table = table_for(k, h)
     parts = _normal_forms(_dd_parts(k, h, table))
-    return _weighted(parts, h, table) * _sign(k) - h.coeffs[0].embed(table)
+    return _weighted(parts, h, table, _sign(k)) - h.coeffs[0].embed(table)
 
 
 def g2k_hl_scaled_hom(k: int, h: TrigPoly) -> LaurentPoly:
@@ -574,7 +578,7 @@ def g2k_hl_scaled_hom(k: int, h: TrigPoly) -> LaurentPoly:
     """
     table = table_for(k, h)
     parts = _pair_parts(k, h.degree, table, e_monomials(table, k), table.one())
-    return _weighted(_normal_forms(parts), h, table) * _sign(k)
+    return _weighted(_normal_forms(parts), h, table, _sign(k))
 
 
 def _pair_parts(k: int, d: int, table: VarTable, neg_pts: Sequence[LaurentPoly],
@@ -632,10 +636,18 @@ def g2k_routes_check(k: int, h: TrigPoly) -> RouteCheckResult:
 def build_g2k_hl(k: int, h: TrigPoly) -> LaurentPoly:
     """Normal form of G'_2k built by both Hall-Littlewood routes.
 
-    The two routes are compared exactly before returning; a mismatch (or a
-    NonDivisible from the divided-difference recursion) is an identity
-    failure, not a recoverable condition.
+    The routes give ``k * Z_H * G'_2k``, and the result divides by the
+    monomial ``k * Z_H``.  That needs Z_H = h_0 to be a constant, as it is
+    for one critical point or for exact quarter angles; otherwise G'_2k has
+    coefficients that are rational functions of the unit symbols, and a
+    :class:`ModelError` says so before either route runs.  The two routes
+    are compared exactly before returning; a mismatch (or a NonDivisible
+    from the divided-difference recursion) is an identity failure, not a
+    recoverable condition.
     """
+    z_h = h.coeffs[0]
+    if z_h != h.table.const(z_h.constant_value()):
+        raise ModelError("Z_H = h_0 is not a constant, so G'_2k is not a Laurent polynomial")
     dd = g2k_hl_scaled_dd(k, h)
     hom = g2k_hl_scaled_hom(k, h)
     if dd != hom:

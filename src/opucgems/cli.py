@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from . import algmodel, lab
 from .opuc import OpucError, bs_weight_quadrature, log_term
-from .trig import CriticalPoints, TrigError, build_h
+from .trig import CriticalPoints, TrigError, build_h, exact_unit
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -203,10 +203,15 @@ def cmd_dump_g2k(args) -> int:
         points = CriticalPoints.generic([args.d])
     else:
         try:
-            points = CriticalPoints.from_pairs([(Fraction(args.theta), args.d)])
+            theta = Fraction(args.theta)
         except (ValueError, ZeroDivisionError):
             _say("dump-g2k: theta must be a rational multiple of pi, like 1/2")
             return EXIT_BAD_INPUT
+        if exact_unit(theta) is None:
+            _say(f"dump-g2k: angle {theta}*pi has no Gaussian-rational unit; "
+                 "omit --theta for a generic angle")
+            return EXIT_BAD_INPUT
+        points = CriticalPoints.from_pairs([(theta, args.d)])
     try:
         h = build_h(points, "exact")
         g = algmodel.build_g2k_hl(args.k, h)

@@ -24,25 +24,21 @@ nonzero scalars is nonzero, so it scales and shifts term by term.  The
 public constructor drops zero coefficients; the layer's own results,
 which never hold one, are built by :func:`_poly` without that copy.
 
-:func:`exact_div` picks its path from the divisor's term count.  A
-monomial divides by its inverse.  A binomial ``c1*X^e1 + c2*X^e2``, such as
-every divisor ``p_{i-j} - p_i`` of a divided difference, maps each line
-``e + Z*(e2 - e1)`` of exponents to itself, so the quotient comes from one
-recurrence along each line of the dividend: a prefix sum when the ratio
-``-c2/c1`` is 1.  A longer divisor takes each leading term from a heap of
-the remainder's exponents.  The graded order is translation invariant, so
-the terms a division step adds all rank below the lead it cancels; leads
-strictly decrease, and a heap entry whose exponent has since cancelled is
-skipped.  Both paths emit the quotient in decreasing graded order.
+:func:`exact_div` divides by the two divisor shapes the G_2k proof has.
+A monomial, such as the scalar ``k * Z_H``, divides by its inverse.  A
+binomial ``c1*X^e1 + c2*X^e2``, such as every divisor ``p_{i-j} - p_i`` of a
+divided difference over monomial points, maps each line ``e + Z*(e2 - e1)``
+of exponents to itself, so the quotient comes from one recurrence along
+each line of the dividend: a prefix sum when the ratio ``-c2/c1`` is 1.  A
+divisor of three or more terms is rejected.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, neg, sub
+from operator import add, sub
 from typing import Iterable, Mapping, Sequence
 
 
@@ -576,74 +572,31 @@ def _accumulate(out: dict, items: Iterable[tuple]) -> dict:
 # -- exact division -----------------------------------------------------------
 
 
-def _monomial_shift(poly: LaurentPoly) -> tuple:
-    """Per-variable minimum exponent over the terms of a nonzero polynomial."""
-    return tuple(map(min, zip(*poly.terms)))
-
-
 def _grlex_key(exponent: tuple):
     return (sum(exponent), exponent)
 
 
-def _heap_entry(exponent: tuple) -> tuple:
-    """Min-heap entry whose order is the reverse of :func:`_grlex_key`."""
-    return (-sum(exponent), tuple(map(neg, exponent)), exponent)
-
-
 def exact_div(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    """Exact quotient ``p / q``; raises :class:`NonDivisible` otherwise.
+    """Exact quotient ``p / q`` in the Laurent ring, for a monomial or binomial ``q``.
 
-    Works in the Laurent ring.  A monomial ``q`` multiplies by its inverse,
-    and a two-term ``q`` takes one pass along each line of ``p``'s
-    exponents (:func:`_binomial_div`).  Otherwise monomial factors are
-    stripped first, then ordinary polynomial division runs on the primitive
-    parts with a graded leading-term order.  A nonzero remainder can only
-    appear when ``p`` is genuinely not a multiple of ``q``.
-
-    Leading terms come from a heap of the remainder's exponents; an entry
-    whose exponent has left the remainder is skipped when popped (the
-    module docstring says why a popped exponent never returns).
+    A monomial ``q`` multiplies by its inverse, and a two-term ``q`` takes
+    one pass along each line of ``p``'s exponents (:func:`_binomial_div`);
+    a nonzero remainder there raises :class:`NonDivisible`, which means
+    ``p`` is not a multiple of ``q``.  A divisor of three or more terms
+    raises a plain :class:`LaurentError`: no division the identities need
+    has one.
     """
     p._check_table(q)
     if q.is_zero:
         raise ZeroDivisionError("division by zero polynomial")
+    if len(q.terms) > 2:
+        raise LaurentError("exact division needs a divisor of one or two terms, "
+                           f"not {len(q.terms)}")
     if p.is_zero:
         return p.table.zero()
     if q.is_monomial:
         return p * q.inverse()
-    if len(q.terms) == 2:
-        return _binomial_div(p, q)
-
-    p_shift = _monomial_shift(p)
-    q_shift = _monomial_shift(q)
-    p_hat = {tuple(map(sub, e, p_shift)): c for e, c in p.terms.items()}
-    q_hat = {tuple(map(sub, e, q_shift)): c for e, c in q.terms.items()}
-
-    lead_q = max(q_hat, key=_grlex_key)
-    lead_q_coeff = q_hat[lead_q]
-    q_items = list(q_hat.items())
-    quotient: dict = {}
-    rem = dict(p_hat)
-    heap = [_heap_entry(e) for e in rem]
-    heapq.heapify(heap)
-    while rem:
-        lead_p = heapq.heappop(heap)[2]
-        if lead_p not in rem:
-            continue
-        diff = tuple(map(sub, lead_p, lead_q))
-        if any(d < 0 for d in diff):
-            raise NonDivisible("leading term not divisible")
-        factor = rem[lead_p] / lead_q_coeff
-        quotient[diff] = factor
-        step = [(tuple(map(add, e, diff)), -(factor * c)) for e, c in q_items]
-        for e, _ in step:
-            if e not in rem:
-                heapq.heappush(heap, _heap_entry(e))
-        _accumulate(rem, step)
-
-    shift = tuple(map(sub, p_shift, q_shift))
-    out = {tuple(map(add, e, shift)): c for e, c in quotient.items()}
-    return _poly(p.table, out)
+    return _binomial_div(p, q)
 
 
 def _binomial_div(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
@@ -653,9 +606,10 @@ def _binomial_div(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     and the factor ``1 - rho*X^r`` maps each line ``base + Z*r`` of
     exponents to itself.  Along a line whose terms of p run from ``t = lo``
     to ``hi``, the quotient's coefficients are ``Q_t = p_t + rho*Q_{t-1}``
-    (``Q_{lo-1} = 0``) for ``t < hi``, and ``Q_hi`` must vanish.  The
-    quotient comes out in decreasing graded order, as the heap division
-    emits its leading terms.
+    (``Q_{lo-1} = 0``) for ``t < hi``, and ``Q_hi`` must vanish, else
+    :class:`NonDivisible`.  The quotient comes out in decreasing graded
+    order, the order in which long division by leading terms finds it, so
+    the term order does not depend on how ``p`` lists its terms.
     """
     (e1, c1), (e2, c2) = q.terms.items()
     r = tuple(map(sub, e2, e1))
@@ -759,8 +713,11 @@ def divided_diff(points: Sequence[LaurentPoly], power: int) -> LaurentPoly:
     ``j = 1..n-1``, replace entry ``i >= j`` (from the bottom up) by
     ``(T_i - T_{i-1}) / (p_{i-j} - p_i)``, one exact division per entry,
     ``n(n-1)/2`` in all.  Dividing by ``p_{i-j} - p_i`` rather than
-    ``p_i - p_{i-j}`` gives the sign of the sum above.  The result is always
-    a polynomial, so a division failure signals a broken identity upstream.
+    ``p_i - p_{i-j}`` gives the sign of the sum above.  Each divisor is a
+    difference of two points, so it is a binomial for monomial points; a
+    difference of three or more terms is a :class:`LaurentError` from
+    :func:`exact_div`.  The result is always a polynomial, so a
+    :class:`NonDivisible` signals a broken identity upstream.
     The operator is linear, so a Laurent ``f = sum_m c_m t^m`` has ``D(f) =
     sum_m c_m * divided_diff(points, m)``.  A negative power needs monomial
     points (:class:`NonInvertibleBinding` otherwise); the points must share

@@ -41,6 +41,12 @@ _EXACT_UNITS = {
 }
 
 
+def exact_unit(theta) -> GaussianRational | None:
+    """``e^{i theta pi}`` for a Fraction angle that is a quarter multiple of
+    pi; None for any other angle, which keeps a generic symbol."""
+    return _EXACT_UNITS.get(theta % 2) if isinstance(theta, Fraction) else None
+
+
 @dataclass(frozen=True)
 class CriticalPoints:
     """Critical angles with multiplicities.
@@ -218,7 +224,7 @@ def build_h(points: CriticalPoints, mode: str = "exact") -> TrigPoly:
     table = VarTable.build(0, units=names)
     unit_polys = []
     for name, theta in zip(names, points.angles):
-        unit = _EXACT_UNITS.get(theta % 2) if isinstance(theta, Fraction) else None
+        unit = exact_unit(theta)
         if unit is not None:
             unit_polys.append(table.const(unit))
         elif isinstance(theta, Fraction) and mode == "exact":

@@ -437,6 +437,35 @@ def test_route_equivalence_with_exact_fixed_angles():
     assert g2k_routes_check(2, h).passed
 
 
+@pytest.mark.parametrize("pairs", [[(None, 1), (None, 1)], [(None, 2), (None, 1)],
+                                   [(0.3, 1), (1.1, 1)], [(0.3, 2), (1.1, 1)]])
+def test_build_g2k_hl_needs_a_constant_z_h(pairs):
+    # two generic or float angles leave units in h_0, and G'_2k is then no
+    # Laurent polynomial: that is bad input, not a NonDivisible identity failure
+    h = build_h(CriticalPoints.from_pairs(pairs))
+    for k in range(1, h.degree + 1):
+        with pytest.raises(ModelError, match="Z_H = h_0 is not a constant"):
+            build_g2k_hl(k, h)
+
+
+def test_build_g2k_hl_at_exact_fixed_angles():
+    h = build_h(CriticalPoints.from_pairs([(Fraction(0), 1), (Fraction(1, 2), 1)]))
+    assert build_g2k_hl(1, h).to_text() == (
+        "(-1/2+1/2*i)*y1^1 + (0-1/4*i)*y1^2 + (-1/2-1/2*i)*x1^1 + (0+1/4*i)*x1^2")
+    assert build_g2k_hl(2, h).to_text() == (
+        "(0+1/8*i)*y1^1*y2^1 + (0+1/8*i)*y1^2*x2^1*y2^1 + (0-1/8*i)*x1^1*x2^1 + "
+        "(0-1/8*i)*x1^1*x2^2*y2^1 + (0+1/8*i)*x1^1*y1^1*y2^2 + (0-1/8*i)*x1^2*y1^1*x2^1")
+
+
+@pytest.mark.parametrize("builder", [g2k_trace_scaled, algmodel.g2k_hl_scaled_dd,
+                                     g2k_hl_scaled_hom, build_g2k_hl, g2k_routes_check,
+                                     hl_double_sum], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("k", [0, -1])
+def test_builders_reject_k_below_one_alike(builder, k):
+    with pytest.raises(ModelError, match="^k must be positive$"):
+        builder(k, build_h(CriticalPoints.generic([2])))
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_route_parts_agree_degree_by_degree(k):
     # each route is linear in h_l: per degree l, the weight-free part that

@@ -65,6 +65,15 @@ def test_dump_g2k_rejects_non_quarter_angle(capsys, theta):
     assert len(lines) == 1 and lines[0].startswith("dump-g2k: ")
 
 
+def test_dump_g2k_points_a_non_quarter_angle_to_the_generic_symbol(capsys):
+    # --theta is a Fraction, so the way to a generic angle is to leave it out
+    code, records, err = run_cli(capsys, "dump-g2k", "--k", "1", "--d", "2",
+                                 "--theta", "0.3")
+    assert code == 2 and records == []
+    assert err == ("dump-g2k: angle 3/10*pi has no Gaussian-rational unit; "
+                   "omit --theta for a generic angle\n")
+
+
 def test_verify_small_suite_passes(capsys):
     code, records, err = run_cli(capsys, "verify", "--kmax", "1", "--dmax", "1")
     assert code == 0

@@ -12,6 +12,7 @@ from opucgems import laurent
 from opucgems.laurent import (
     DuplicatePoint,
     GaussianRational,
+    LaurentError,
     LaurentPoly,
     NonDivisible,
     NonInvertibleBinding,
@@ -21,7 +22,7 @@ from opucgems.laurent import (
     exact_div,
     substitute,
 )
-from opucgems.laurent import _accumulate, _grlex_key, _monomial_shift
+from opucgems.laurent import _accumulate, _grlex_key
 
 
 def table_k1():
@@ -139,6 +140,16 @@ def test_exact_div_handles_laurent_shifts():
     assert exact_div(p, a) == a - a.inverse()
 
 
+def test_three_term_divisor_is_rejected_as_unsupported_not_as_a_non_multiple():
+    t = units_table()
+    a, b, c = t.var("t1"), t.var("t2"), t.var("t3")
+    q = a + b + c
+    for call in (lambda: exact_div(q * a, q), lambda: divided_diff([a, b + c], 2)):
+        with pytest.raises(LaurentError, match="one or two terms, not 3") as info:
+            call()
+        assert not isinstance(info.value, NonDivisible)
+
+
 # -- substitution ------------------------------------------------------------------
 
 
@@ -213,7 +224,7 @@ def test_divided_diff_rejects_duplicate_points():
 def six_distinct_points():
     t = units_table()
     a, b, c = t.var("t1"), t.var("t2"), t.var("t3")
-    return [a, b, c, a * b, b * c, a + c]
+    return [a, b, c, a * b, b * c, a * c]
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -410,7 +421,7 @@ def test_normal_form_constant_on_ideal_cosets(p, r):
 
 
 @settings(max_examples=60, deadline=None)
-@given(polys(), polys())
+@given(polys(), polys(max_terms=2))
 def test_exact_div_inverts_multiplication(p, q):
     if q.is_zero:
         return
@@ -434,7 +445,7 @@ def test_conjugate_is_involution(p):
 @given(polys(), polys(), polys())
 def test_merged_coefficients_are_never_zero(p, q, r):
     results = [p + q, p - q, p * q, p.conjugate(), p.normal_form()]
-    if not q.is_zero:
+    if 1 <= len(q.terms) <= 2:  # the divisor shapes exact_div supports
         results.append(exact_div(p * q, q))
     for result in results:
         assert all(result.terms.values())
@@ -616,11 +627,17 @@ def test_scalar_keeps_the_pair_hash_and_integer_equality():
 # -- division oracle ----------------------------------------------------------------------
 
 
+def _monomial_shift(poly):
+    """Per-variable minimum exponent over the terms of a nonzero polynomial."""
+    return tuple(map(min, zip(*poly.terms)))
+
+
 def max_scan_exact_div(p, q):
     """Exact division that scans the whole remainder for each leading term.
 
-    The reference for :func:`exact_div`'s heap-ordered loop: same shifts,
-    same graded order, same quotient insertion order.
+    The reference for :func:`exact_div`'s binomial path: ordinary long
+    division with the graded order, whose quotient insertion order is the
+    decreasing graded order the binomial path emits.
     """
     if q.is_monomial:
         return p * q.inverse()
@@ -644,27 +661,6 @@ def max_scan_exact_div(p, q):
     shift = tuple(a - b for a, b in zip(p_shift, q_shift))
     out = {tuple(a + b for a, b in zip(e, shift)): c for e, c in quotient.items()}
     return LaurentPoly(p.table, out)
-
-
-@settings(max_examples=150, deadline=None)
-@given(polys(max_terms=5), polys(max_terms=5))
-def test_heap_division_matches_max_scan_oracle(p, q):
-    assume(not q.is_zero)
-    got = exact_div(p * q, q)
-    assert list(got.terms.items()) == list(max_scan_exact_div(p * q, q).terms.items())
-    assert got == p
-
-
-@settings(max_examples=150, deadline=None)
-@given(polys(max_terms=5), polys(min_terms=2, max_terms=5), polys(min_terms=1, max_terms=1))
-def test_heap_division_rejects_non_multiples_like_the_oracle(p, q, r):
-    # q has two or more terms, so it is no unit and cannot divide the monomial r
-    assume(len(q.terms) >= 2 and r.is_monomial)
-    f = p * q + r
-    with pytest.raises(NonDivisible):
-        max_scan_exact_div(f, q)
-    with pytest.raises(NonDivisible):
-        exact_div(f, q)
 
 
 # -- binomial division ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
-"""The benchmark (``perfbench/``) still finds what its workloads call and its tracer wraps."""
+"""The benchmark (``perfbench/``) still finds what its workloads call and its tracer
+wraps, and the package imports nothing beyond the standard library and numpy."""
 
+import ast
 import importlib.util
 import json
 import sys
@@ -13,6 +15,7 @@ from opucgems.lab import SequenceFamily, convergence_study
 from opucgems.trig import CriticalPoints
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "opucgems"
 TRACER = PERFBENCH / "tracer.py"
 WORKLOADS_PY = PERFBENCH / "workloads.py"
 
@@ -125,3 +128,19 @@ def test_tracer_sees_one_head_call_per_stored_values_study(tmp_path, stored):
     with load_tracer().Tracer() as tracer:
         convergence_study(family, CriticalPoints.from_pairs([(0.0, 2)]), (10, 20, 40))
     assert tracer.calls["opuc.head"] == 1
+
+
+def test_runtime_dependency_stays_numpy_only():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "opucgems"}
+    outside = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots = [node.module.split(".")[0]]
+            else:
+                continue  # not an import, or a relative one from the package
+            outside += [f"{path.name}:{node.lineno} {root}" for root in roots
+                        if root not in allowed]
+    assert not outside
