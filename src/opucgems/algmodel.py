@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -39,6 +38,7 @@ from .laurent import (
     LaurentPoly,
     VarTable,
     _accumulate,
+    _poly,
     divided_diff,
     exact_div,
     substitute,  # no caller here; perfbench/tracer.py rebinds this name
@@ -71,13 +71,13 @@ def table_for(k: int, h: TrigPoly) -> VarTable:
     """
     if k < 1:
         raise ModelError("k must be positive")
-    return VarTable.build(k, units=h.table.names)
+    return VarTable(k, units=h.table.units)
 
 
 def in_polynomial_ring(poly: LaurentPoly) -> bool:
     """True when no term of ``poly`` has a negative pair exponent."""
-    pair_slots = poly.table.pair_slots()
-    return all(e[i] >= 0 for e in poly.terms for i in pair_slots)
+    pairs = 2 * poly.table.pairs
+    return all(x >= 0 for e in poly.terms for x in e[:pairs])
 
 
 def a_monomials(table: VarTable, k: int) -> list:
@@ -213,27 +213,20 @@ def phi_terms(poly: LaurentPoly, unit_values: Mapping[str, complex]) -> list:
     ``(b_p, g_p)`` are the exponents of ``x_p`` and ``y_p``.  Raises
     :class:`ModelError` on plain symbols and negative pair exponents.
     """
-    table = poly.table
-    kinds = table.kinds
-    xs = [i for i, kind in enumerate(kinds) if kind == "x"]
-    ys = [i for i, kind in enumerate(kinds) if kind == "y"]
-    pairs = len(xs)
-    pick = itemgetter(*xs, *ys) if pairs else (lambda e: ())
-    units = [(i, name) for i, (name, kind) in enumerate(zip(table.names, kinds))
-             if kind == "z"]
-    plain = [i for i, kind in enumerate(kinds) if kind == "a"]
+    units = poly.table.units
+    pairs = 2 * poly.table.pairs
+    plain = pairs + len(units)
     compiled = []
     for e, c in poly.terms.items():
         value = complex(c)
-        for slot, name in units:
-            if e[slot]:
-                value *= unit_values[name] ** e[slot]
-        if any(e[slot] for slot in plain):
+        for name, exp in zip(units, e[pairs:plain]):
+            if exp:
+                value *= unit_values[name] ** exp
+        if any(e[plain:]):
             raise ModelError("phi is undefined on plain symbols")
-        flat = pick(e)
-        if flat and min(flat) < 0:
+        if pairs and min(e[:pairs]) < 0:
             raise ModelError("phi needs nonnegative pair exponents")
-        compiled.append((value, tuple(zip(flat[:pairs], flat[pairs:]))))
+        compiled.append((value, tuple(zip(e[0:pairs:2], e[1:pairs:2]))))
     return compiled
 
 
@@ -285,7 +278,7 @@ def phi_program(polys: Sequence, unit_values: Mapping[str, complex]) -> PhiProgr
             for c, exps in phi_terms(part, unit_values):
                 exps = tuple(sorted(exps))
                 rows[exps] = rows.get(exps, 0) + weight * c
-        pairs = entry[0][1].table.kinds.count("x")
+        pairs = entry[0][1].table.pairs
         coeffs.append(np.array(list(rows.values()), dtype=complex))
         slots.append(np.array(
             [[index.setdefault(pair, len(index)) for pair in exps] for exps in rows],
@@ -323,7 +316,7 @@ def phi_sites(program: PhiProgram, a: np.ndarray, a_conj: np.ndarray,
 
 def trace_table(n_sym: int) -> VarTable:
     names = [f"al{m}" for m in range(n_sym)] + [f"ac{m}" for m in range(n_sym)]
-    return VarTable.build(0, plain=names)
+    return VarTable(0, plain=tuple(names))
 
 
 def trace_symbolic(l: int, n_sym: int) -> LaurentPoly:
@@ -377,7 +370,7 @@ def _closed_walks(l: int, n_sym: int, starts, degree: int | None = None) -> Laur
 
     def rec(start: int, pos: int, remaining: int, acc: LaurentPoly):
         if degree is not None:
-            acc = LaurentPoly(table, {e: c for e, c in acc.terms.items() if sum(e) <= degree})
+            acc = _poly(table, {e: c for e, c in acc.terms.items() if sum(e) <= degree})
             if acc.is_zero:
                 return
         if remaining == 1:
@@ -393,7 +386,7 @@ def _closed_walks(l: int, n_sym: int, starts, degree: int | None = None) -> Laur
         rec(start, start, l, table.one())
     if degree is not None:
         out = {e: c for e, c in out.items() if sum(e) == degree}
-    return LaurentPoly(table, out)
+    return _poly(table, out)
 
 
 def _orbit_sums(terms, n_sym: int) -> dict:
@@ -485,7 +478,7 @@ def _weighted(parts, h: TrigPoly, table: VarTable, sign=GR_ONE) -> LaurentPoly:
         coeff = h.coeffs[l]
         if not coeff.is_zero:
             _accumulate(out, ((coeff * sign).embed(table) * part).terms.items())
-    return LaurentPoly(table, out)
+    return _poly(table, out)
 
 
 def _trace_parts(k: int, d: int, table: VarTable) -> list:
@@ -499,7 +492,7 @@ def _trace_parts(k: int, d: int, table: VarTable) -> list:
             # prod_p x_p^{i_p} y_p^{j_p}, and prod_p y_{p-1}^{i_p} x_p^{j_p} with y_0 := y_k
             _accumulate(s_pos, table.pair_monomial(tup[::2], tup[1::2]).terms.items())
             _accumulate(s_neg, table.pair_monomial(tup[1::2], tup[2::2] + tup[:1]).terms.items())
-        out += [(l, LaurentPoly(table, s_pos)), (-l, LaurentPoly(table, s_neg))]
+        out += [(l, _poly(table, s_pos)), (-l, _poly(table, s_neg))]
     return out
 
 
@@ -605,11 +598,8 @@ def _pair_parts(k: int, d: int, table: VarTable, neg_pts: Sequence[LaurentPoly],
 
 @dataclass
 class RouteCheckResult:
-    k: int
-    d: int
     routes_equal: bool
     trace_equals_hl: bool
-    diff_terms: int
 
     @property
     def passed(self) -> bool:
@@ -626,11 +616,7 @@ def g2k_routes_check(k: int, h: TrigPoly) -> RouteCheckResult:
     dd = g2k_hl_scaled_dd(k, h)
     hom = g2k_hl_scaled_hom(k, h)
     tr = g2k_trace_scaled(k, h)
-    routes_equal = dd == hom
-    trace_equals_hl = tr == dd
-    diff = (tr - dd) if not trace_equals_hl else (dd - hom)
-    return RouteCheckResult(k, h.degree, routes_equal, trace_equals_hl,
-                            len(diff.terms))
+    return RouteCheckResult(dd == hom, tr == dd)
 
 
 def build_g2k_hl(k: int, h: TrigPoly) -> LaurentPoly:
@@ -663,7 +649,7 @@ def basis_relation_check(k: int) -> bool:
     ``prod_{s!=p}(1 - a_s/a_p) * prod_{t!=q}(b_q/b_t - 1)`` equals
     ``prod_{s!=q}(1 - e_{s+1}/e_{q+1}) * prod_{t!=p}(d_p/d_t - 1)``.
     """
-    table = VarTable.build(k)
+    table = VarTable(k)
     one = table.one()
     a = a_monomials(table, k)
     b = b_monomials(table, k)
@@ -708,7 +694,7 @@ def constant_partial_sums(k: int) -> tuple:
     prod_{s != p} (t_p/t_s - 1)`` equals ``(-1)^{k+1}``; both are computed
     through exact divided differences of ``x^{k-1}`` and ``1/x``.
     """
-    table = VarTable.build(0, units=[f"t{i}" for i in range(1, k + 1)])
+    table = VarTable(0, units=tuple(f"t{i}" for i in range(1, k + 1)))
     pts = [table.var(f"t{i}") for i in range(1, k + 1)]
     sign = _sign(k)
 
@@ -766,7 +752,7 @@ def _site_parts(k: int, h: TrigPoly) -> list:
     whose exact h_l is zero are left out, as they are from the exact sum."""
     pref = (-1) ** (k + 1) / (k * h.z_h_numeric())
     return [(pref * h.coeff_numeric(l), part)
-            for l, part in _site_part_list(k, h.degree, VarTable.build(k))
+            for l, part in _site_part_list(k, h.degree, VarTable(k))
             if not h.coeffs[l].is_zero]
 
 
@@ -820,7 +806,6 @@ class ProductCheckResult:
     degree: int
     points: int
     passed: bool
-    diff_terms: int
 
 
 def h_at_pair_monomial(h: TrigPoly, table: VarTable) -> LaurentPoly:
@@ -849,6 +834,4 @@ def degree2_product_check(h: TrigPoly) -> ProductCheckResult:
     table = table_for(1, h)
     lhs = h_at_pair_monomial(h, table).normal_form()
     rhs = critical_product(h, table).normal_form()
-    diff = lhs - rhs
-    return ProductCheckResult(h.degree, h.points.count, diff.is_zero,
-                              len(diff.terms))
+    return ProductCheckResult(h.degree, h.points.count, lhs == rhs)

@@ -27,6 +27,9 @@ from .trig import CriticalPoints, TrigError, build_h, exact_unit
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
+# largest index-tuple set enum-d lists: (k, l) = (5, 12) has 600600 tuples and
+# takes about 7 s and 155 MB on a 2-core host; (6, 12) has 2.86e6
+MAX_ENUM_TUPLES = 10 ** 6
 
 
 def _line(record: dict) -> str:
@@ -252,11 +255,15 @@ def cmd_enum_d(args) -> int:
     if args.k < 1 or args.l < 1:
         _say("enum-d: need k >= 1 and l >= 1")
         return EXIT_BAD_INPUT
+    expected = algmodel.index_tuple_count(args.k, args.l)
+    if expected > MAX_ENUM_TUPLES:
+        _say(f"enum-d: {expected} tuples exceed the ceiling of {MAX_ENUM_TUPLES}")
+        return EXIT_BAD_INPUT
     tuples = sorted(algmodel.enum_d(args.k, args.l))
     for tup in tuples:
         _emit({"tuple": list(tup)})
     _emit({"case": f"enum-d k={args.k} l={args.l}", "count": len(tuples),
-           "expected": algmodel.index_tuple_count(args.k, args.l)})
+           "expected": expected})
     _say(f"enum-d: {len(tuples)} tuples")
     return EXIT_OK
 

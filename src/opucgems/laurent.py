@@ -4,15 +4,19 @@ Coefficients are Gaussian rationals, held as one canonical integer triple
 ``(a + b*i) / d`` with ``d > 0`` and ``gcd(a, b, d) == 1``: each operation
 is integer arithmetic plus one three-argument gcd, skipped when the
 denominator is 1.  A polynomial is a sparse map from integer exponent
-vectors to coefficients over a fixed variable table.  The table
-distinguishes three kinds of variables:
+vectors to coefficients over a fixed variable table.  Every table lays
+its slots out the same way, ``VarTable(pairs, units, plain)``:
 
-* paired variables ``x1, y1, ..., xk, yk`` that participate in the
-  quotient relation ``x1*y1*...*xk*yk = 1`` and swap under conjugation,
-* unit symbols (``z1``, ...) for points on the unit circle, with
+* first the paired variables ``x1, y1, ..., xk, yk`` that participate in
+  the quotient relation ``x1*y1*...*xk*yk = 1`` and swap under
+  conjugation, so ``x_p`` is slot ``2p-2`` and ``y_p`` slot ``2p-1``,
+* then unit symbols (``z1``, ...) for points on the unit circle, with
   ``conj(z) = 1/z``,
-* plain symbols with no conjugation rule (formal increments, trace
+* then plain symbols with no conjugation rule (formal increments, trace
   symbols, substitution slots).
+
+An operation reads the kind of a slot from its position, by slicing the
+exponent tuple at ``2 * pairs`` and at the end of the units.
 
 All values are immutable after construction and every operation is pure,
 so polynomials can be shared freely across threads.  :func:`_accumulate`
@@ -36,6 +40,7 @@ divisor of three or more terms is rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, sub
@@ -225,47 +230,31 @@ GR_I = GaussianRational(0, 1)
 class VarTable:
     """Ordered variable table shared by all polynomials of one context.
 
-    ``kinds[i]`` is one of ``'x'``, ``'y'`` (paired, in matched order),
-    ``'z'`` (unit symbol) or ``'a'`` (plain symbol).  Conjugation swaps
-    each x-slot with the matching y-slot, negates unit exponents, and is
-    undefined on plain symbols.
+    Every table has one layout: the paired variables ``x1, y1, ..., xk,
+    yk`` (``k = pairs``) in slots ``0 .. 2k-1``, then the unit symbols, then
+    the plain symbols.  Conjugation swaps each ``x_p`` with ``y_p``, negates
+    unit exponents, and is undefined on plain symbols.
     """
 
-    names: tuple
-    kinds: tuple
+    pairs: int
+    units: tuple = ()
+    plain: tuple = ()
 
     def __post_init__(self):
-        if len(self.names) != len(self.kinds):
-            raise LaurentError("names and kinds must have equal length")
         if len(set(self.names)) != len(self.names):
             raise LaurentError("variable names must be unique")
-        if self.kinds.count("x") != self.kinds.count("y"):
-            raise LaurentError("paired variables must come in x/y pairs")
-        for kind in self.kinds:
-            if kind not in ("x", "y", "z", "a"):
-                raise LaurentError(f"unknown variable kind {kind!r}")
 
-    @staticmethod
-    def build(pairs: int, units: Sequence[str] = (), plain: Sequence[str] = ()) -> "VarTable":
-        """Table with pair variables x1,y1,...,xk,yk then units then plain."""
-        names = []
-        kinds = []
-        for p in range(1, pairs + 1):
-            names += [f"x{p}", f"y{p}"]
-            kinds += ["x", "y"]
-        names += list(units)
-        kinds += ["z"] * len(units)
-        names += list(plain)
-        kinds += ["a"] * len(plain)
-        return VarTable(tuple(names), tuple(kinds))
+    @cached_property
+    def names(self) -> tuple:
+        pair_names = tuple(f"{v}{p}" for p in range(1, self.pairs + 1) for v in "xy")
+        return pair_names + self.units + self.plain
 
     def pair_monomial(self, xs: Sequence[int], ys: Sequence[int]) -> "LaurentPoly":
         """``prod_p x_p^{xs[p-1]} * y_p^{ys[p-1]}``, one exponent per pair."""
         vec = [0] * self.arity
-        for kind, exps in (("x", xs), ("y", ys)):
-            slots = [i for i, k in enumerate(self.kinds) if k == kind]
-            for slot, exp in zip(slots, exps, strict=True):
-                vec[slot] = exp
+        # an extended slice takes exactly one value per pair, else ValueError
+        vec[0:2 * self.pairs:2] = xs
+        vec[1:2 * self.pairs:2] = ys
         return _poly(self, {tuple(vec): GR_ONE})
 
     @property
@@ -277,18 +266,6 @@ class VarTable:
             return self.names.index(name)
         except ValueError:
             raise LaurentError(f"unknown variable {name!r}") from None
-
-    def pair_slots(self) -> tuple:
-        return tuple(i for i, k in enumerate(self.kinds) if k in ("x", "y"))
-
-    def conj_permutation(self) -> tuple:
-        """Slot permutation applied by conjugation (x_p <-> y_p)."""
-        xs = [i for i, k in enumerate(self.kinds) if k == "x"]
-        ys = [i for i, k in enumerate(self.kinds) if k == "y"]
-        perm = list(range(self.arity))
-        for a, b in zip(xs, ys):
-            perm[a], perm[b] = b, a
-        return tuple(perm)
 
     def zero(self) -> "LaurentPoly":
         return _poly(self, {})
@@ -318,12 +295,8 @@ class VarTable:
 
     def contains(self, other: "VarTable") -> bool:
         """True when every variable of ``other`` exists here with equal kind."""
-        for name, kind in zip(other.names, other.kinds):
-            if name not in self.names:
-                return False
-            if self.kinds[self.names.index(name)] != kind:
-                return False
-        return True
+        return (other.pairs <= self.pairs and set(other.units) <= set(self.units)
+                and set(other.plain) <= set(self.plain))
 
 
 class LaurentPoly:
@@ -430,16 +403,15 @@ class LaurentPoly:
 
     def conjugate(self) -> "LaurentPoly":
         """Apply the table conjugation: i -> -i, z -> 1/z, x_p <-> y_p."""
-        perm = self.table.conj_permutation()
-        kinds = self.table.kinds
+        pairs = 2 * self.table.pairs
+        plain = pairs + len(self.table.units)
 
         def conj_key(e: tuple) -> tuple:
-            vec = [e[perm[i]] for i in range(len(e))]
-            for i, kind in enumerate(kinds):
-                if kind == "z":
-                    vec[i] = -vec[i]
-                elif kind == "a" and vec[i] != 0:
-                    raise LaurentError("cannot conjugate a plain symbol")
+            if any(e[plain:]):
+                raise LaurentError("cannot conjugate a plain symbol")
+            vec = list(e)
+            vec[0:pairs:2], vec[1:pairs:2] = e[1:pairs:2], e[0:pairs:2]
+            vec[pairs:plain] = [-x for x in e[pairs:plain]]
             return tuple(vec)
 
         out = _accumulate({}, ((conj_key(e), c.conjugate()) for e, c in self.terms.items()))
@@ -455,18 +427,15 @@ class LaurentPoly:
         merge.  Two polynomials have equal normal form exactly when they
         have the same image in the quotient ring.
         """
-        slots = self.table.pair_slots()
-        if not slots:
+        pairs = 2 * self.table.pairs
+        if not pairs:
             raise LaurentError("normal form needs at least one variable pair")
 
         def reduced(e: tuple) -> tuple:
-            shift = min(e[i] for i in slots)
+            shift = min(e[:pairs])
             if not shift:
                 return e
-            vec = list(e)
-            for i in slots:
-                vec[i] -= shift
-            return tuple(vec)
+            return tuple([x - shift for x in e[:pairs]]) + e[pairs:]
 
         out = _accumulate({}, ((reduced(e), c) for e, c in self.terms.items()))
         return _poly(self.table, out)

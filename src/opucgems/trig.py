@@ -221,7 +221,7 @@ def build_h(points: CriticalPoints, mode: str = "exact") -> TrigPoly:
         raise TrigError("generic angle has no numeric value")
     d = points.degree
     names = tuple(f"z{j + 1}" for j in range(points.count))
-    table = VarTable.build(0, units=names)
+    table = VarTable(0, units=names)
     unit_polys = []
     for name, theta in zip(names, points.angles):
         unit = exact_unit(theta)

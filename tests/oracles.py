@@ -53,12 +53,12 @@ def l_degree(p, d, z_name="z1"):
     if p.is_zero:
         return 0
     table = p.table
-    pairs = [(name, kind) for name, kind in zip(table.names, table.kinds) if kind in ("x", "y")]
-    shifts = tuple("d" + name for name, _ in pairs)
-    ext = VarTable(table.names + shifts, table.kinds + ("a",) * len(shifts))
+    pairs = table.names[:2 * table.pairs]  # x1, y1, ..., xk, yk
+    shifts = tuple("d" + name for name in pairs)
+    ext = VarTable(table.pairs, table.units, table.plain + shifts)
     z = ext.var(z_name)
-    bindings = {name: ext.var(shift) + (z.inverse() if kind == "x" else z)
-                for (name, kind), shift in zip(pairs, shifts)}
+    bindings = {name: ext.var(shift) + (z if i % 2 else z.inverse())
+                for i, (name, shift) in enumerate(zip(pairs, shifts))}
     expanded = substitute(p.embed(ext), bindings)
     shift_slots = range(table.arity, ext.arity)
     return min(sum(min(e[s], d) for s in shift_slots) for e in expanded.terms)
@@ -75,7 +75,7 @@ def representative_search(p, d, budget=3, extra_candidates=()):
     and never changes the quotient class.
     """
     table = p.table
-    pair_slots = table.pair_slots()
+    pair_slots = range(2 * table.pairs)
     target = p.normal_form()
     seeds = [p if in_polynomial_ring(p) else target]
     seeds += [c for c in extra_candidates if in_polynomial_ring(c) and c.normal_form() == target]

@@ -13,6 +13,8 @@ Each test prints one pass/fail line.  Criteria:
  6. per-site route vs trace route: stabilization and N-independent
     difference for 20 random finitely supported sequences,
  7. the quadrature identity for 20 random finitely supported sequences,
+    and the sum rule power by power: Tr(U_N^l)/l = -conj(c_l) for l <= 6,
+    with c_l the Taylor coefficients of log Phi*, for 60 more,
  8. the bounded/diverging dichotomy at desk scale: a bounded powerDecay
     family; the rotating constant against first-order weights, classified
     diverging; and against second-order weights, where the measured slope
@@ -55,7 +57,13 @@ from opucgems.lab import (
     SequenceFamily,
     convergence_study,
 )
-from opucgems.opuc import VerblunskySeq, bs_weight_quadrature
+from opucgems.opuc import (
+    VerblunskySeq,
+    bs_weight_quadrature,
+    ggt_matrix,
+    szego_pstar_coeffs,
+    trace_powers,
+)
 from opucgems.trig import CriticalPoints, TrigPoly, build_h
 from oracles import hl_part, product_representative, representative_search, sum_rule_functional
 
@@ -245,6 +253,40 @@ def test_acceptance_7_szego_quadrature():
     ok = worst <= 1e-8
     report(f"ACCEPTANCE 7 quadrature identity, worst |diff| = {worst:.2e} "
            f"<= 1e-8: {'PASS' if ok else 'FAIL'}")
+    assert ok
+
+
+def log_pstar_coeffs(values, count):
+    """c_1 .. c_count, the Taylor coefficients of ``log Phi*_s(z)``.
+
+    From ``P * (log P)' = P'`` with ``p_0 = 1``: ``n c_n = n p_n - sum_{j<n}
+    j c_j p_{n-j}``, where p_n is zero past the degree s.
+    """
+    p = np.zeros(count + 1, dtype=complex)
+    pstar = szego_pstar_coeffs(values)[:count + 1]
+    p[:pstar.size] = pstar
+    c = np.zeros(count + 1, dtype=complex)
+    for n in range(1, count + 1):
+        c[n] = p[n] - sum(j * c[j] * p[n - j] for j in range(1, n)) / n
+    return c[1:]
+
+
+def test_trace_powers_equal_log_pstar_coefficients():
+    # the sum rule power by power: for alpha supported on s sites and N past
+    # the support, Tr(U_N^l) / l = -conj(c_l) exactly, for every weight at once
+    rng = np.random.default_rng(77)
+    worst = 0.0
+    for _ in range(60):
+        support = int(rng.integers(1, 8))
+        n = support + 29
+        head = VerblunskySeq.from_values(random_bounded_values(rng, support, 0.7)).head(n)
+        c = log_pstar_coeffs(head[:support], 6)
+        traces = trace_powers(ggt_matrix(head, n), 6)
+        worst = max(worst, max(abs(tr / l + np.conj(c[l - 1]))
+                               for l, tr in enumerate(traces, start=1)))
+    ok = worst <= 1e-12
+    report(f"ACCEPTANCE 7 per-power sum rule, worst |Tr(U^l)/l + conj(c_l)| = "
+           f"{worst:.2e} <= 1e-12: {'PASS' if ok else 'FAIL'}")
     assert ok
 
 

@@ -256,6 +256,7 @@ MALFORMED = [
      "critical angle is too large for a float"),
     ("gem", {"criticalPoints": [{"thetaOverPi": f"{10 ** 400}/1", "m": 1}]}, None,
      "critical angle is too large for a float"),
+    ("enum-d --k 6 --l 12", None, None),
 ]
 
 
@@ -274,7 +275,7 @@ MALFORMED = [
     "gem-gamma-text", "gem-phase-text", "gem-values-pair-short", "gem-values-number",
     "gem-values-flat", "gem-name-list", "gem-family-text", "gem-angle-zero-denominator",
     "gem-degree-above-ceiling", "gem-angle-list", "gem-angle-dict", "gem-angle-int-huge",
-    "gem-angle-text-huge"])
+    "gem-angle-text-huge", "enum-d-count-above-ceiling"])
 @pytest.mark.filterwarnings("error")
 def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch,
                                                command, data, study, message):
@@ -282,8 +283,8 @@ def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch,
     if study is not None:
         monkeypatch.setattr(lab, "convergence_study", study)
     path = tmp_path / "input.json"
-    if command == "verify":
-        argv = ["verify", *options]
+    if command in ("verify", "enum-d"):
+        argv = [command, *options]
     elif command == "gem":
         path.write_text(json.dumps({**GOOD_GEM, **data}))
         argv = ["gem", "--config", str(path), *options]

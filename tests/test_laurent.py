@@ -26,7 +26,7 @@ from opucgems.laurent import _accumulate, _grlex_key
 
 
 def table_k1():
-    return VarTable.build(1, units=("z1",))
+    return VarTable(1, units=("z1",))
 
 
 def vars_k1(t):
@@ -78,9 +78,46 @@ def test_conjugate_matches_numeric_conjugation():
 
 def test_table_mismatch_raises():
     t1 = table_k1()
-    t2 = VarTable.build(1, units=("z2",))
+    t2 = VarTable(1, units=("z2",))
     with pytest.raises(VarTableMismatch):
         t1.var("x1") * t2.var("x1")
+
+
+def test_table_lays_out_pairs_then_units_then_plain():
+    t = VarTable(2, units=("z1",), plain=("s",))
+    assert t.names == ("x1", "y1", "x2", "y2", "z1", "s")
+    assert VarTable(2, ("z1",), ("s",)) == t and hash(VarTable(2, ("z1",), ("s",))) == hash(t)
+    assert VarTable(0).names == ()
+
+
+@pytest.mark.parametrize("units,plain", [(("x1",), ()), ((), ("y1",)), (("z1",), ("z1",)),
+                                         (("z1", "z1"), ())])
+def test_table_rejects_a_duplicate_name_across_kinds(units, plain):
+    with pytest.raises(LaurentError, match="unique"):
+        VarTable(1, units=units, plain=plain)
+
+
+def test_embed_needs_every_variable_with_its_kind():
+    p = table_k1().monomial({"x1": 1, "z1": 1})
+    assert p.embed(VarTable(2, units=("z0", "z1"), plain=("s",))).to_text() \
+        == "(1+0*i)*x1^1*z1^1"
+    for smaller in (VarTable(0, units=("z1",), plain=("x1", "y1")), VarTable(1),
+                    VarTable(1, plain=("z1",)), VarTable(2, units=("z2",))):
+        with pytest.raises(VarTableMismatch):
+            p.embed(smaller)
+
+
+def test_conjugate_rejects_a_plain_symbol():
+    t = VarTable(1, units=("z1",), plain=("s",))
+    with pytest.raises(LaurentError, match="plain symbol"):
+        (t.var("x1") + t.var("s")).conjugate()
+    assert (t.var("x1") * t.var("z1", 2)).conjugate() == t.var("y1") * t.var("z1", -2)
+
+
+def test_normal_form_needs_a_pair():
+    t = VarTable(0, units=("z1",))
+    with pytest.raises(LaurentError, match="at least one variable pair"):
+        (t.var("z1") + t.one()).normal_form()
 
 
 # -- normal form ------------------------------------------------------------------
@@ -93,7 +130,7 @@ def test_normal_form_shifts_to_min_zero():
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_normal_form_kills_the_relation(k):
-    t = VarTable.build(k)
+    t = VarTable(k)
     relation = t.monomial({f"x{i}": 1 for i in range(1, k + 1)}
                           | {f"y{i}": 1 for i in range(1, k + 1)}) - t.one()
     assert relation.normal_form().is_zero
@@ -109,7 +146,7 @@ def test_normal_form_merges_equivalent_terms():
 
 
 def units_table():
-    return VarTable.build(0, units=("t1", "t2", "t3"))
+    return VarTable(0, units=("t1", "t2", "t3"))
 
 
 def test_exact_div_difference_of_squares():
@@ -162,7 +199,7 @@ def test_substitute_monomial_composition():
 
 
 def test_substitute_expansion_at_center():
-    ext = VarTable.build(1, units=("z1",), plain=("u", "v"))
+    ext = VarTable(1, units=("z1",), plain=("u", "v"))
     x1, y1, z1 = ext.var("x1"), ext.var("y1"), ext.var("z1")
     u, v = ext.var("u"), ext.var("v")
     result = substitute(x1 * y1, {"x1": u + z1.inverse(), "y1": v + z1})
@@ -267,7 +304,7 @@ def test_divided_diff_duplicate_check_precedes_inverse():
 
 def test_divided_diff_points_share_one_table():
     a = units_table().var("t1")
-    b = VarTable.build(0, units=("t1", "t2")).var("t2")
+    b = VarTable(0, units=("t1", "t2")).var("t2")
     with pytest.raises(VarTableMismatch):
         divided_diff([a, b], 2)
 
@@ -314,7 +351,7 @@ def brute_force_numerator(points, f):
 
 @pytest.mark.parametrize("n_points", [2, 3, 4])
 def test_divided_diff_matches_rational_definition(n_points):
-    t = VarTable.build(0, units=("t1", "t2", "t3", "t4"))
+    t = VarTable(0, units=("t1", "t2", "t3", "t4"))
     points = [t.var(f"t{i}") for i in range(1, n_points + 1)]
     # Laurent test function with negative powers, degree span [-3, 6]
     f = {6: 1, 3: -2, 1: 1, -1: Fraction(1, 2), -3: -1}
@@ -332,7 +369,7 @@ random_monomial_points = st.lists(
 @settings(max_examples=60, deadline=None)
 @given(points=random_monomial_points, power=st.integers(-5, 8))
 def test_divided_diff_of_a_power_matches_rational_definition(points, power):
-    t = VarTable.build(0, units=("t1", "t2"))
+    t = VarTable(0, units=("t1", "t2"))
     pts = [LaurentPoly(t, {tuple(e): GaussianRational(Fraction(num, den))})
            for num, den, e in points]
     assume(len(set(pts)) == len(pts))
@@ -341,7 +378,7 @@ def test_divided_diff_of_a_power_matches_rational_definition(points, power):
 
 
 def test_divided_diff_is_symmetric_in_points():
-    t = VarTable.build(0, units=("t1", "t2", "t3"))
+    t = VarTable(0, units=("t1", "t2", "t3"))
     pts = [t.var("t1"), t.var("t2"), t.var("t3")]
     f = {5: 1, -2: -1}
     reference = divided_diff_of(pts, f)
@@ -371,7 +408,7 @@ def hom_direct(points, degree):
 @pytest.mark.parametrize("n_points,m", [(n, m) for n in (1, 2, 3) for m in range(6)])
 def test_divided_diff_of_powers_gives_homogeneous_sums(n_points, m):
     # D(x_1..x_n)(x^m) = (-1)^{n+1} h_{m-n+1}(x_1..x_n)
-    t = VarTable.build(0, units=("t1", "t2", "t3"))
+    t = VarTable(0, units=("t1", "t2", "t3"))
     points = [t.var(f"t{i}") for i in range(1, n_points + 1)]
     lhs = divided_diff(points, m)
     rhs = hom_direct(points, m - n_points + 1) * ((-1) ** (n_points + 1))
@@ -383,7 +420,7 @@ def test_divided_diff_of_powers_gives_homogeneous_sums(n_points, m):
 
 @st.composite
 def polys(draw, pairs=2, units=1, min_terms=0, max_terms=4, max_exp=2):
-    table = VarTable.build(pairs, units=tuple(f"z{i}" for i in range(1, units + 1)))
+    table = VarTable(pairs, units=tuple(f"z{i}" for i in range(1, units + 1)))
     n_terms = draw(st.integers(min_terms, max_terms))
     terms = {}
     for _ in range(n_terms):
@@ -697,7 +734,7 @@ def test_binomial_division_with_a_general_ratio():
 @pytest.mark.parametrize("n", [2, 3, 8])
 def test_binomial_quotient_can_be_denser_than_the_dividend(n):
     # (u^n - 1)/(u - 1) = 1 + u + ... + u^{n-1}: one line, n quotient terms from two
-    t = VarTable.build(1, units=("u",))
+    t = VarTable(1, units=("u",))
     u, shift = t.var("u"), t.monomial({"x1": -1, "y1": 2})
     p = (u ** n - t.one()) * shift
     got = exact_div(p, u - t.one())

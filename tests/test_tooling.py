@@ -1,21 +1,24 @@
 """The benchmark (``perfbench/``) still finds what its workloads call and its tracer
-wraps, and the package imports nothing beyond the standard library and numpy."""
+wraps, the package imports nothing beyond the standard library and numpy, and
+the README's examples run."""
 
 import ast
 import importlib.util
 import json
+import re
 import sys
 import time
 from pathlib import Path
 
 import pytest
 
-from opucgems import lab
+from opucgems import cli, lab
 from opucgems.lab import SequenceFamily, convergence_study
 from opucgems.trig import CriticalPoints
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "opucgems"
+README = Path(__file__).resolve().parent.parent / "README.md"
 TRACER = PERFBENCH / "tracer.py"
 WORKLOADS_PY = PERFBENCH / "workloads.py"
 
@@ -144,3 +147,22 @@ def test_runtime_dependency_stays_numpy_only():
             outside += [f"{path.name}:{node.lineno} {root}" for root in roots
                         if root not in allowed]
     assert not outside
+
+
+def readme_block(heading, language):
+    """The first fenced ``language`` block after the README line ``heading``."""
+    text = README.read_text()
+    start = text.index(heading)
+    match = re.compile(rf"^```{language}\n(.*?)^```", re.S | re.M).search(text, start)
+    return match.group(1)
+
+
+def test_readme_library_example_runs():
+    exec(compile(readme_block("## Library example", "python"), "README.md", "exec"), {})
+
+
+def test_readme_gem_config_runs(tmp_path, capsys):
+    path = tmp_path / "study.json"
+    path.write_text(readme_block("A gem config looks like:", "json"))
+    assert cli.main(["gem", "--config", str(path)]) == 0
+    assert capsys.readouterr().out
