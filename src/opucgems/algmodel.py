@@ -12,9 +12,12 @@ independent ways and compared as normal forms:
   ``a_{k,p}`` and ``b_{k,q}``, itself evaluated both by nested divided
   differences and by complete homogeneous symmetric sums.
 
-Both are linear in the weight's coefficients h_l, so every route builds
-weight-free ``(l, part)`` pairs and ``_weighted`` alone multiplies them by
-the exact h_l; the site route weights the same parts by numeric h_l.
+Both are linear in the weight's coefficients h_l, so a route's part for the
+power t^l depends only on (k, l), not on the weight or its degree:
+:func:`weight_free_part` builds each part once per process, over the pair
+variables alone, and ``_weighted`` alone lifts the parts into a weight's
+table and multiplies them by the exact h_l.  The site route weights the
+same parts by numeric h_l.
 
 The evaluation map ``phi`` sends ``x_p^b y_p^g`` (per pair) to
 ``alpha_{n+b} * conj(alpha_{n+g})``; in particular a constant c maps to
@@ -27,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache, partial
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -461,7 +465,7 @@ def trace_orbit_check(k: int, l: int, tuples, weight: GaussianRational
     return result
 
 
-# -- the G_2k builders ----------------------------------------------------------------
+# -- the exact weighting -------------------------------------------------------------
 
 
 def _sign(k: int) -> GaussianRational:
@@ -469,73 +473,140 @@ def _sign(k: int) -> GaussianRational:
     return GR_ONE if k % 2 else -GR_ONE
 
 
-def _weighted(parts, h: TrigPoly, table: VarTable, sign=GR_ONE) -> LaurentPoly:
-    """``sign * sum_l h_l * part_l`` over ``(l, part)`` pairs: the one place the
-    exact weight enters a route.  Parts whose h_l is zero are skipped, and the
-    sign scales each h_l, which has a few terms, not the sum."""
+def _weighted(part, k: int, h: TrigPoly, sign=GR_ONE) -> LaurentPoly:
+    """``sign * sum_l h_l * part(l)`` over ``table_for(k, h)``: the one place the
+    exact weight enters a route.
+
+    ``part(l)`` is a weight-free part over ``VarTable(k)``, or None for a zero
+    part; it is not asked for where h_l is zero.  The table lays the pair
+    slots first and the unit slots after them, and h_l has only unit slots,
+    so a term of the product has the part's exponent tuple followed by the
+    h_l term's: the lift needs no embedding.  The sign scales each h_l, which
+    has a few terms, not the sum.
+    """
+    table = table_for(k, h)
     out: dict = {}
-    for l, part in parts:
-        coeff = h.coeffs[l]
-        if not coeff.is_zero:
-            _accumulate(out, ((coeff * sign).embed(table) * part).terms.items())
+    for l, coeff in h.coeffs.items():
+        if coeff.is_zero:
+            continue
+        p = part(l)
+        if p is not None:
+            weight = [(e, c * sign) for e, c in coeff.terms.items()]
+            _accumulate(out, ((ep + eh, cp * ch) for ep, cp in p.terms.items()
+                              for eh, ch in weight))
     return _poly(table, out)
 
 
-def _trace_parts(k: int, d: int, table: VarTable) -> list:
-    """``(l, S_l^+)`` and ``(-l, S_l^-)`` for l = k..d: the index tuples of
-    :func:`enum_d` in their positive and negative monomial forms, summed."""
-    out = []
-    for l in range(k, d + 1):
-        s_pos: dict = {}
-        s_neg: dict = {}
-        for tup in enum_d(k, l):
-            # prod_p x_p^{i_p} y_p^{j_p}, and prod_p y_{p-1}^{i_p} x_p^{j_p} with y_0 := y_k
-            _accumulate(s_pos, table.pair_monomial(tup[::2], tup[1::2]).terms.items())
-            _accumulate(s_neg, table.pair_monomial(tup[1::2], tup[2::2] + tup[:1]).terms.items())
-        out += [(l, _poly(table, s_pos)), (-l, _poly(table, s_neg))]
-    return out
+# -- weight-free parts ------------------------------------------------------------
 
 
-def g2k_trace_scaled(k: int, h: TrigPoly) -> LaurentPoly:
-    """Trace-route ``k * Z_H * G_2k`` in normal form.
+PART_ROUTES = ("trace", "hom", "dd", "dd-exact", "site")
 
-    ``(-1)^{k+1} * sum_{l=1}^{d} [h_l * S_l^+ + h_{-l} * S_l^-]`` over
-    :func:`_trace_parts`.  Empty (zero) when k exceeds the weight degree.
+
+@cache
+def weight_free_part(route: str, k: int, l: int) -> LaurentPoly | None:
+    """One route's part for the power t^l over ``VarTable(k)``; None when it is zero.
+
+    Every route is linear in the weight's coefficients h_l, so the part that
+    h_l multiplies depends only on (k, l): it is built once per process and
+    shared by every weight and degree.  The cache keeps every part the
+    process asks for, so callers bound (k, l) (``cli.MAX_PART_TUPLES``).
+    The routes:
+
+    * ``"trace"``: the index-tuple sum S_l^+ for l >= k and S_{-l}^- for
+      l <= -k (:func:`_trace_part`), in normal form;
+    * ``"hom"``: ``h_l(a) * prod(b) * h_{l-k}(b)`` for l >= k and
+      ``h_{-l}(e) * prod(d) * h_{-l-k}(d)`` for l <= -k (:func:`_pair_part`),
+      in normal form;
+    * ``"dd"``: ``D(a)(t^{l+k-1}) * prod b * D(b)(t^{l-1})``
+      (:func:`_dd_product`), in normal form; ``"dd-exact"`` is the same
+      product as formed, for :func:`hl_double_sum` (built on its own, so
+      the routes check holds only normal forms);
+    * ``"site"``: the ``"hom"`` part with the c points for e, times ``U =
+      (prod x_i y_i)^{2k}``, and ``(-1)^{k+1} U`` at l = 0: every exponent
+      cleared to >= 0, as :func:`site_poly` and :func:`phi_program` need.
+
+    The trace and pair parts are zero for ``0 < |l| < k`` (and at l = 0).
     """
-    table = table_for(k, h)
-    return _weighted(_normal_forms(_trace_parts(k, h.degree, table)), h, table, _sign(k))
+    if route not in PART_ROUTES:
+        raise ModelError(f"unknown route {route!r}")
+    if k < 1:
+        raise ModelError("k must be positive")
+    table = VarTable(k)
+    if route in ("dd", "dd-exact"):
+        exact = _dd_product(k, l, table)
+        return exact if exact is None or route == "dd-exact" else exact.normal_form()
+    if route == "site":
+        unit = table.pair_monomial([2 * k] * k, [2 * k] * k)
+        if l == 0:
+            return unit * _sign(k)
+    if abs(l) < k:
+        return None
+    if route == "trace":
+        return _trace_part(k, l, table).normal_form()
+    if route == "hom":
+        return _pair_part(k, l, table, e_monomials(table, k), table.one()).normal_form()
+    return _pair_part(k, l, table, c_monomials(table, k), unit)
 
 
-def _dd_parts(k: int, h: TrigPoly, table: VarTable) -> list:
-    """``(l, D(a)(t^{l+k-1}) * prod b * D(b)(t^{l-1}))`` for each l with h_l != 0.
+def _trace_part(k: int, l: int, table: VarTable) -> LaurentPoly:
+    """S_l^+ for l > 0 and S_{-l}^- for l < 0: the index tuples of
+    :func:`enum_d` in their positive or negative monomial form, summed."""
+    out: dict = {}
+    for tup in enum_d(k, abs(l)):
+        if l > 0:  # prod_p x_p^{i_p} y_p^{j_p}
+            mono = table.pair_monomial(tup[::2], tup[1::2])
+        else:  # prod_p y_{p-1}^{i_p} x_p^{j_p} with y_0 := y_k
+            mono = table.pair_monomial(tup[1::2], tup[2::2] + tup[:1])
+        _accumulate(out, mono.terms.items())
+    return _poly(table, out)
+
+
+def _pair_part(k: int, l: int, table: VarTable, neg_pts: Sequence[LaurentPoly],
+               scale: LaurentPoly) -> LaurentPoly:
+    """``scale * h_l(a) * prod(b) * h_{l-k}(b)`` for l >= k and ``scale *
+    h_{-l}(neg_pts) * prod(d) * h_{-l-k}(d)`` for l <= -k, by complete
+    homogeneous sums.  The negative point set is e (quotient ring) or c
+    (cleared exponents), and ``scale`` is a monomial."""
+    pts, tail = ((a_monomials(table, k), b_monomials(table, k)) if l > 0
+                 else (neg_pts, d_monomials(table, k)))
+    m = abs(l)
+    return hom_sums(pts, m)[m] * math.prod(tail, start=scale) * hom_sums(tail, m - k)[m - k]
+
+
+def _dd_product(k: int, l: int, table: VarTable) -> LaurentPoly | None:
+    """``D(a)(t^{l+k-1}) * prod b * D(b)(t^{l-1})``, or None where it is zero.
 
     The divided differences run over the k points ``a_1..a_k`` and
     ``b_1..b_k``, and one of ``t^m`` over k points is zero exactly when
     ``0 <= m <= k-2``.  The factor with the smaller power, ``D(b)(t^{l-1})``
     for l >= 0 and ``D(a)(t^{l+k-1})`` for l < 0, is formed first and is the
-    one that can vanish: for ``1 <= l < k`` and for ``1-k <= l < 0``.  Those
-    parts are left out without forming the other factor; the rest take
-    ``prod b`` into the short factor before the long product.
+    one that can vanish: for ``1 <= l < k`` and for ``1-k <= l < 0``.  Then
+    the other factor is never formed; else ``prod b`` goes into the short
+    factor before the long product.
     """
     a_pts = a_monomials(table, k)
     b_pts = b_monomials(table, k)
-    prod_b = math.prod(b_pts, start=table.one())
-    out = []
-    for l, coeff in h.coeffs.items():
-        if coeff.is_zero:
-            continue
-        short, long = (((b_pts, l - 1), (a_pts, l + k - 1)) if l >= 0
-                       else ((a_pts, l + k - 1), (b_pts, l - 1)))
-        f = divided_diff(*short)
-        if not f.is_zero:
-            out.append((l, f * prod_b * divided_diff(*long)))
-    return out
+    short, long = (((b_pts, l - 1), (a_pts, l + k - 1)) if l >= 0
+                   else ((a_pts, l + k - 1), (b_pts, l - 1)))
+    f = divided_diff(*short)
+    if f.is_zero:
+        return None
+    return f * math.prod(b_pts, start=table.one()) * divided_diff(*long)
 
 
-def _normal_forms(parts) -> list:
-    """The parts in normal form.  h_l has no pair exponent, so a weighted sum
-    of normal forms (and a constant added to it) is again in normal form."""
-    return [(l, part.normal_form()) for l, part in parts]
+# -- the G_2k builders ----------------------------------------------------------------
+
+
+def g2k_trace_scaled(k: int, h: TrigPoly) -> LaurentPoly:
+    """Trace-route ``k * Z_H * G_2k`` in normal form.
+
+    ``(-1)^{k+1} * sum_{l=1}^{d} [h_l * S_l^+ + h_{-l} * S_l^-]`` over the
+    ``"trace"`` parts of :func:`weight_free_part`.  Zero when k exceeds the
+    weight degree.  h_l has no pair exponent, so a weighted sum of normal
+    forms (and a constant added to it) is again in normal form.
+    """
+    return _weighted(partial(weight_free_part, "trace", k), k, h, _sign(k))
 
 
 def hl_double_sum(k: int, h: TrigPoly) -> LaurentPoly:
@@ -546,20 +617,18 @@ def hl_double_sum(k: int, h: TrigPoly) -> LaurentPoly:
     coefficients h_l, and each power separates into a divided difference
     over the a points times one over the b points:
     ``prod b_t * sum_l h_l * D(a_1..a_k)(t^{l+k-1}) * D(b_1..b_k)(t^{l-1})``,
-    the weighted sum of the :func:`_dd_parts`.  The term of l is zero for
-    ``1 <= |l| < k``, where one factor is the divided difference of a power
-    in 0..k-2.  Any division failure in the recursion signals a broken
-    identity.
+    the weighted sum of the ``"dd-exact"`` parts, as formed (no normal
+    form).  The term of l is zero for ``1 <= |l| < k``, where one factor is
+    the divided difference of a power in 0..k-2.  Any division failure in
+    the recursion signals a broken identity.
     """
-    table = table_for(k, h)
-    return _weighted(_dd_parts(k, h, table), h, table)
+    return _weighted(partial(weight_free_part, "dd-exact", k), k, h)
 
 
 def g2k_hl_scaled_dd(k: int, h: TrigPoly) -> LaurentPoly:
     """Divided-difference route for ``k * Z_H * G'_2k`` in normal form."""
-    table = table_for(k, h)
-    parts = _normal_forms(_dd_parts(k, h, table))
-    return _weighted(parts, h, table, _sign(k)) - h.coeffs[0].embed(table)
+    out = _weighted(partial(weight_free_part, "dd", k), k, h, _sign(k))
+    return out - h.coeffs[0].embed(out.table)
 
 
 def g2k_hl_scaled_hom(k: int, h: TrigPoly) -> LaurentPoly:
@@ -569,31 +638,7 @@ def g2k_hl_scaled_hom(k: int, h: TrigPoly) -> LaurentPoly:
     and the negative part ``h_l(e) * prod(d) * h_{l-k}(d)``; the constant
     from the l = 0 coefficient cancels the ``- Z_H`` exactly.
     """
-    table = table_for(k, h)
-    parts = _pair_parts(k, h.degree, table, e_monomials(table, k), table.one())
-    return _weighted(_normal_forms(parts), h, table, _sign(k))
-
-
-def _pair_parts(k: int, d: int, table: VarTable, neg_pts: Sequence[LaurentPoly],
-                scale: LaurentPoly) -> list:
-    """``(l, scale * pos_l)`` and ``(-l, scale * neg_l)`` for l = k..d.
-
-    By complete homogeneous sums, ``pos_l = h_l(a) * prod(b) * h_{l-k}(b)``
-    and ``neg_l = h_l(neg_pts) * prod(d) * h_{l-k}(d)``; the negative point
-    set is e (quotient ring) or c (cleared exponents), and ``scale`` is a
-    monomial.  The parts have integer coefficients and no unit symbol: they
-    do not depend on the weight, only on its degree.
-    """
-    b_pts = b_monomials(table, k)
-    d_pts = d_monomials(table, k)
-    prod_b = math.prod(b_pts, start=scale)
-    prod_d = math.prod(d_pts, start=scale)
-    h_a, h_b = hom_sums(a_monomials(table, k), d), hom_sums(b_pts, d - k)
-    h_neg, h_d = hom_sums(neg_pts, d), hom_sums(d_pts, d - k)
-    out = []
-    for l in range(k, d + 1):
-        out += [(l, h_a[l] * prod_b * h_b[l - k]), (-l, h_neg[l] * prod_d * h_d[l - k])]
-    return out
+    return _weighted(partial(weight_free_part, "hom", k), k, h, _sign(k))
 
 
 @dataclass
@@ -720,40 +765,33 @@ def constant_sum_check(k: int) -> GaussianRational:
 # -- per-site expansion polynomial (phi-ready form) -----------------------------------
 
 
-def _site_part_list(k: int, d: int, table: VarTable) -> list:
-    """``(0, (-1)^{k+1} U)`` and the :func:`_pair_parts` over the c points scaled
-    by ``U = (prod x_i y_i)^{2k}``: the parts of the degree-2k site polynomial."""
-    unit = table.pair_monomial([2 * k] * k, [2 * k] * k)
-    return [(0, unit * _sign(k))] + _pair_parts(k, d, table, c_monomials(table, k), unit)
-
-
 def site_poly(k: int, h: TrigPoly) -> LaurentPoly:
     """The degree-2k site polynomial with all exponents cleared to >= 0.
 
     The double sum per degree with the positive-composition rewriting of
     the negative part (monomials c and d), plus the constant ``h_0 *
-    (-1)^{k+1}``, times ``(prod x_i y_i)^{2k}``.  The result lies in the
-    plain polynomial ring; a negative exponent would mean a broken identity
-    and raises.  :func:`site_route` weights the same parts numerically.
+    (-1)^{k+1}``, times ``(prod x_i y_i)^{2k}``: the weighted ``"site"``
+    parts of :func:`weight_free_part`.  The result lies in the plain
+    polynomial ring; a negative exponent would mean a broken identity and
+    raises.  :func:`site_route` weights the same parts numerically.
     """
     if k > h.degree:
         raise ModelError("k cannot exceed the weight degree")
-    table = table_for(k, h)
-    out = _weighted(_site_part_list(k, h.degree, table), h, table)
+    out = _weighted(partial(weight_free_part, "site", k), k, h)
     if not in_polynomial_ring(out):
         raise ModelError("site polynomial has a negative exponent")
     return out
 
 
 def _site_parts(k: int, h: TrigPoly) -> list:
-    """``pref_k * site_poly(k, h)`` as ``(weight, part)`` pairs: the parts of
-    :func:`_site_part_list` over the pair variables alone, weighted by the
-    numeric ``pref_k * h_l`` with ``pref_k = (-1)^{k+1} / (k Z_H)``.  Parts
+    """``pref_k * site_poly(k, h)`` as ``(weight, part)`` pairs: the ``"site"``
+    parts over the pair variables alone, l = 0, k, -k, ..., d, -d, weighted by
+    the numeric ``pref_k * h_l`` with ``pref_k = (-1)^{k+1} / (k Z_H)``.  Parts
     whose exact h_l is zero are left out, as they are from the exact sum."""
     pref = (-1) ** (k + 1) / (k * h.z_h_numeric())
-    return [(pref * h.coeff_numeric(l), part)
-            for l, part in _site_part_list(k, h.degree, VarTable(k))
-            if not h.coeffs[l].is_zero]
+    powers = [0] + [s * l for l in range(k, h.degree + 1) for s in (1, -1)]
+    return [(pref * h.coeff_numeric(l), weight_free_part("site", k, l))
+            for l in powers if not h.coeffs[l].is_zero]
 
 
 def site_route(h: TrigPoly) -> PhiProgram:
@@ -808,10 +846,10 @@ class ProductCheckResult:
     passed: bool
 
 
-def h_at_pair_monomial(h: TrigPoly, table: VarTable) -> LaurentPoly:
+def h_at_pair_monomial(h: TrigPoly) -> LaurentPoly:
     """``H(x1 * y1^2)``, the weight evaluated at ``a_{1,1} b_{1,1}``."""
-    parts = [(l, table.pair_monomial([l], [2 * l])) for l in range(-h.degree, h.degree + 1)]
-    return _weighted(parts, h, table)
+    pair = VarTable(1)
+    return _weighted(lambda l: pair.pair_monomial([l], [2 * l]), 1, h)
 
 
 def critical_product(h: TrigPoly, table: VarTable) -> LaurentPoly:
@@ -832,6 +870,6 @@ def critical_product(h: TrigPoly, table: VarTable) -> LaurentPoly:
 def degree2_product_check(h: TrigPoly) -> ProductCheckResult:
     """Quotient equality of ``H(x1 y1^2)`` with the critical product."""
     table = table_for(1, h)
-    lhs = h_at_pair_monomial(h, table).normal_form()
+    lhs = h_at_pair_monomial(h).normal_form()
     rhs = critical_product(h, table).normal_form()
     return ProductCheckResult(h.degree, h.points.count, lhs == rhs)

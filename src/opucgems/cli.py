@@ -30,6 +30,12 @@ EXIT_BAD_INPUT = 2
 # largest index-tuple set enum-d lists: (k, l) = (5, 12) has 600600 tuples and
 # takes about 7 s and 155 MB on a 2-core host; (6, 12) has 2.86e6
 MAX_ENUM_TUPLES = 10 ** 6
+# largest weight-free part verify and dump-g2k build, as index tuples
+# (index_tuple_count(k, d)); the parts stay cached for the process, so this
+# also bounds what the cache holds.  On a 2-core host verify --kmax 5 --dmax 10
+# (126126) takes about 27 s and 0.9 GB and dump-g2k --k 5 --d 10 11 s and
+# 0.56 GB; (7, 9) has 140140 and (6, 10) 378378
+MAX_PART_TUPLES = 130_000
 
 
 def _line(record: dict) -> str:
@@ -44,6 +50,15 @@ def _emit(record: dict):
 
 def _say(message: str):
     sys.stderr.write(message + "\n")
+
+
+def _part_too_large(command: str, k: int, d: int) -> bool:
+    """Say so in one line when the (k, d) part passes ``MAX_PART_TUPLES``."""
+    count = algmodel.index_tuple_count(k, d)
+    if count > MAX_PART_TUPLES:
+        _say(f"{command}: the part for k={k}, d={d} has {count} index tuples, "
+             f"above the ceiling of {MAX_PART_TUPLES}")
+    return count > MAX_PART_TUPLES
 
 
 # -- verify ------------------------------------------------------------------------
@@ -135,6 +150,11 @@ def cmd_verify(args) -> int:
     if args.kmax < 1 or args.dmax < 1:
         _say("verify: need kmax >= 1 and dmax >= 1")
         return EXIT_BAD_INPUT
+    # the route cases build parts up to (min(kmax, dmax), dmax), and the
+    # count over k can peak below the top k, so check each
+    if any(_part_too_large("verify", k, args.dmax)
+           for k in range(1, min(args.kmax, args.dmax) + 1)):
+        return EXIT_BAD_INPUT
     cases = _verify_cases(args.kmax, args.dmax)
     results = [_run_case(case) for case in cases]
     results.sort(key=lambda item: item[0])
@@ -201,6 +221,8 @@ def cmd_gem(args) -> int:
 def cmd_dump_g2k(args) -> int:
     if args.k < 1 or args.d < args.k:
         _say("dump-g2k: need 1 <= k <= d")
+        return EXIT_BAD_INPUT
+    if _part_too_large("dump-g2k", args.k, args.d):
         return EXIT_BAD_INPUT
     if args.theta is None:
         points = CriticalPoints.generic([args.d])

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from opucgems import algmodel
 from opucgems.algmodel import (
     SITE_ELEMENTS,
+    PART_ROUTES,
     GaussianRational,
     ModelError,
     PhiProgram,
@@ -36,6 +37,7 @@ from opucgems.algmodel import (
     g2k_trace_scaled,
     hl_double_sum,
     hom_sums,
+    in_polynomial_ring,
     index_tuple_count,
     phi_program,
     phi_sites,
@@ -48,6 +50,7 @@ from opucgems.algmodel import (
     trace_orbit_check,
     trace_symbolic,
     trace_table,
+    weight_free_part,
 )
 from opucgems.lab import SequenceFamily, convergence_study
 from opucgems.laurent import LaurentPoly, VarTable, divided_diff, exact_div, substitute
@@ -358,7 +361,7 @@ def test_hl_double_sum_first_degree_is_h_at_pair_monomial():
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_dd_factors_vanish_exactly_where_the_parts_are_skipped(k):
-    # the premise of _dd_parts: D(b)(t^{l-1}) = 0 iff 1 <= l < k and
+    # the premise of _dd_product: D(b)(t^{l-1}) = 0 iff 1 <= l < k and
     # D(a)(t^{l+k-1}) = 0 iff 1-k <= l < 0, over |l| <= k
     table = VarTable(k)
     a_pts, b_pts = a_monomials(table, k), b_monomials(table, k)
@@ -466,36 +469,104 @@ def test_builders_reject_k_below_one_alike(builder, k):
         builder(k, build_h(CriticalPoints.generic([2])))
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_route_parts_agree_degree_by_degree(k):
     # each route is linear in h_l: per degree l, the weight-free part that
     # h_l multiplies has one normal form on all three routes
-    d = 4
-    table = VarTable(k, units=("z1", "z2"))
-    units = range(2 * table.pairs, 2 * table.pairs + len(table.units))
+    d = max(4, k + 2)
+    table = VarTable(k)
     sign = algmodel._sign(k)
     zero = table.zero()
-    unit = table.pair_monomial([2 * k] * k, [2 * k] * k)
-    trace = dict(algmodel._trace_parts(k, d, table))
-    hom_parts = algmodel._pair_parts(k, d, table, e_monomials(table, k), table.one())
-    site_parts = algmodel._pair_parts(k, d, table, c_monomials(table, k), unit)
-    for _, part in hom_parts + site_parts:
-        for e, c in part.terms.items():
-            assert not any(e[i] for i in units)
-            assert c.b == 0 and c.d == 1
-    hom = dict(hom_parts)
+    parts = {route: {l: weight_free_part(route, k, l) for l in range(-d, d + 1)}
+             for route in PART_ROUTES}
+    for by_power in parts.values():
+        for part in by_power.values():
+            if part is not None:
+                # over the pair variables alone: no unit-symbol slot
+                assert part.table == table
+                for e, c in part.terms.items():
+                    assert c.b == 0 and c.d == 1
+    trace = {l: part for l, part in parts["trace"].items() if part is not None}
+    hom = {l: part for l, part in parts["hom"].items() if part is not None}
     assert set(trace) == set(hom) == {s * l for l in range(k, d + 1) for s in (1, -1)}
     a_pts, b_pts = a_monomials(table, k), b_monomials(table, k)
     prod_b = math.prod(b_pts, start=table.one())
     for l in range(-d, d + 1):
-        dd = (divided_diff(a_pts, l + k - 1) * divided_diff(b_pts, l - 1) * prod_b
-              * sign).normal_form()
+        exact = divided_diff(a_pts, l + k - 1) * divided_diff(b_pts, l - 1) * prod_b
+        dd = (exact * sign).normal_form()
+        assert (parts["dd-exact"][l] or zero) == exact
+        assert ((parts["dd"][l] or zero) * sign) == dd
+        assert ((parts["site"][l] or zero) * sign).normal_form() == dd
         if l == 0:
             assert dd == table.one()
             continue
         # below degree k neither the trace nor the hom route has a part
         assert (trace.get(l, zero) * sign).normal_form() == dd
         assert (hom.get(l, zero) * sign).normal_form() == dd
+    for route in ("trace", "hom", "dd"):
+        assert all(p is None or p == p.normal_form() for p in parts[route].values())
+    assert all(in_polynomial_ring(p) for p in parts["site"].values() if p is not None)
+
+
+@pytest.mark.parametrize("route,k", [("bogus", 1), ("trace", 0), ("dd", -1)])
+def test_weight_free_part_rejects_unknown_route_and_k_below_one(route, k):
+    with pytest.raises(ModelError):
+        weight_free_part(route, k, 1)
+
+
+@st.composite
+def lift_cases(draw):
+    """k, a weight with K <= 2 and d <= 4 at generic or quarter angles (0 to
+    2 unit symbols), random parts over ``VarTable(k)`` and a sign."""
+    k = draw(st.integers(1, 3))
+    count = draw(st.integers(1, 2))
+    mults = draw(st.lists(st.integers(1, 2), min_size=count, max_size=count))
+    quarters = draw(st.lists(st.sampled_from([Fraction(q, 2) for q in range(4)]),
+                             min_size=count, max_size=count, unique=True))
+    angles = [draw(st.sampled_from([None, theta])) for theta in quarters]
+    h = build_h(CriticalPoints.from_pairs(list(zip(angles, mults))))
+    table = VarTable(k)
+    parts = {}
+    for l in range(-h.degree, h.degree + 1):
+        if draw(st.booleans()):
+            terms = {tuple(draw(st.integers(-2, 2)) for _ in range(2 * k)):
+                     GaussianRational(draw(st.integers(-3, 3)), draw(st.integers(-1, 1)))
+                     for _ in range(draw(st.integers(0, 4)))}
+            parts[l] = LaurentPoly(table, terms)
+    sign = draw(st.sampled_from([GaussianRational(1), GaussianRational(-1)]))
+    return k, h, parts, sign
+
+
+@settings(max_examples=60, deadline=None)
+@given(lift_cases())
+def test_weighted_lift_equals_embedded_products(case):
+    # concatenating a part's pair exponents with h_l's unit exponents is the
+    # product of both embedded into table_for(k, h)
+    k, h, parts, sign = case
+    table = table_for(k, h)
+    want = table.zero()
+    for l, part in parts.items():
+        want = want + (h.coeffs[l] * sign).embed(table) * part.embed(table)
+    got = algmodel._weighted(parts.get, k, h, sign)
+    assert got.table == table
+    assert got == want
+
+
+def test_normal_forms_do_not_depend_on_which_weight_filled_the_cache():
+    # the parts are shared by every weight: building the pinned inputs with
+    # K = 2 first and with K = 1 first gives the same text and digests
+    rows = [row for row in NORMAL_FORM_DIGESTS if row[0] != "trace_symbolic"]
+
+    def texts(first_k):
+        weight_free_part.cache_clear()
+        ordered = sorted(rows, key=lambda row: len(row[1]) != first_k)
+        return {row[:3]: _pinned_poly(*row[:3]).to_text() for row in ordered}
+
+    two_first, one_first = texts(2), texts(1)
+    assert two_first == one_first
+    for name, first, second, digest in rows:
+        text = two_first[name, first, second]
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # SHA-256 of to_text() for fixed inputs: the exact normal forms, pinned byte for byte

@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from opucgems import lab
+from opucgems import algmodel, cli, lab
 from opucgems.cli import main
 
 
@@ -99,12 +99,15 @@ def test_verify_flags_constant_sign(capsys):
 # max-scan division; guards every verify record (``comparedTerms`` included)
 # and the dump-g2k normal forms against silent drift in the exact kernel.  The
 # (3, 6) digest was recorded with the plain-symbol divided differences of the
-# whole weight, before they became divided differences of single powers.
+# whole weight, before they became divided differences of single powers.  The
+# (5, 8) digest was recorded before the weight-free parts were cached.
 PINNED_STDOUT = [
     ("verify --kmax 2 --dmax 4",
      "13f1852e4a74ab5e7593df41d7871028d6ffaeeecfe5023d24f0e6db10e78594"),
     ("verify --kmax 3 --dmax 6",
      "5d27bbd33c9868e4055e6b79415c851336945cb506142e3d8c1c0d66689171fd"),
+    ("verify --kmax 5 --dmax 8",
+     "eced1fb00bb024a39bff6f0d32d7ae19584db8de3863f97b8f9f87620fc3d43f"),
     ("dump-g2k --k 1 --d 3",
      "3da817de65c83def9cb6cc9aa5de178b08b46b0e9f63cfc8103eedf666398b38"),
     ("dump-g2k --k 2 --d 3",
@@ -126,6 +129,22 @@ def test_stdout_digest_is_pinned(capsys, command, digest):
     assert main(command.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command", ["dump-g2k --k 3 --d 4", "verify --kmax 4 --dmax 4"])
+def test_part_ceiling_admits_its_own_count(capsys, monkeypatch, command):
+    # the largest part of both commands is (3, 4), with 45 index tuples; at
+    # verify's top k = 4 the count is down to 35
+    count = algmodel.index_tuple_count(3, 4)
+    monkeypatch.setattr(cli, "MAX_PART_TUPLES", count)
+    assert main(command.split()) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "MAX_PART_TUPLES", count - 1)
+    assert main(command.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"{command.split()[0]}: the part for k=3, d=4 has {count} "
+                            f"index tuples, above the ceiling of {count - 1}\n")
 
 
 def test_gem_missing_config_is_input_error(capsys, tmp_path):
@@ -257,6 +276,8 @@ MALFORMED = [
     ("gem", {"criticalPoints": [{"thetaOverPi": f"{10 ** 400}/1", "m": 1}]}, None,
      "critical angle is too large for a float"),
     ("enum-d --k 6 --l 12", None, None),
+    ("verify --kmax 7 --dmax 9", None, None),
+    ("dump-g2k --k 6 --d 12", None, None),
 ]
 
 
@@ -275,7 +296,8 @@ MALFORMED = [
     "gem-gamma-text", "gem-phase-text", "gem-values-pair-short", "gem-values-number",
     "gem-values-flat", "gem-name-list", "gem-family-text", "gem-angle-zero-denominator",
     "gem-degree-above-ceiling", "gem-angle-list", "gem-angle-dict", "gem-angle-int-huge",
-    "gem-angle-text-huge", "enum-d-count-above-ceiling"])
+    "gem-angle-text-huge", "enum-d-count-above-ceiling", "verify-part-above-ceiling",
+    "dump-g2k-part-above-ceiling"])
 @pytest.mark.filterwarnings("error")
 def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch,
                                                command, data, study, message):
@@ -283,7 +305,7 @@ def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch,
     if study is not None:
         monkeypatch.setattr(lab, "convergence_study", study)
     path = tmp_path / "input.json"
-    if command in ("verify", "enum-d"):
+    if command in ("verify", "enum-d", "dump-g2k"):
         argv = [command, *options]
     elif command == "gem":
         path.write_text(json.dumps({**GOOD_GEM, **data}))
