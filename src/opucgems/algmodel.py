@@ -16,8 +16,9 @@ Both are linear in the weight's coefficients h_l, so a route's part for the
 power t^l depends only on (k, l), not on the weight or its degree:
 :func:`weight_free_part` builds each part once per process, over the pair
 variables alone, and ``_weighted`` alone lifts the parts into a weight's
-table and multiplies them by the exact h_l.  The site route weights the
-same parts by numeric h_l.
+table and multiplies them by the exact h_l.  The site route compiles each
+``"site"`` part once into integer rows (:func:`_site_rows`) and weights
+those rows by numeric h_l.
 
 The evaluation map ``phi`` sends ``x_p^b y_p^g`` (per pair) to
 ``alpha_{n+b} * conj(alpha_{n+g})``; in particular a constant c maps to
@@ -31,7 +32,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -57,7 +58,8 @@ MAX_TRACE_WINDOW = 80
 # working memory, and fixes its block of sites through PhiProgram.block
 SITE_ELEMENTS = 2 ** 15
 # largest weight degree a study compiles a site route for: on a 2-core host
-# the K = 1 compile takes about 1.4 s at d = 8 and 8.9 s (430 MB) at d = 9
+# the first K = 1 compile of a process, parts and rows included, takes about
+# 1.1 s at d = 8, and took 8.9 s (430 MB) at d = 9 before the rows were cached
 MAX_SITE_DEGREE = 8
 
 
@@ -210,30 +212,6 @@ def index_tuple_count(k: int, l: int) -> int:
 # -- the evaluation map phi ---------------------------------------------------------
 
 
-def phi_terms(poly: LaurentPoly, unit_values: Mapping[str, complex]) -> list:
-    """Compile a polynomial for phi: one ``(coeff, ((b_1, g_1), ...))`` per term.
-
-    ``coeff`` is the coefficient times the unit-symbol values and
-    ``(b_p, g_p)`` are the exponents of ``x_p`` and ``y_p``.  Raises
-    :class:`ModelError` on plain symbols and negative pair exponents.
-    """
-    units = poly.table.units
-    pairs = 2 * poly.table.pairs
-    plain = pairs + len(units)
-    compiled = []
-    for e, c in poly.terms.items():
-        value = complex(c)
-        for name, exp in zip(units, e[pairs:plain]):
-            if exp:
-                value *= unit_values[name] ** exp
-        if any(e[plain:]):
-            raise ModelError("phi is undefined on plain symbols")
-        if pairs and min(e[:pairs]) < 0:
-            raise ModelError("phi needs nonnegative pair exponents")
-        compiled.append((value, tuple(zip(e[0:pairs:2], e[1:pairs:2]))))
-    return compiled
-
-
 @dataclass(frozen=True)
 class PhiProgram:
     """Polynomials compiled for phi over one shared table of pair factors.
@@ -261,34 +239,6 @@ class PhiProgram:
         memory by its own row count instead.
         """
         return max(1, SITE_ELEMENTS // max(len(self.shifts), *map(len, self.coeffs)))
-
-
-def phi_program(polys: Sequence, unit_values: Mapping[str, complex]) -> PhiProgram:
-    """Compile polynomials with :func:`phi_terms` into one :class:`PhiProgram`.
-
-    Each entry is a nonempty sequence of ``(weight, part)`` pairs standing
-    for ``sum weight * part``, the parts :class:`LaurentPoly` over one table
-    and the weights complex numbers.  phi sends terms whose
-    pair exponents ``(b_p, g_p)`` are equal up to the order of the pairs
-    to the same product of pair factors, so their rows merge into one,
-    with the pairs sorted and the coefficients summed.
-    """
-    index: dict = {}
-    coeffs = []
-    slots = []
-    for entry in polys:
-        rows: dict = {}
-        for weight, part in entry:
-            for c, exps in phi_terms(part, unit_values):
-                exps = tuple(sorted(exps))
-                rows[exps] = rows.get(exps, 0) + weight * c
-        pairs = entry[0][1].table.pairs
-        coeffs.append(np.array(list(rows.values()), dtype=complex))
-        slots.append(np.array(
-            [[index.setdefault(pair, len(index)) for pair in exps] for exps in rows],
-            dtype=np.intp).reshape(len(rows), pairs))
-    max_shift = max((max(pair) for pair in index), default=0)
-    return PhiProgram(tuple(index), tuple(coeffs), tuple(slots), max_shift)
 
 
 def phi_sites(program: PhiProgram, a: np.ndarray, a_conj: np.ndarray,
@@ -483,17 +433,25 @@ def _weighted(part, k: int, h: TrigPoly, sign=GR_ONE) -> LaurentPoly:
     so a term of the product has the part's exponent tuple followed by the
     h_l term's: the lift needs no embedding.  The sign scales each h_l, which
     has a few terms, not the sum.
+
+    No two lifted terms collide: a part's y-degree minus x-degree is l, and
+    appending h_l's distinct unit exponents is injective.  So the terms go
+    into the table unmerged, and a count that falls short of the terms made
+    raises instead of letting one overwrite another.
     """
     table = table_for(k, h)
     out: dict = {}
+    made = 0
     for l, coeff in h.coeffs.items():
         if coeff.is_zero:
             continue
         p = part(l)
         if p is not None:
             weight = [(e, c * sign) for e, c in coeff.terms.items()]
-            _accumulate(out, ((ep + eh, cp * ch) for ep, cp in p.terms.items()
-                              for eh, ch in weight))
+            out.update((ep + eh, cp * ch) for ep, cp in p.terms.items() for eh, ch in weight)
+            made += len(p.terms) * len(weight)
+    if len(out) != made:
+        raise ModelError(f"lifted terms collided for k={k}")
     return _poly(table, out)
 
 
@@ -524,7 +482,7 @@ def weight_free_part(route: str, k: int, l: int) -> LaurentPoly | None:
       the routes check holds only normal forms);
     * ``"site"``: the ``"hom"`` part with the c points for e, times ``U =
       (prod x_i y_i)^{2k}``, and ``(-1)^{k+1} U`` at l = 0: every exponent
-      cleared to >= 0, as :func:`site_poly` and :func:`phi_program` need.
+      cleared to >= 0, as :func:`site_poly` and :func:`_site_rows` need.
 
     The trace and pair parts are zero for ``0 < |l| < k`` (and at l = 0).
     """
@@ -783,25 +741,70 @@ def site_poly(k: int, h: TrigPoly) -> LaurentPoly:
     return out
 
 
-def _site_parts(k: int, h: TrigPoly) -> list:
-    """``pref_k * site_poly(k, h)`` as ``(weight, part)`` pairs: the ``"site"``
-    parts over the pair variables alone, l = 0, k, -k, ..., d, -d, weighted by
-    the numeric ``pref_k * h_l`` with ``pref_k = (-1)^{k+1} / (k Z_H)``.  Parts
-    whose exact h_l is zero are left out, as they are from the exact sum."""
-    pref = (-1) ** (k + 1) / (k * h.z_h_numeric())
-    powers = [0] + [s * l for l in range(k, h.degree + 1) for s in (1, -1)]
-    return [(pref * h.coeff_numeric(l), weight_free_part("site", k, l))
-            for l in powers if not h.coeffs[l].is_zero]
+@cache
+def _site_rows(k: int, l: int) -> tuple | None:
+    """The ``"site"`` part of (k, l) compiled for phi; None when it is zero.
+
+    ``(pairs, counts)``: row r multiplies the pair factors ``alpha_{n+b} *
+    conj(alpha_{n+g})`` of the sorted ``(b, g)`` pairs in ``pairs[r]``, an int
+    array of shape (R, k, 2), and has the integer coefficient ``counts[r]``.
+    phi sends terms whose pairs are equal up to order to the same product,
+    so their coefficients merge into one row, kept in the order of first
+    occurrence; a row that merges to zero is dropped.  Cached per process
+    like :func:`weight_free_part`, on plain integers, and read-only.  A
+    negative pair exponent raises :class:`ModelError`: phi is undefined there.
+    """
+    part = weight_free_part("site", k, l)
+    if part is None:
+        return None
+    rows: dict = {}
+    for e, c in part.terms.items():
+        if min(e) < 0:
+            raise ModelError("phi needs nonnegative pair exponents")
+        if c.d != 1 or c.b:
+            raise ModelError("a site part has a non-integer coefficient")
+        key = tuple(sorted(zip(e[0::2], e[1::2])))
+        rows[key] = rows.get(key, 0) + c.a
+    rows = {key: count for key, count in rows.items() if count}
+    pairs = np.array(list(rows), dtype=np.intp).reshape(len(rows), k, 2)
+    counts = np.array(list(rows.values()), dtype=np.int64)
+    pairs.flags.writeable = counts.flags.writeable = False  # shared by every caller
+    return pairs, counts
 
 
 def site_route(h: TrigPoly) -> PhiProgram:
     """``pref_k * site_poly(k, h)`` for k = 1..d, compiled for :func:`site_functional`.
 
-    Polynomial k, at position k - 1, is compiled from :func:`_site_parts`,
-    not from the exact ``site_poly(k, h)``, which would carry each h_l's
-    unit symbols into every term; phi of the two agrees to rounding.
+    Polynomial k, at position k - 1, stacks the cached :func:`_site_rows` of
+    l = 0, k, -k, ..., d, -d, leaving out each l whose exact h_l is zero, as
+    the exact sum does; a row's coefficient is ``pref_k * h_l * count``
+    with the numeric h_l and ``pref_k = (-1)^{k+1} / (k Z_H)``.  The exact
+    ``site_poly(k, h)`` would carry each h_l's unit symbols into every term;
+    phi of the two agrees to rounding.  A part's y-degree minus x-degree is
+    l, so rows of different l never share their pair factors and need no
+    merge.  One ``np.unique`` over every (b, g) pair gives the shift table
+    and the slots.
     """
-    return phi_program([_site_parts(k, h) for k in range(1, h.degree + 1)], {})
+    values = h.unit_values()
+    h_num = {l: c.evaluate(values) for l, c in h.coeffs.items() if not c.is_zero}
+    pairs, coeffs = [], []
+    for k in range(1, h.degree + 1):
+        pref = (-1) ** (k + 1) / (k * h_num[0].real)
+        blocks = []
+        for l in [0] + [s * m for m in range(k, h.degree + 1) for s in (1, -1)]:
+            rows = _site_rows(k, l) if l in h_num else None
+            if rows is not None:
+                blocks.append((rows[0], pref * h_num[l] * rows[1]))
+        pairs.append(np.concatenate([b for b, _ in blocks]))
+        coeffs.append(np.concatenate([c for _, c in blocks]))
+    flat = np.concatenate([p.reshape(-1, 2) for p in pairs])
+    width = int(flat.max()) + 1
+    codes, inverse = np.unique(flat[:, 0] * width + flat[:, 1], return_inverse=True)
+    beta, gamma = np.divmod(codes, width)
+    ends = np.cumsum([p.size // 2 for p in pairs])
+    slots = [s.reshape(-1, p.shape[1]) for s, p in zip(np.split(inverse, ends[:-1]), pairs)]
+    return PhiProgram(tuple(zip(beta.tolist(), gamma.tolist())), tuple(coeffs),
+                      tuple(slots), width - 1)
 
 
 def site_functional(a: np.ndarray, n: int, route: PhiProgram) -> float:

@@ -36,6 +36,10 @@ MAX_ENUM_TUPLES = 10 ** 6
 # (126126) takes about 27 s and 0.9 GB and dump-g2k --k 5 --d 10 11 s and
 # 0.56 GB; (7, 9) has 140140 and (6, 10) 378378
 MAX_PART_TUPLES = 130_000
+# largest kmax verify takes, as it checks the basis relations for k = 1..kmax;
+# on a 2-core host basis_relation_check takes about 0.45 s at k = 6, 2.3 s at
+# k = 7 and 12 s at k = 8, about 5x more per further k
+MAX_RELATION_K = 7
 
 
 def _line(record: dict) -> str:
@@ -154,6 +158,10 @@ def cmd_verify(args) -> int:
     # count over k can peak below the top k, so check each
     if any(_part_too_large("verify", k, args.dmax)
            for k in range(1, min(args.kmax, args.dmax) + 1)):
+        return EXIT_BAD_INPUT
+    if args.kmax > MAX_RELATION_K:
+        _say(f"verify: the basis relations for k={args.kmax} are above the ceiling "
+             f"of k={MAX_RELATION_K}")
         return EXIT_BAD_INPUT
     cases = _verify_cases(args.kmax, args.dmax)
     results = [_run_case(case) for case in cases]

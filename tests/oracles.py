@@ -2,17 +2,25 @@
 
 * :func:`sum_rule_functional`, the trace route of a study at one N, as a
   composition of the package's calls.
+* The term-by-term phi compiler: :func:`phi_terms` and :func:`phi_program`
+  compile any polynomial, unit symbols and all, and :func:`site_parts`
+  gives the weighted ``"site"`` parts that ``site_route`` compiles from
+  cached integer rows instead.
 * The contact-degree cluster behind acceptance 9: the double-sum part of
   G'_2k, the k = 1 product witness, the capped Taylor degree at the
   critical point and a greedy search for a high-contact representative.
 """
 
+import numpy as np
+
 from opucgems.algmodel import (
     ModelError,
+    PhiProgram,
     critical_product,
     hl_double_sum,
     in_polynomial_ring,
     table_for,
+    weight_free_part,
 )
 from opucgems.laurent import LaurentPoly, VarTable, exact_div, substitute
 from opucgems.opuc import ggt_matrix, log_term, trace_v
@@ -21,6 +29,71 @@ from opucgems.opuc import ggt_matrix, log_term, trace_v
 def sum_rule_functional(head, n, h):
     """``Tr(V(U_N)) - sum_{j<N} log(1 - |alpha_j|^2)`` over ``head[:n]``."""
     return trace_v(ggt_matrix(head, n), h) - log_term(head[:n])
+
+
+def phi_terms(poly, unit_values):
+    """Compile a polynomial for phi: one ``(coeff, ((b_1, g_1), ...))`` per term.
+
+    ``coeff`` is the coefficient times the unit-symbol values and
+    ``(b_p, g_p)`` are the exponents of ``x_p`` and ``y_p``.  Raises
+    :class:`ModelError` on plain symbols and negative pair exponents.
+    """
+    units = poly.table.units
+    pairs = 2 * poly.table.pairs
+    plain = pairs + len(units)
+    compiled = []
+    for e, c in poly.terms.items():
+        value = complex(c)
+        for name, exp in zip(units, e[pairs:plain]):
+            if exp:
+                value *= unit_values[name] ** exp
+        if any(e[plain:]):
+            raise ModelError("phi is undefined on plain symbols")
+        if pairs and min(e[:pairs]) < 0:
+            raise ModelError("phi needs nonnegative pair exponents")
+        compiled.append((value, tuple(zip(e[0:pairs:2], e[1:pairs:2]))))
+    return compiled
+
+
+def phi_program(polys, unit_values):
+    """Compile polynomials with :func:`phi_terms` into one :class:`PhiProgram`.
+
+    Each entry is a nonempty sequence of ``(weight, part)`` pairs standing
+    for ``sum weight * part``, the parts :class:`LaurentPoly` over one table
+    and the weights complex numbers.  phi sends terms whose
+    pair exponents ``(b_p, g_p)`` are equal up to the order of the pairs
+    to the same product of pair factors, so their rows merge into one,
+    with the pairs sorted and the coefficients summed.
+    """
+    index = {}
+    coeffs = []
+    slots = []
+    for entry in polys:
+        rows = {}
+        for weight, part in entry:
+            for c, exps in phi_terms(part, unit_values):
+                exps = tuple(sorted(exps))
+                rows[exps] = rows.get(exps, 0) + weight * c
+        pairs = entry[0][1].table.pairs
+        coeffs.append(np.array(list(rows.values()), dtype=complex))
+        slots.append(np.array(
+            [[index.setdefault(pair, len(index)) for pair in exps] for exps in rows],
+            dtype=np.intp).reshape(len(rows), pairs))
+    max_shift = max((max(pair) for pair in index), default=0)
+    return PhiProgram(tuple(index), tuple(coeffs), tuple(slots), max_shift)
+
+
+def site_parts(k, h):
+    """``pref_k * site_poly(k, h)`` as ``(weight, part)`` pairs: the ``"site"``
+    parts over the pair variables alone, l = 0, k, -k, ..., d, -d, weighted by
+    the numeric ``pref_k * h_l`` with ``pref_k = (-1)^{k+1} / (k Z_H)``.  Parts
+    whose exact h_l is zero are left out, as they are from the exact sum.
+    ``phi_program([site_parts(k, h) for k in 1..d], {})`` is the site route
+    compiled term by term."""
+    pref = (-1) ** (k + 1) / (k * h.z_h_numeric())
+    powers = [0] + [s * l for l in range(k, h.degree + 1) for s in (1, -1)]
+    return [(pref * h.coeff_numeric(l), weight_free_part("site", k, l))
+            for l in powers if not h.coeffs[l].is_zero]
 
 
 def hl_part(k, h):

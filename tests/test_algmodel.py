@@ -39,9 +39,7 @@ from opucgems.algmodel import (
     hom_sums,
     in_polynomial_ring,
     index_tuple_count,
-    phi_program,
     phi_sites,
-    phi_terms,
     site_functional,
     site_poly,
     site_route,
@@ -59,8 +57,11 @@ from opucgems.trig import CriticalPoints, build_h
 from oracles import (
     hl_part,
     l_degree,
+    phi_program,
+    phi_terms,
     product_representative,
     representative_search,
+    site_parts,
     sum_rule_functional,
 )
 
@@ -517,7 +518,9 @@ def test_weight_free_part_rejects_unknown_route_and_k_below_one(route, k):
 @st.composite
 def lift_cases(draw):
     """k, a weight with K <= 2 and d <= 4 at generic or quarter angles (0 to
-    2 unit symbols), random parts over ``VarTable(k)`` and a sign."""
+    2 unit symbols), random parts over ``VarTable(k)`` and a sign.  Like a
+    route's part, the part for t^l has y-degree minus x-degree l in every
+    term."""
     k = draw(st.integers(1, 3))
     count = draw(st.integers(1, 2))
     mults = draw(st.lists(st.integers(1, 2), min_size=count, max_size=count))
@@ -529,9 +532,12 @@ def lift_cases(draw):
     parts = {}
     for l in range(-h.degree, h.degree + 1):
         if draw(st.booleans()):
-            terms = {tuple(draw(st.integers(-2, 2)) for _ in range(2 * k)):
-                     GaussianRational(draw(st.integers(-3, 3)), draw(st.integers(-1, 1)))
-                     for _ in range(draw(st.integers(0, 4)))}
+            terms = {}
+            for _ in range(draw(st.integers(0, 4))):
+                e = [draw(st.integers(-2, 2)) for _ in range(2 * k - 1)]
+                e.append(l + sum(e[0::2]) - sum(e[1::2]))  # y_k
+                terms[tuple(e)] = GaussianRational(draw(st.integers(-3, 3)),
+                                                   draw(st.integers(-1, 1)))
             parts[l] = LaurentPoly(table, terms)
     sign = draw(st.sampled_from([GaussianRational(1), GaussianRational(-1)]))
     return k, h, parts, sign
@@ -550,6 +556,15 @@ def test_weighted_lift_equals_embedded_products(case):
     got = algmodel._weighted(parts.get, k, h, sign)
     assert got.table == table
     assert got == want
+
+
+def test_weighted_lift_raises_where_two_terms_would_collide():
+    # the same part at every l breaks the y-degree invariant: h_1 and h_-1 of
+    # an exact weight are constants, so their lifted terms coincide
+    h = build_h(CriticalPoints.from_pairs([(Fraction(0), 1)]))
+    one = VarTable(1).one()
+    with pytest.raises(ModelError, match="collided"):
+        algmodel._weighted(lambda l: one, 1, h)
 
 
 def test_normal_forms_do_not_depend_on_which_weight_filled_the_cache():
@@ -1045,6 +1060,63 @@ def test_compiled_rows_are_distinct_products_of_pair_factors(pairs):
         for slots in program.slots:
             products = [tuple(sorted(program.shifts[i] for i in row)) for row in slots.tolist()]
             assert len(set(products)) == len(products)
+
+
+def program_rows(program):
+    """Per polynomial, ``{sorted pair factors: coefficient}`` over its rows;
+    asserts that no two rows of a polynomial share their pair factors."""
+    out = []
+    for coeffs, slots in zip(program.coeffs, program.slots, strict=True):
+        rows = {tuple(sorted(program.shifts[i] for i in row)): c
+                for row, c in zip(slots.tolist(), coeffs.tolist(), strict=True)}
+        assert len(rows) == len(coeffs)
+        out.append(rows)
+    return out
+
+
+@settings(max_examples=20, deadline=None)
+@given(h=exact_weights(), alpha=bounded_sequences(), start=st.integers(0, 60))
+def test_site_route_equals_term_by_term_compile_of_its_parts(h, alpha, start):
+    # the cached integer rows, weighted, against the same weighted parts
+    # compiled term by term
+    route = site_route(h)
+    oracle = phi_program([site_parts(k, h) for k in range(1, h.degree + 1)], {})
+    assert route.max_shift == oracle.max_shift
+    for got, want in zip(program_rows(route), program_rows(oracle), strict=True):
+        assert got.keys() == want.keys()
+        assert all(abs(got[key] - c) <= 1e-12 * max(1.0, abs(c)) for key, c in want.items())
+    stop = start + 7
+    a = alpha.head(stop + route.max_shift)
+    a_conj = np.conj(a)
+    got = phi_sites(route, a, a_conj, start, stop)
+    want = phi_sites(oracle, a, a_conj, start, stop)
+    for g, w in zip(got, want, strict=True):
+        assert np.all(np.abs(g - w) <= 1e-12 * np.maximum(1.0, np.abs(w)))
+
+
+def test_second_weight_of_a_degree_builds_no_part():
+    # the rows are cached per (k, l): a second weight of the same degree only
+    # weights them, so neither cache misses
+    site_route(build_h(CriticalPoints.from_pairs([(0.3, 2), (1.1, 1)])))
+
+    def misses():
+        return (weight_free_part.cache_info().misses,
+                algmodel._site_rows.cache_info().misses)
+
+    before = misses()
+    site_route(build_h(CriticalPoints.from_pairs([(0.7, 3)])))
+    assert misses() == before
+
+
+@pytest.mark.parametrize("part,message", [
+    (VarTable(1).pair_monomial([1], [-1]), "nonnegative pair exponents"),
+    (VarTable(1).pair_monomial([1], [1]) * Fraction(1, 2), "non-integer coefficient"),
+], ids=["negative-exponent", "half-coefficient"])
+def test_site_rows_reject_a_part_phi_cannot_count(monkeypatch, part, message):
+    # the uncached body, so that the broken part stays out of the cache
+    monkeypatch.setattr(algmodel, "weight_free_part", lambda route, k, l: part)
+    with pytest.raises(ModelError, match=message):
+        algmodel._site_rows.__wrapped__(1, 1)
 
 
 def test_site_block_holds_one_site_past_the_element_budget():

@@ -147,6 +147,17 @@ def test_part_ceiling_admits_its_own_count(capsys, monkeypatch, command):
                             f"index tuples, above the ceiling of {count - 1}\n")
 
 
+def test_relation_ceiling_admits_its_own_k(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_RELATION_K", 3)
+    assert main(["verify", "--kmax", "3", "--dmax", "1"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "MAX_RELATION_K", 2)
+    assert main(["verify", "--kmax", "3", "--dmax", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "verify: the basis relations for k=3 are above the ceiling of k=2\n"
+
+
 def test_gem_missing_config_is_input_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "gem", "--config", str(tmp_path / "none.json"))
     assert code == 2 and "gem" in err
@@ -278,6 +289,7 @@ MALFORMED = [
     ("enum-d --k 6 --l 12", None, None),
     ("verify --kmax 7 --dmax 9", None, None),
     ("dump-g2k --k 6 --d 12", None, None),
+    ("verify --kmax 10 --dmax 1", None, None),
 ]
 
 
@@ -297,7 +309,7 @@ MALFORMED = [
     "gem-values-flat", "gem-name-list", "gem-family-text", "gem-angle-zero-denominator",
     "gem-degree-above-ceiling", "gem-angle-list", "gem-angle-dict", "gem-angle-int-huge",
     "gem-angle-text-huge", "enum-d-count-above-ceiling", "verify-part-above-ceiling",
-    "dump-g2k-part-above-ceiling"])
+    "dump-g2k-part-above-ceiling", "verify-relation-above-ceiling"])
 @pytest.mark.filterwarnings("error")
 def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch,
                                                command, data, study, message):
