@@ -18,7 +18,9 @@ power t^l depends only on (k, l), not on the weight or its degree:
 variables alone, and ``_weighted`` alone lifts the parts into a weight's
 table and multiplies them by the exact h_l.  The site route compiles each
 ``"site"`` part once into integer rows (:func:`_site_rows`) and weights
-those rows by numeric h_l.
+those rows by numeric h_l.  Rows that are translates of one product share
+a shift class, so :func:`phi_sums` forms each class's product once over a
+run of sites and takes each row's sum over the run from it.
 
 The evaluation map ``phi`` sends ``x_p^b y_p^g`` (per pair) to
 ``alpha_{n+b} * conj(alpha_{n+g})``; in particular a constant c maps to
@@ -55,11 +57,15 @@ from .trig import TrigPoly
 MAX_TRACE_COMPLEXITY = 18
 MAX_TRACE_WINDOW = 80
 # complex entries in each intermediate array of site_functional: bounds its
-# working memory, and fixes its block of sites through PhiProgram.block
+# working memory, and fixes its block of sites through PhiProgram.block,
+# unless a block of EDGE_SHARE * lead sites needs more (14.5 * 2^15 at d = 8)
 SITE_ELEMENTS = 2 ** 15
+# least sites per block, in units of PhiProgram.lead: each block also
+# computes lead columns past its last site
+EDGE_SHARE = 8
 # largest weight degree a study compiles a site route for: on a 2-core host
 # the first K = 1 compile of a process, parts and rows included, takes about
-# 1.1 s at d = 8, and took 8.9 s (430 MB) at d = 9 before the rows were cached
+# 1.0 s at d = 8 and 7.7 s at d = 9
 MAX_SITE_DEGREE = 8
 
 
@@ -217,52 +223,106 @@ class PhiProgram:
     """Polynomials compiled for phi over one shared table of pair factors.
 
     ``shifts[i] = (b, g)`` is the pair factor ``alpha_{n+b} *
-    conj(alpha_{n+g})``.  Polynomial q is ``sum_t coeffs[q][t] * prod_p
-    factor[slots[q][t, p]]``; ``max_shift`` is the largest b or g.  No two
-    rows of a polynomial multiply the same pair factors.
+    conj(alpha_{n+g})``.  Polynomial q has shift classes, the products
+    ``M_c(n) = prod_p factor[classes[q][c, p]](n)``, and rows: row r is
+    ``coeffs[q][r] * M_c(n + offsets[q][r])`` with ``c = row_class[q][r]``,
+    so rows that are translates of one product share its class.
+    ``max_shift`` is the largest b or g of any row, its offset included.
+    No two rows of a polynomial share both their class and their offset.
+
+    ``window_weights`` holds, per polynomial, ``(weights, edges)``: the row
+    coefficients summed for :func:`phi_sums`.  ``weights[c]`` sums the
+    coefficients of class c's rows and ``edges[c, t]`` those of its rows at
+    an offset above t, for t below the polynomial's largest offset.  They
+    are derived from the rows unless given.
     """
 
     shifts: tuple
+    classes: tuple
+    row_class: tuple
+    offsets: tuple
     coeffs: tuple
-    slots: tuple
     max_shift: int
+    window_weights: tuple | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.window_weights is not None:
+            return
+        out = []
+        for classes, row_class, offsets, coeffs in zip(
+                self.classes, self.row_class, self.offsets, self.coeffs):
+            lead = int(offsets.max())
+            # column lead - o sums the rows at offset o
+            above = np.zeros((len(classes), lead + 1), dtype=complex)
+            np.add.at(above, (row_class, lead - offsets), coeffs)
+            above.cumsum(axis=1, out=above)
+            out.append((above[:, lead].copy(), np.ascontiguousarray(above[:, :lead][:, ::-1])))
+        object.__setattr__(self, "window_weights", tuple(out))
+
+    def scaled(self, class_scales: Sequence[np.ndarray]) -> PhiProgram:
+        """The program with every row of class c of polynomial q, and so its
+        window weights, multiplied by ``class_scales[q][c]``."""
+        return PhiProgram(
+            self.shifts, self.classes, self.row_class, self.offsets,
+            tuple(s[rc] * c for s, rc, c in zip(class_scales, self.row_class, self.coeffs)),
+            self.max_shift,
+            tuple((s * w, s[:, None] * e) for s, (w, e) in zip(class_scales, self.window_weights)))
+
+    @property
+    def lead(self) -> int:
+        """The largest offset of any row: the columns a block computes past its sites."""
+        return max(edges.shape[1] for _, edges in self.window_weights)
 
     @property
     def block(self) -> int:
         """Sites per block in :func:`site_functional`.
 
-        Its widest intermediates, the pair factors and one polynomial's term
-        products, then hold at most ``SITE_ELEMENTS`` entries each: wide
-        blocks for a small program, where numpy's per-call cost dominates,
-        narrow ones for a large program.  A block holds at least one site,
-        so a polynomial of more than ``SITE_ELEMENTS`` rows bounds working
-        memory by its own row count instead.
+        A block holds at least ``EDGE_SHARE * lead`` sites, so that the
+        ``lead`` columns it computes past its sites stay a small share of its
+        work.  Beyond that, its widest intermediates, the pair factors and
+        one polynomial's class products, hold at most ``SITE_ELEMENTS``
+        entries each: wide blocks for a small program, where numpy's
+        per-call cost dominates, narrow ones for a large program.  A block
+        holds at least one site.
         """
-        return max(1, SITE_ELEMENTS // max(len(self.shifts), *map(len, self.coeffs)))
+        widest = max(len(self.shifts), *map(len, self.classes))
+        return max(1, EDGE_SHARE * self.lead, SITE_ELEMENTS // widest - self.lead)
 
 
-def phi_sites(program: PhiProgram, a: np.ndarray, a_conj: np.ndarray,
-              start: int, stop: int) -> list:
-    """phi of each compiled polynomial at sites ``start .. stop-1``.
+def phi_sums(program: PhiProgram, a: np.ndarray, a_conj: np.ndarray,
+             start: int, stop: int) -> list:
+    """Per compiled polynomial, the sum of its phi over sites ``start .. stop-1``.
 
-    ``a`` holds the coefficients from site 0 on (at least ``stop +
-    max_shift`` of them) and ``a_conj`` their conjugates.  Each pair factor
-    is one slice product over all the sites; each term multiplies its
-    factors in pair order onto its coefficient, and the terms are summed in
-    order, as a scalar loop over one site would.
+    Column t of the block is site ``start + t``.  A row at offset o sums its
+    class product over the columns ``o .. o + width - 1``: the first width
+    columns, less the o leading ones, plus the o columns after them.  So a
+    polynomial's sum is its class sums over the first width columns times
+    the class weights, plus the edges times the trailing columns less the
+    leading ones (``PhiProgram.window_weights``).  Each class product is
+    formed once, over ``width + lead`` columns, with each pair factor one
+    slice product over all of them.  The class sums are pairwise sums over
+    the columns, and no BLAS call is made: a threaded one can stall on a
+    busy host.
+
+    ``a`` holds the coefficients from site 0 on, at least ``stop + lead +
+    max_shift`` of them, and ``a_conj`` their conjugates.  Those from ``stop
+    + max_shift`` on meet only zero weights, so they may be zero padding.
     """
     width = stop - start
-    factors = np.empty((len(program.shifts), width), dtype=complex)
+    span = width + program.lead
+    factors = np.empty((len(program.shifts), span), dtype=complex)
     for row, (beta, gamma) in zip(factors, program.shifts):
-        np.multiply(a[start + beta:stop + beta], a_conj[start + gamma:stop + gamma],
-                    out=row)
-    values = []
-    for coeffs, slots in zip(program.coeffs, program.slots):
-        prod = np.repeat(coeffs[:, None], width, axis=1)
-        for column in slots.T:
+        np.multiply(a[start + beta:start + beta + span],
+                    a_conj[start + gamma:start + gamma + span], out=row)
+    sums = []
+    for classes, (weights, edges) in zip(program.classes, program.window_weights):
+        prod = factors[classes[:, 0]]
+        for column in classes.T[1:]:
             prod *= factors[column]
-        values.append(prod.sum(axis=0))
-    return values
+        lead = edges.shape[1]
+        edge = prod[:, width:width + lead] - prod[:, :lead]
+        sums.append((weights * prod[:, :width].sum(axis=1)).sum() + (edges * edge).sum())
+    return sums
 
 
 # -- symbolic trace expansion --------------------------------------------------------
@@ -490,20 +550,31 @@ def weight_free_part(route: str, k: int, l: int) -> LaurentPoly | None:
         raise ModelError(f"unknown route {route!r}")
     if k < 1:
         raise ModelError("k must be positive")
+    if route == "site":
+        return _site_part(k, l)
     table = VarTable(k)
     if route in ("dd", "dd-exact"):
         exact = _dd_product(k, l, table)
         return exact if exact is None or route == "dd-exact" else exact.normal_form()
-    if route == "site":
-        unit = table.pair_monomial([2 * k] * k, [2 * k] * k)
-        if l == 0:
-            return unit * _sign(k)
     if abs(l) < k:
         return None
     if route == "trace":
         return _trace_part(k, l, table).normal_form()
-    if route == "hom":
-        return _pair_part(k, l, table, e_monomials(table, k), table.one()).normal_form()
+    return _pair_part(k, l, table, e_monomials(table, k), table.one()).normal_form()
+
+
+def _site_part(k: int, l: int) -> LaurentPoly | None:
+    """The ``"site"`` part of :func:`weight_free_part`, built afresh.
+
+    :func:`_site_rows` builds its rows from this uncached part, so a study
+    keeps the integer rows and not the much larger polynomial.
+    """
+    table = VarTable(k)
+    unit = table.pair_monomial([2 * k] * k, [2 * k] * k)
+    if l == 0:
+        return unit * _sign(k)
+    if abs(l) < k:
+        return None
     return _pair_part(k, l, table, c_monomials(table, k), unit)
 
 
@@ -745,16 +816,20 @@ def site_poly(k: int, h: TrigPoly) -> LaurentPoly:
 def _site_rows(k: int, l: int) -> tuple | None:
     """The ``"site"`` part of (k, l) compiled for phi; None when it is zero.
 
-    ``(pairs, counts)``: row r multiplies the pair factors ``alpha_{n+b} *
-    conj(alpha_{n+g})`` of the sorted ``(b, g)`` pairs in ``pairs[r]``, an int
-    array of shape (R, k, 2), and has the integer coefficient ``counts[r]``.
-    phi sends terms whose pairs are equal up to order to the same product,
-    so their coefficients merge into one row, kept in the order of first
-    occurrence; a row that merges to zero is dropped.  Cached per process
-    like :func:`weight_free_part`, on plain integers, and read-only.  A
-    negative pair exponent raises :class:`ModelError`: phi is undefined there.
+    ``(classes, row_class, offsets, counts)``.  phi sends a term with the
+    pairs ``(b_p, g_p)`` to ``prod_p alpha_{n+b_p} * prod_p conj(alpha_{n+g_p})``,
+    which depends only on the b's and the g's each up to order, so terms
+    whose sorted b's and sorted g's agree merge into one row, kept in the
+    order of first occurrence; a row that merges to zero is dropped.  Row r
+    has the integer coefficient ``counts[r]`` and the offset ``offsets[r]``,
+    its least b or g.  Less that offset, its sorted b's paired with its
+    sorted g's are its class ``classes[row_class[r]]``, an int array of
+    shape (C, k, 2): phi of the row at site n is phi of its class at site n
+    + offset.  The classes are sorted.  Cached per process like
+    :func:`weight_free_part`, on plain integers, and read-only.  A negative
+    pair exponent raises :class:`ModelError`: phi is undefined there.
     """
-    part = weight_free_part("site", k, l)
+    part = _site_part(k, l)
     if part is None:
         return None
     rows: dict = {}
@@ -763,48 +838,76 @@ def _site_rows(k: int, l: int) -> tuple | None:
             raise ModelError("phi needs nonnegative pair exponents")
         if c.d != 1 or c.b:
             raise ModelError("a site part has a non-integer coefficient")
-        key = tuple(sorted(zip(e[0::2], e[1::2])))
+        key = tuple(sorted(e[0::2])) + tuple(sorted(e[1::2]))
         rows[key] = rows.get(key, 0) + c.a
     rows = {key: count for key, count in rows.items() if count}
-    pairs = np.array(list(rows), dtype=np.intp).reshape(len(rows), k, 2)
-    counts = np.array(list(rows.values()), dtype=np.int64)
-    pairs.flags.writeable = counts.flags.writeable = False  # shared by every caller
-    return pairs, counts
+    exps = np.array(list(rows), dtype=np.intp).reshape(len(rows), 2 * k)
+    offsets = exps.min(axis=1)
+    classes, row_class = np.unique(exps - offsets[:, None], axis=0, return_inverse=True)
+    out = (np.ascontiguousarray(classes.reshape(-1, 2, k).transpose(0, 2, 1)),
+           row_class.reshape(-1), offsets, np.array(list(rows.values()), dtype=np.int64))
+    for array in out:
+        array.flags.writeable = False  # shared by every caller
+    return out
+
+
+@cache
+def _site_layout(powers: tuple) -> tuple:
+    """The weight-free part of :func:`site_route`: ``(program, parts)``.
+
+    Polynomial k, at position k - 1, stacks the cached :func:`_site_rows` of
+    the powers l in ``powers[k - 1]``, with each row's integer count as its
+    coefficient.  A part's y-degree minus x-degree is l, and a translate
+    keeps it, so rows and classes of different l never coincide and need no
+    merge.  ``parts[k - 1][c]`` is the position in ``powers[k - 1]`` of the
+    power that class c comes from.  One ``np.unique`` over every (b, g) pair
+    of the classes gives the shift table and the slots.  Cached per
+    process, on plain integers; weights whose nonzero h_l sit at the same
+    powers share it, as every weight of a degree with no zero h_l does.
+    """
+    classes, row_class, offsets, counts, parts = [], [], [], [], []
+    max_shift = 0
+    for k, ls in enumerate(powers, 1):
+        kept = [(i, rows) for i, l in enumerate(ls) if (rows := _site_rows(k, l)) is not None]
+        sizes = [len(rows[0]) for _, rows in kept]
+        bases = np.cumsum([0] + sizes)
+        classes.append(np.concatenate([rows[0] for _, rows in kept]))
+        row_class.append(np.concatenate([rows[1] + base for (_, rows), base in zip(kept, bases)]))
+        offsets.append(np.concatenate([rows[2] for _, rows in kept]))
+        counts.append(np.concatenate([rows[3] for _, rows in kept]).astype(complex))
+        parts.append(np.repeat([i for i, _ in kept], sizes))
+        reach = classes[-1].max(axis=(1, 2))[row_class[-1]] + offsets[-1]
+        max_shift = max(max_shift, int(reach.max()))
+    flat = np.concatenate([c.reshape(-1, 2) for c in classes])
+    width = int(flat.max()) + 1
+    codes, inverse = np.unique(flat[:, 0] * width + flat[:, 1], return_inverse=True)
+    beta, gamma = np.divmod(codes, width)
+    ends = np.cumsum([len(c) * c.shape[1] for c in classes])
+    slots = [s.reshape(c.shape[:2]) for s, c in zip(np.split(inverse, ends[:-1]), classes)]
+    program = PhiProgram(tuple(zip(beta.tolist(), gamma.tolist())), tuple(slots),
+                         tuple(row_class), tuple(offsets), tuple(counts), max_shift)
+    return program, tuple(parts)
 
 
 def site_route(h: TrigPoly) -> PhiProgram:
     """``pref_k * site_poly(k, h)`` for k = 1..d, compiled for :func:`site_functional`.
 
-    Polynomial k, at position k - 1, stacks the cached :func:`_site_rows` of
-    l = 0, k, -k, ..., d, -d, leaving out each l whose exact h_l is zero, as
-    the exact sum does; a row's coefficient is ``pref_k * h_l * count``
-    with the numeric h_l and ``pref_k = (-1)^{k+1} / (k Z_H)``.  The exact
-    ``site_poly(k, h)`` would carry each h_l's unit symbols into every term;
-    phi of the two agrees to rounding.  A part's y-degree minus x-degree is
-    l, so rows of different l never share their pair factors and need no
-    merge.  One ``np.unique`` over every (b, g) pair gives the shift table
-    and the slots.
+    Polynomial k, at position k - 1, holds the rows of the powers l = 0, k,
+    -k, ..., d, -d, leaving out each l whose exact h_l is zero, as the exact
+    sum does: the cached :func:`_site_layout` of those powers, with each
+    row's count scaled by ``pref_k * h_l``, the numeric h_l and ``pref_k =
+    (-1)^{k+1} / (k Z_H)``.  The exact ``site_poly(k, h)`` would carry each
+    h_l's unit symbols into every term; phi of the two agrees to rounding.
     """
     values = h.unit_values()
     h_num = {l: c.evaluate(values) for l, c in h.coeffs.items() if not c.is_zero}
-    pairs, coeffs = [], []
-    for k in range(1, h.degree + 1):
-        pref = (-1) ** (k + 1) / (k * h_num[0].real)
-        blocks = []
-        for l in [0] + [s * m for m in range(k, h.degree + 1) for s in (1, -1)]:
-            rows = _site_rows(k, l) if l in h_num else None
-            if rows is not None:
-                blocks.append((rows[0], pref * h_num[l] * rows[1]))
-        pairs.append(np.concatenate([b for b, _ in blocks]))
-        coeffs.append(np.concatenate([c for _, c in blocks]))
-    flat = np.concatenate([p.reshape(-1, 2) for p in pairs])
-    width = int(flat.max()) + 1
-    codes, inverse = np.unique(flat[:, 0] * width + flat[:, 1], return_inverse=True)
-    beta, gamma = np.divmod(codes, width)
-    ends = np.cumsum([p.size // 2 for p in pairs])
-    slots = [s.reshape(-1, p.shape[1]) for s, p in zip(np.split(inverse, ends[:-1]), pairs)]
-    return PhiProgram(tuple(zip(beta.tolist(), gamma.tolist())), tuple(coeffs),
-                      tuple(slots), width - 1)
+    powers = tuple(tuple(l for l in [0] + [s * m for m in range(k, h.degree + 1) for s in (1, -1)]
+                         if l in h_num)
+                   for k in range(1, h.degree + 1))
+    layout, parts = _site_layout(powers)
+    scales = [np.array([h_num[l] for l in ls]) * ((-1) ** (k + 1) / (k * h_num[0].real))
+              for k, ls in enumerate(powers, 1)]
+    return layout.scaled([s[p] for s, p in zip(scales, parts)])
 
 
 def site_functional(a: np.ndarray, n: int, route: PhiProgram) -> float:
@@ -819,23 +922,30 @@ def site_functional(a: np.ndarray, n: int, route: PhiProgram) -> float:
     ``a`` holds the validated coefficients from the first site on, at
     least ``n + max_shift + 1`` of them; ``route`` is :func:`site_route` of
     the weight, built once and reused for every n.  Its polynomials carry
-    their pref_k, so a site's k-sum is the sum of its :func:`phi_sites`
-    values.  Site j reads only ``a_j .. a_{j + max_shift}``, so its term
-    does not depend on n, and ``site_functional(head[m:], n - m, route)``
-    is the share of sites m .. n-1 in the value at n: a study adds these
-    segments up instead of starting again from site 0.  Sites are
-    evaluated ``route.block`` at a time, so working memory is bounded by
-    ``SITE_ELEMENTS``, not by n.
+    their pref_k, so the k-sum over a block of sites is the sum of its
+    :func:`phi_sums` values.  Site j reads only ``a_j .. a_{j + max_shift}``,
+    so its term does not depend on n, and ``site_functional(head[m:], n - m,
+    route)`` is the share of sites m .. n-1 in the value at n: a study adds
+    these segments up instead of starting again from site 0.  Sites are
+    evaluated ``route.block`` at a time, so working memory is bounded by the
+    block, not by n.
     """
+    if len(a) < n + route.max_shift:
+        raise ModelError("the site route reads max_shift coefficients past the last site")
     block = route.block
-    a_conj = np.conj(a[:n + route.max_shift + 1])
+    reach = route.lead + route.max_shift
     total = 0.0
     for start in range(0, n, block):
         stop = min(start + block, n)
-        site = sum(phi_sites(route, a, a_conj, start, stop))
+        # the block reads reach coefficients past its last site; those past
+        # n + max_shift meet only zero weights, so zeros stand in for them
+        window = np.zeros(stop - start + reach, dtype=complex)
+        seg = a[start:min(stop + reach, n + route.max_shift)]
+        window[:len(seg)] = seg
+        site = sum(phi_sums(route, window, np.conj(window), 0, stop - start))
         mod2 = np.abs(a[start:stop]) ** 2
         power_part = sum(mod2 ** k / k for k in range(1, len(route.coeffs) + 1))
-        total += float(np.sum(site.real - np.log1p(-mod2) - power_part))
+        total += float(site.real - np.sum(np.log1p(-mod2) + power_part))
     return total
 
 

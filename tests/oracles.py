@@ -5,7 +5,8 @@
 * The term-by-term phi compiler: :func:`phi_terms` and :func:`phi_program`
   compile any polynomial, unit symbols and all, and :func:`site_parts`
   gives the weighted ``"site"`` parts that ``site_route`` compiles from
-  cached integer rows instead.
+  cached integer rows instead.  :func:`phi_sites` evaluates a compiled
+  program site by site and row by row, the oracle for ``phi_sums``.
 * The contact-degree cluster behind acceptance 9: the double-sum part of
   G'_2k, the k = 1 product witness, the capped Taylor degree at the
   critical point and a greedy search for a high-contact representative.
@@ -60,27 +61,56 @@ def phi_program(polys, unit_values):
 
     Each entry is a nonempty sequence of ``(weight, part)`` pairs standing
     for ``sum weight * part``, the parts :class:`LaurentPoly` over one table
-    and the weights complex numbers.  phi sends terms whose
-    pair exponents ``(b_p, g_p)`` are equal up to the order of the pairs
-    to the same product of pair factors, so their rows merge into one,
-    with the pairs sorted and the coefficients summed.
+    and the weights complex numbers.  phi sends terms whose pair
+    exponents ``(b_p, g_p)`` have the same b's and the same g's, each up to
+    order, to the same product, so their rows merge into one, with the
+    sorted b's paired with the sorted g's and the coefficients summed.
+    Every row is its own class, at offset 0: no translation is shared.
     """
     index = {}
     coeffs = []
-    slots = []
+    classes = []
     for entry in polys:
         rows = {}
         for weight, part in entry:
             for c, exps in phi_terms(part, unit_values):
-                exps = tuple(sorted(exps))
+                exps = tuple(zip(sorted(b for b, _ in exps), sorted(g for _, g in exps)))
                 rows[exps] = rows.get(exps, 0) + weight * c
         pairs = entry[0][1].table.pairs
         coeffs.append(np.array(list(rows.values()), dtype=complex))
-        slots.append(np.array(
+        classes.append(np.array(
             [[index.setdefault(pair, len(index)) for pair in exps] for exps in rows],
             dtype=np.intp).reshape(len(rows), pairs))
     max_shift = max((max(pair) for pair in index), default=0)
-    return PhiProgram(tuple(index), tuple(coeffs), tuple(slots), max_shift)
+    return PhiProgram(tuple(index), tuple(classes),
+                      tuple(np.arange(len(c)) for c in coeffs),
+                      tuple(np.zeros(len(c), dtype=np.intp) for c in coeffs),
+                      tuple(coeffs), max_shift)
+
+
+def phi_sites(program, a, a_conj, start, stop):
+    """phi of each compiled polynomial at each site ``start .. stop-1``.
+
+    A scalar loop over rows and pairs: row r at site j multiplies its
+    coefficient by ``a[j + o + b] * a_conj[j + o + g]`` for each pair ``(b,
+    g)`` of its class, o its offset.  ``a`` and ``a_conj`` hold at least
+    ``stop + max_shift`` coefficients from site 0 on.
+    """
+    values = []
+    for classes, row_class, offsets, coeffs in zip(
+            program.classes, program.row_class, program.offsets, program.coeffs,
+            strict=True):
+        out = np.zeros(stop - start, dtype=complex)
+        for c, o, coeff in zip(row_class.tolist(), offsets.tolist(), coeffs.tolist(),
+                               strict=True):
+            prod = np.full(stop - start, coeff, dtype=complex)
+            for slot in classes[c].tolist():
+                beta, gamma = program.shifts[slot]
+                prod *= (a[start + o + beta:stop + o + beta]
+                         * a_conj[start + o + gamma:stop + o + gamma])
+            out += prod
+        values.append(out)
+    return values
 
 
 def site_parts(k, h):

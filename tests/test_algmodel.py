@@ -39,7 +39,7 @@ from opucgems.algmodel import (
     hom_sums,
     in_polynomial_ring,
     index_tuple_count,
-    phi_sites,
+    phi_sums,
     site_functional,
     site_poly,
     site_route,
@@ -58,6 +58,7 @@ from oracles import (
     hl_part,
     l_degree,
     phi_program,
+    phi_sites,
     phi_terms,
     product_representative,
     representative_search,
@@ -1034,51 +1035,79 @@ def scaled_site_polys(h):
                         for k in range(1, h.degree + 1)], h.unit_values())
 
 
+def window_sums(program, a, start, stop):
+    """Per polynomial, the oracle's phi summed over sites ``start .. stop-1``."""
+    return [values.sum() for values in phi_sites(program, a, np.conj(a), start, stop)]
+
+
+def assert_sums_close(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert abs(g - w) <= 1e-12 * max(1.0, abs(w))
+
+
 @settings(max_examples=20, deadline=None)
 @given(h=exact_weights(), alpha=bounded_sequences(), start=st.integers(0, 60))
 def test_site_route_program_equals_compiled_site_polys(h, alpha, start):
-    # the route compiled from weight-free parts against the exact site polynomials
+    # the route compiled from weight-free parts, summed over a window by
+    # shift class, against the exact site polynomials summed site by site
     route = site_route(h)
     oracle = scaled_site_polys(h)
     assert route.max_shift == oracle.max_shift
     stop = start + 7
-    a = alpha.head(stop + oracle.max_shift)
-    a_conj = np.conj(a)
-    got = phi_sites(route, a, a_conj, start, stop)
-    want = phi_sites(oracle, a, a_conj, start, stop)
-    for g, w in zip(got, want, strict=True):
-        assert np.all(np.abs(g - w) <= 1e-12 * np.maximum(1.0, np.abs(w)))
+    a = alpha.head(stop + 2 * route.max_shift)
+    assert_sums_close(phi_sums(route, a, np.conj(a), start, stop),
+                      window_sums(oracle, a, start, stop))
+
+
+@pytest.mark.parametrize("pairs", [[(Fraction(0), 1), (Fraction(1), 1)],
+                                   [(Fraction(0), 2), (Fraction(1), 2)]], ids=["d2", "d4"])
+def test_site_route_leaves_out_the_powers_whose_h_l_is_zero(pairs):
+    # exact opposite points zero the odd h_l: the route's layout then has
+    # other powers than a generic weight of the same degree
+    h = build_h(CriticalPoints.from_pairs(pairs))
+    assert any(c.is_zero for c in h.coeffs.values())
+    route = site_route(h)
+    alpha = VerblunskySeq(lambda m: 0.5 * np.exp(-0.7j * m) / (m + 1) ** 0.3)
+    a = alpha.head(40 + 2 * route.max_shift)
+    assert_sums_close(phi_sums(route, a, np.conj(a), 3, 40),
+                      window_sums(scaled_site_polys(h), a, 3, 40))
+
+
+def program_rows(program):
+    """Per polynomial, ``{pair factors: coefficient}`` over its rows, a row's
+    factors its class's pairs moved by its offset; asserts that no two rows
+    of a polynomial share their pair factors."""
+    out = []
+    for classes, row_class, offsets, coeffs in zip(
+            program.classes, program.row_class, program.offsets, program.coeffs,
+            strict=True):
+        rows = {tuple((program.shifts[i][0] + o, program.shifts[i][1] + o) for i in classes[c])
+                : coeff
+                for c, o, coeff in zip(row_class.tolist(), offsets.tolist(), coeffs.tolist(),
+                                       strict=True)}
+        assert len(rows) == len(coeffs)
+        out.append(rows)
+    return out
 
 
 @pytest.mark.parametrize("pairs", [[(0.3, 1), (1.2, 1)], [(0.3, 3), (1.1, 2)]],
                          ids=["d2", "d5"])
 def test_compiled_rows_are_distinct_products_of_pair_factors(pairs):
     # phi of a row is its coefficient times a product of pair factors; rows
-    # with the same factors, in any pair order, are merged into one
+    # with the same b's and the same g's, in any order, are merged into one
     h = build_h(CriticalPoints.from_pairs(pairs))
     for program in (site_route(h), scaled_site_polys(h)):
-        for slots in program.slots:
-            products = [tuple(sorted(program.shifts[i] for i in row)) for row in slots.tolist()]
+        for rows in program_rows(program):
+            products = [(tuple(sorted(b for b, _ in key)), tuple(sorted(g for _, g in key)))
+                        for key in rows]
             assert len(set(products)) == len(products)
-
-
-def program_rows(program):
-    """Per polynomial, ``{sorted pair factors: coefficient}`` over its rows;
-    asserts that no two rows of a polynomial share their pair factors."""
-    out = []
-    for coeffs, slots in zip(program.coeffs, program.slots, strict=True):
-        rows = {tuple(sorted(program.shifts[i] for i in row)): c
-                for row, c in zip(slots.tolist(), coeffs.tolist(), strict=True)}
-        assert len(rows) == len(coeffs)
-        out.append(rows)
-    return out
 
 
 @settings(max_examples=20, deadline=None)
 @given(h=exact_weights(), alpha=bounded_sequences(), start=st.integers(0, 60))
 def test_site_route_equals_term_by_term_compile_of_its_parts(h, alpha, start):
     # the cached integer rows, weighted, against the same weighted parts
-    # compiled term by term
+    # compiled term by term: row by row, and summed over a window
     route = site_route(h)
     oracle = phi_program([site_parts(k, h) for k in range(1, h.degree + 1)], {})
     assert route.max_shift == oracle.max_shift
@@ -1086,22 +1115,65 @@ def test_site_route_equals_term_by_term_compile_of_its_parts(h, alpha, start):
         assert got.keys() == want.keys()
         assert all(abs(got[key] - c) <= 1e-12 * max(1.0, abs(c)) for key, c in want.items())
     stop = start + 7
-    a = alpha.head(stop + route.max_shift)
-    a_conj = np.conj(a)
-    got = phi_sites(route, a, a_conj, start, stop)
-    want = phi_sites(oracle, a, a_conj, start, stop)
-    for g, w in zip(got, want, strict=True):
-        assert np.all(np.abs(g - w) <= 1e-12 * np.maximum(1.0, np.abs(w)))
+    a = alpha.head(stop + 2 * route.max_shift)
+    assert_sums_close(phi_sums(route, a, np.conj(a), start, stop),
+                      window_sums(oracle, a, start, stop))
+
+
+@settings(max_examples=30, deadline=None)
+@given(h=exact_weights(), alpha=bounded_sequences(), start=st.integers(0, 40),
+       kind=st.sampled_from(["one", "short", "across"]), data=st.data())
+def test_site_route_window_sums_equal_the_term_by_term_program(h, alpha, start, kind, data):
+    # the route sums each window by shift class, a row's sum a class's full
+    # sum less two edges; the term-by-term program has every row at offset 0
+    route = site_route(h)
+    oracle = phi_program([site_parts(k, h) for k in range(1, h.degree + 1)], {})
+    if kind == "one":
+        width = 1
+    elif kind == "short":
+        width = data.draw(st.integers(1, max(1, route.max_shift - 1)))
+    else:  # site_functional splits a window wider than a block at block edges
+        width = data.draw(st.integers(route.block + 1, 2 * route.block + route.max_shift))
+    stop = start + width
+    a = alpha.head(stop + 2 * route.max_shift)
+    want = window_sums(oracle, a, start, stop)
+    if kind != "across":
+        assert_sums_close(phi_sums(route, a, np.conj(a), start, stop), want)
+    # the segment's share in site_functional: the same sums, less the log terms
+    mod2 = np.abs(a[start:stop]) ** 2
+    logs = float(np.sum(np.log1p(-mod2) + sum(mod2 ** k / k for k in range(1, h.degree + 1))))
+    sites = float(sum(want).real)
+    assert abs(site_functional(a[start:], width, route) - (sites - logs)) \
+        <= 1e-12 * max(1.0, abs(sites), abs(logs))
+
+
+def test_site_route_classes_and_block_pins():
+    # d = 5, K = 2: translates share a class, so no polynomial has more
+    # classes than rows, and every polynomial above k = 1 has fewer
+    route = site_route(build_h(CriticalPoints.from_pairs([(0.3, 3), (1.1, 2)])))
+    classes = [len(c) for c in route.classes]
+    rows = [len(c) for c in route.coeffs]
+    assert classes[0] == rows[0] and all(c < r for c, r in zip(classes[1:], rows[1:]))
+    assert (sum(classes), sum(rows)) == (261, 621)
+    # d = 8: a block holds more sites than the max_shift columns a site reads
+    # past itself (one site per block when every row was evaluated at every
+    # site, as one polynomial had more rows than SITE_ELEMENTS)
+    wide = site_route(build_h(CriticalPoints.from_pairs([(0.3, 8)])))
+    assert (sum(map(len, wide.classes)), sum(map(len, wide.coeffs))) == (7826, 28386)
+    assert wide.block > wide.max_shift
 
 
 def test_second_weight_of_a_degree_builds_no_part():
-    # the rows are cached per (k, l): a second weight of the same degree only
-    # weights them, so neither cache misses
+    # the rows are cached per (k, l) and their layout per list of powers: a
+    # second weight of the same degree, with no zero h_l, only scales them,
+    # so neither cache misses; the site parts are built outside the part
+    # cache, which keeps none of them
     site_route(build_h(CriticalPoints.from_pairs([(0.3, 2), (1.1, 1)])))
 
     def misses():
         return (weight_free_part.cache_info().misses,
-                algmodel._site_rows.cache_info().misses)
+                algmodel._site_rows.cache_info().misses,
+                algmodel._site_layout.cache_info().misses)
 
     before = misses()
     site_route(build_h(CriticalPoints.from_pairs([(0.7, 3)])))
@@ -1114,20 +1186,24 @@ def test_second_weight_of_a_degree_builds_no_part():
 ], ids=["negative-exponent", "half-coefficient"])
 def test_site_rows_reject_a_part_phi_cannot_count(monkeypatch, part, message):
     # the uncached body, so that the broken part stays out of the cache
-    monkeypatch.setattr(algmodel, "weight_free_part", lambda route, k, l: part)
+    monkeypatch.setattr(algmodel, "_site_part", lambda k, l: part)
     with pytest.raises(ModelError, match=message):
         algmodel._site_rows.__wrapped__(1, 1)
 
 
 def test_site_block_holds_one_site_past_the_element_budget():
-    # one polynomial of more rows than SITE_ELEMENTS: |a_j|^2 spread over
-    # its rows, so that each site's term is -log(1 - |a_j|^2)
+    # one polynomial of more classes than SITE_ELEMENTS: |a_j|^2 spread over
+    # its rows, so that each site's term is -log(1 - |a_j|^2) and a window's
+    # phi sum is the window's sum of |a_j|^2
     rows = SITE_ELEMENTS + 1
-    program = PhiProgram(((0, 0),), (np.full(rows, 1 / rows, dtype=complex),),
-                         (np.zeros((rows, 1), dtype=np.intp),), 0)
+    program = PhiProgram(((0, 0),), (np.zeros((rows, 1), dtype=np.intp),),
+                         (np.arange(rows),), (np.zeros(rows, dtype=np.intp),),
+                         (np.full(rows, 1 / rows, dtype=complex),), 0)
     assert program.block == 1
     a = 0.5 * np.exp(-0.7j * np.arange(4))
-    want = -float(np.sum(np.log1p(-np.abs(a[:3]) ** 2)))
+    mod2 = np.abs(a[:3]) ** 2
+    assert abs(phi_sums(program, a, np.conj(a), 0, 3)[0] - mod2.sum()) <= 1e-12
+    want = -float(np.sum(np.log1p(-mod2)))
     assert abs(site_functional(a, 3, program) - want) <= 1e-12
 
 
