@@ -17,10 +17,10 @@ power t^l depends only on (k, l), not on the weight or its degree:
 :func:`weight_free_part` builds each part once per process, over the pair
 variables alone, and ``_weighted`` alone lifts the parts into a weight's
 table and multiplies them by the exact h_l.  The site route compiles each
-``"site"`` part once into integer rows (:func:`_site_rows`) and weights
-those rows by numeric h_l.  Rows that are translates of one product share
-a shift class, so :func:`phi_sums` forms each class's product once over a
-run of sites and takes each row's sum over the run from it.
+site part once into window sums (:func:`_site_rows`) and weights those by
+numeric h_l.  Terms that are translates of one product share a shift
+class, so :func:`phi_sums` sums a run of sites from each class's product,
+formed once over the run, and two sums of the class's coefficients.
 
 The evaluation map ``phi`` sends ``x_p^b y_p^g`` (per pair) to
 ``alpha_{n+b} * conj(alpha_{n+g})``; in particular a constant c maps to
@@ -218,60 +218,39 @@ def index_tuple_count(k: int, l: int) -> int:
 # -- the evaluation map phi ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhiProgram:
-    """Polynomials compiled for phi over one shared table of pair factors.
+    """Polynomials compiled for phi as window sums over one table of pair factors.
 
     ``shifts[i] = (b, g)`` is the pair factor ``alpha_{n+b} *
     conj(alpha_{n+g})``.  Polynomial q has shift classes, the products
-    ``M_c(n) = prod_p factor[classes[q][c, p]](n)``, and rows: row r is
-    ``coeffs[q][r] * M_c(n + offsets[q][r])`` with ``c = row_class[q][r]``,
-    so rows that are translates of one product share its class.
-    ``max_shift`` is the largest b or g of any row, its offset included.
-    No two rows of a polynomial share both their class and their offset.
-
-    ``window_weights`` holds, per polynomial, ``(weights, edges)``: the row
-    coefficients summed for :func:`phi_sums`.  ``weights[c]`` sums the
-    coefficients of class c's rows and ``edges[c, t]`` those of its rows at
-    an offset above t, for t below the polynomial's largest offset.  They
-    are derived from the rows unless given.
+    ``M_c(n) = prod_p factor[classes[q][c, p]](n)``, and is a sum of
+    translates ``M_c(n + o)``, its terms.  :func:`phi_sums` reads it through
+    two sums of their coefficients: ``weights[q][c]`` sums those of class c,
+    and ``edges[q][c, t]`` those of its terms at an offset o above t, for t
+    below ``lead``.  ``max_shift`` is the largest b or g of any term, its
+    offset included.
     """
 
     shifts: tuple
     classes: tuple
-    row_class: tuple
-    offsets: tuple
-    coeffs: tuple
+    weights: tuple
+    edges: tuple
     max_shift: int
-    window_weights: tuple | None = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        if self.window_weights is not None:
-            return
-        out = []
-        for classes, row_class, offsets, coeffs in zip(
-                self.classes, self.row_class, self.offsets, self.coeffs):
-            lead = int(offsets.max())
-            # column lead - o sums the rows at offset o
-            above = np.zeros((len(classes), lead + 1), dtype=complex)
-            np.add.at(above, (row_class, lead - offsets), coeffs)
-            above.cumsum(axis=1, out=above)
-            out.append((above[:, lead].copy(), np.ascontiguousarray(above[:, :lead][:, ::-1])))
-        object.__setattr__(self, "window_weights", tuple(out))
 
     def scaled(self, class_scales: Sequence[np.ndarray]) -> PhiProgram:
-        """The program with every row of class c of polynomial q, and so its
-        window weights, multiplied by ``class_scales[q][c]``."""
+        """The program with the weights and edges of class c of polynomial q
+        multiplied by ``class_scales[q][c]``."""
         return PhiProgram(
-            self.shifts, self.classes, self.row_class, self.offsets,
-            tuple(s[rc] * c for s, rc, c in zip(class_scales, self.row_class, self.coeffs)),
-            self.max_shift,
-            tuple((s * w, s[:, None] * e) for s, (w, e) in zip(class_scales, self.window_weights)))
+            self.shifts, self.classes,
+            tuple(s * w for s, w in zip(class_scales, self.weights)),
+            tuple(s[:, None] * e for s, e in zip(class_scales, self.edges)),
+            self.max_shift)
 
     @property
     def lead(self) -> int:
-        """The largest offset of any row: the columns a block computes past its sites."""
-        return max(edges.shape[1] for _, edges in self.window_weights)
+        """The largest offset of any term: the columns a block computes past its sites."""
+        return max(edges.shape[1] for edges in self.edges)
 
     @property
     def block(self) -> int:
@@ -293,16 +272,15 @@ def phi_sums(program: PhiProgram, a: np.ndarray, a_conj: np.ndarray,
              start: int, stop: int) -> list:
     """Per compiled polynomial, the sum of its phi over sites ``start .. stop-1``.
 
-    Column t of the block is site ``start + t``.  A row at offset o sums its
-    class product over the columns ``o .. o + width - 1``: the first width
-    columns, less the o leading ones, plus the o columns after them.  So a
-    polynomial's sum is its class sums over the first width columns times
-    the class weights, plus the edges times the trailing columns less the
-    leading ones (``PhiProgram.window_weights``).  Each class product is
-    formed once, over ``width + lead`` columns, with each pair factor one
-    slice product over all of them.  The class sums are pairwise sums over
-    the columns, and no BLAS call is made: a threaded one can stall on a
-    busy host.
+    Column t of the block is site ``start + t``.  A term at offset o sums
+    its class product over the columns ``o .. o + width - 1``: the first
+    width columns, less the o leading ones, plus the o columns after them.
+    So a polynomial's sum is its class sums over the first width columns
+    times the class weights, plus the edges times the trailing columns less
+    the leading ones.  Each class product is formed once, over ``width +
+    lead`` columns, with each pair factor one slice product over all of
+    them.  The class sums are pairwise sums over the columns, and no BLAS
+    call is made: a threaded one can stall on a busy host.
 
     ``a`` holds the coefficients from site 0 on, at least ``stop + lead +
     max_shift`` of them, and ``a_conj`` their conjugates.  Those from ``stop
@@ -315,7 +293,7 @@ def phi_sums(program: PhiProgram, a: np.ndarray, a_conj: np.ndarray,
         np.multiply(a[start + beta:start + beta + span],
                     a_conj[start + gamma:start + gamma + span], out=row)
     sums = []
-    for classes, (weights, edges) in zip(program.classes, program.window_weights):
+    for classes, weights, edges in zip(program.classes, program.weights, program.edges):
         prod = factors[classes[:, 0]]
         for column in classes.T[1:]:
             prod *= factors[column]
@@ -518,7 +496,7 @@ def _weighted(part, k: int, h: TrigPoly, sign=GR_ONE) -> LaurentPoly:
 # -- weight-free parts ------------------------------------------------------------
 
 
-PART_ROUTES = ("trace", "hom", "dd", "dd-exact", "site")
+PART_ROUTES = ("trace", "hom", "dd")
 
 
 @cache
@@ -529,33 +507,28 @@ def weight_free_part(route: str, k: int, l: int) -> LaurentPoly | None:
     h_l multiplies depends only on (k, l): it is built once per process and
     shared by every weight and degree.  The cache keeps every part the
     process asks for, so callers bound (k, l) (``cli.MAX_PART_TUPLES``).
-    The routes:
+    It holds the three routes :func:`g2k_routes_check` compares, each in
+    normal form:
 
     * ``"trace"``: the index-tuple sum S_l^+ for l >= k and S_{-l}^- for
-      l <= -k (:func:`_trace_part`), in normal form;
+      l <= -k (:func:`_trace_part`);
     * ``"hom"``: ``h_l(a) * prod(b) * h_{l-k}(b)`` for l >= k and
-      ``h_{-l}(e) * prod(d) * h_{-l-k}(d)`` for l <= -k (:func:`_pair_part`),
-      in normal form;
+      ``h_{-l}(e) * prod(d) * h_{-l-k}(d)`` for l <= -k (:func:`_pair_part`);
     * ``"dd"``: ``D(a)(t^{l+k-1}) * prod b * D(b)(t^{l-1})``
-      (:func:`_dd_product`), in normal form; ``"dd-exact"`` is the same
-      product as formed, for :func:`hl_double_sum` (built on its own, so
-      the routes check holds only normal forms);
-    * ``"site"``: the ``"hom"`` part with the c points for e, times ``U =
-      (prod x_i y_i)^{2k}``, and ``(-1)^{k+1} U`` at l = 0: every exponent
-      cleared to >= 0, as :func:`site_poly` and :func:`_site_rows` need.
+      (:func:`_dd_product`).
 
     The trace and pair parts are zero for ``0 < |l| < k`` (and at l = 0).
+    The site parts (:func:`_site_part`) are not kept: the site route caches
+    their window sums instead.
     """
     if route not in PART_ROUTES:
         raise ModelError(f"unknown route {route!r}")
     if k < 1:
         raise ModelError("k must be positive")
-    if route == "site":
-        return _site_part(k, l)
+    if route == "dd":
+        exact = _dd_product(k, l)
+        return None if exact is None else exact.normal_form()
     table = VarTable(k)
-    if route in ("dd", "dd-exact"):
-        exact = _dd_product(k, l, table)
-        return exact if exact is None or route == "dd-exact" else exact.normal_form()
     if abs(l) < k:
         return None
     if route == "trace":
@@ -564,10 +537,13 @@ def weight_free_part(route: str, k: int, l: int) -> LaurentPoly | None:
 
 
 def _site_part(k: int, l: int) -> LaurentPoly | None:
-    """The ``"site"`` part of :func:`weight_free_part`, built afresh.
+    """The site part for t^l over ``VarTable(k)``; None when it is zero.
 
-    :func:`_site_rows` builds its rows from this uncached part, so a study
-    keeps the integer rows and not the much larger polynomial.
+    The ``"hom"`` part of :func:`weight_free_part` with the c points for e,
+    times ``U = (prod x_i y_i)^{2k}``, and ``(-1)^{k+1} U`` at l = 0: every
+    exponent cleared to >= 0, as :func:`site_poly` and :func:`_site_rows`
+    need.  Built afresh on each call: :func:`_site_rows` caches its window
+    sums, so a study keeps those and not the much larger polynomial.
     """
     table = VarTable(k)
     unit = table.pair_monomial([2 * k] * k, [2 * k] * k)
@@ -603,8 +579,9 @@ def _pair_part(k: int, l: int, table: VarTable, neg_pts: Sequence[LaurentPoly],
     return hom_sums(pts, m)[m] * math.prod(tail, start=scale) * hom_sums(tail, m - k)[m - k]
 
 
-def _dd_product(k: int, l: int, table: VarTable) -> LaurentPoly | None:
-    """``D(a)(t^{l+k-1}) * prod b * D(b)(t^{l-1})``, or None where it is zero.
+def _dd_product(k: int, l: int) -> LaurentPoly | None:
+    """``D(a)(t^{l+k-1}) * prod b * D(b)(t^{l-1})`` over ``VarTable(k)``, as
+    formed (no normal form), or None where it is zero.
 
     The divided differences run over the k points ``a_1..a_k`` and
     ``b_1..b_k``, and one of ``t^m`` over k points is zero exactly when
@@ -614,6 +591,7 @@ def _dd_product(k: int, l: int, table: VarTable) -> LaurentPoly | None:
     the other factor is never formed; else ``prod b`` goes into the short
     factor before the long product.
     """
+    table = VarTable(k)
     a_pts = a_monomials(table, k)
     b_pts = b_monomials(table, k)
     short, long = (((b_pts, l - 1), (a_pts, l + k - 1)) if l >= 0
@@ -646,12 +624,12 @@ def hl_double_sum(k: int, h: TrigPoly) -> LaurentPoly:
     coefficients h_l, and each power separates into a divided difference
     over the a points times one over the b points:
     ``prod b_t * sum_l h_l * D(a_1..a_k)(t^{l+k-1}) * D(b_1..b_k)(t^{l-1})``,
-    the weighted sum of the ``"dd-exact"`` parts, as formed (no normal
+    the weighted sum of the products :func:`_dd_product` forms (no normal
     form).  The term of l is zero for ``1 <= |l| < k``, where one factor is
     the divided difference of a power in 0..k-2.  Any division failure in
     the recursion signals a broken identity.
     """
-    return _weighted(partial(weight_free_part, "dd-exact", k), k, h)
+    return _weighted(partial(_dd_product, k), k, h)
 
 
 def g2k_hl_scaled_dd(k: int, h: TrigPoly) -> LaurentPoly:
@@ -799,14 +777,14 @@ def site_poly(k: int, h: TrigPoly) -> LaurentPoly:
 
     The double sum per degree with the positive-composition rewriting of
     the negative part (monomials c and d), plus the constant ``h_0 *
-    (-1)^{k+1}``, times ``(prod x_i y_i)^{2k}``: the weighted ``"site"``
-    parts of :func:`weight_free_part`.  The result lies in the plain
+    (-1)^{k+1}``, times ``(prod x_i y_i)^{2k}``: the weighted parts of
+    :func:`_site_part`.  The result lies in the plain
     polynomial ring; a negative exponent would mean a broken identity and
     raises.  :func:`site_route` weights the same parts numerically.
     """
     if k > h.degree:
         raise ModelError("k cannot exceed the weight degree")
-    out = _weighted(partial(weight_free_part, "site", k), k, h)
+    out = _weighted(partial(_site_part, k), k, h)
     if not in_polynomial_ring(out):
         raise ModelError("site polynomial has a negative exponent")
     return out
@@ -814,20 +792,23 @@ def site_poly(k: int, h: TrigPoly) -> LaurentPoly:
 
 @cache
 def _site_rows(k: int, l: int) -> tuple | None:
-    """The ``"site"`` part of (k, l) compiled for phi; None when it is zero.
+    """The site part of (k, l) compiled for phi as window sums; None when it is zero.
 
-    ``(classes, row_class, offsets, counts)``.  phi sends a term with the
-    pairs ``(b_p, g_p)`` to ``prod_p alpha_{n+b_p} * prod_p conj(alpha_{n+g_p})``,
+    ``(classes, weights, edges, reach)``.  phi sends a term with the pairs
+    ``(b_p, g_p)`` to ``prod_p alpha_{n+b_p} * prod_p conj(alpha_{n+g_p})``,
     which depends only on the b's and the g's each up to order, so terms
-    whose sorted b's and sorted g's agree merge into one row, kept in the
-    order of first occurrence; a row that merges to zero is dropped.  Row r
-    has the integer coefficient ``counts[r]`` and the offset ``offsets[r]``,
-    its least b or g.  Less that offset, its sorted b's paired with its
-    sorted g's are its class ``classes[row_class[r]]``, an int array of
-    shape (C, k, 2): phi of the row at site n is phi of its class at site n
-    + offset.  The classes are sorted.  Cached per process like
-    :func:`weight_free_part`, on plain integers, and read-only.  A negative
-    pair exponent raises :class:`ModelError`: phi is undefined there.
+    whose sorted b's and sorted g's agree merge into one row with an integer
+    count; a row that merges to zero is dropped.  A row's offset is its
+    least b or g, and less that offset, its sorted b's paired with its
+    sorted g's are its class: phi of the row at site n is phi of its class
+    at site n + offset.  ``classes`` is an int array of shape (C, k, 2),
+    sorted.  The rows go no further: :func:`phi_sums` reads only their
+    counts summed per class, ``weights[c]``, and summed over class c's rows
+    at an offset above t, ``edges[c, t]`` for t below the part's largest
+    offset, both int64.  ``reach`` is the part's largest exponent.  Cached
+    per process like :func:`weight_free_part`, on plain integers, and
+    read-only.  A negative pair exponent raises :class:`ModelError`: phi is
+    undefined there.
     """
     part = _site_part(k, l)
     if part is None:
@@ -844,11 +825,17 @@ def _site_rows(k: int, l: int) -> tuple | None:
     exps = np.array(list(rows), dtype=np.intp).reshape(len(rows), 2 * k)
     offsets = exps.min(axis=1)
     classes, row_class = np.unique(exps - offsets[:, None], axis=0, return_inverse=True)
+    lead = int(offsets.max())
+    # column lead - o sums the rows at offset o, and the running sum those above
+    above = np.zeros((len(classes), lead + 1), dtype=np.int64)
+    np.add.at(above, (row_class.reshape(-1), lead - offsets),
+              np.array(list(rows.values()), dtype=np.int64))
+    above.cumsum(axis=1, out=above)
     out = (np.ascontiguousarray(classes.reshape(-1, 2, k).transpose(0, 2, 1)),
-           row_class.reshape(-1), offsets, np.array(list(rows.values()), dtype=np.int64))
+           above[:, lead].copy(), np.ascontiguousarray(above[:, :lead][:, ::-1]))
     for array in out:
         array.flags.writeable = False  # shared by every caller
-    return out
+    return *out, int(exps.max())
 
 
 @cache
@@ -856,28 +843,29 @@ def _site_layout(powers: tuple) -> tuple:
     """The weight-free part of :func:`site_route`: ``(program, parts)``.
 
     Polynomial k, at position k - 1, stacks the cached :func:`_site_rows` of
-    the powers l in ``powers[k - 1]``, with each row's integer count as its
-    coefficient.  A part's y-degree minus x-degree is l, and a translate
-    keeps it, so rows and classes of different l never coincide and need no
-    merge.  ``parts[k - 1][c]`` is the position in ``powers[k - 1]`` of the
-    power that class c comes from.  One ``np.unique`` over every (b, g) pair
-    of the classes gives the shift table and the slots.  Cached per
-    process, on plain integers; weights whose nonzero h_l sit at the same
-    powers share it, as every weight of a degree with no zero h_l does.
+    the powers l in ``powers[k - 1]``: their classes, their integer weights
+    and their edges, each part's edges padded with zero columns up to the
+    polynomial's largest offset; ``max_shift`` is the largest part reach.
+    A part's y-degree minus x-degree is l, and a translate keeps it, so
+    classes of different l never coincide and need no merge.
+    ``parts[k - 1][c]`` is the position in ``powers[k - 1]`` of the power
+    that class c comes from.  One ``np.unique`` over every (b, g) pair of
+    the classes gives the shift table and the slots.  Cached per process,
+    on plain integers; weights whose nonzero h_l sit at the same powers
+    share it, as every weight of a degree with no zero h_l does.
     """
-    classes, row_class, offsets, counts, parts = [], [], [], [], []
+    classes, weights, edges, parts = [], [], [], []
     max_shift = 0
     for k, ls in enumerate(powers, 1):
-        kept = [(i, rows) for i, l in enumerate(ls) if (rows := _site_rows(k, l)) is not None]
-        sizes = [len(rows[0]) for _, rows in kept]
-        bases = np.cumsum([0] + sizes)
-        classes.append(np.concatenate([rows[0] for _, rows in kept]))
-        row_class.append(np.concatenate([rows[1] + base for (_, rows), base in zip(kept, bases)]))
-        offsets.append(np.concatenate([rows[2] for _, rows in kept]))
-        counts.append(np.concatenate([rows[3] for _, rows in kept]).astype(complex))
-        parts.append(np.repeat([i for i, _ in kept], sizes))
-        reach = classes[-1].max(axis=(1, 2))[row_class[-1]] + offsets[-1]
-        max_shift = max(max_shift, int(reach.max()))
+        kept = [(i, *rows) for i, l in enumerate(ls) if (rows := _site_rows(k, l)) is not None]
+        index, part_classes, part_weights, part_edges, reach = zip(*kept)
+        lead = max(e.shape[1] for e in part_edges)
+        classes.append(np.concatenate(part_classes))
+        weights.append(np.concatenate(part_weights))
+        edges.append(np.concatenate([np.pad(e, ((0, 0), (0, lead - e.shape[1])))
+                                     for e in part_edges]))
+        parts.append(np.repeat(index, [len(c) for c in part_classes]))
+        max_shift = max(max_shift, *reach)
     flat = np.concatenate([c.reshape(-1, 2) for c in classes])
     width = int(flat.max()) + 1
     codes, inverse = np.unique(flat[:, 0] * width + flat[:, 1], return_inverse=True)
@@ -885,19 +873,20 @@ def _site_layout(powers: tuple) -> tuple:
     ends = np.cumsum([len(c) * c.shape[1] for c in classes])
     slots = [s.reshape(c.shape[:2]) for s, c in zip(np.split(inverse, ends[:-1]), classes)]
     program = PhiProgram(tuple(zip(beta.tolist(), gamma.tolist())), tuple(slots),
-                         tuple(row_class), tuple(offsets), tuple(counts), max_shift)
+                         tuple(weights), tuple(edges), max_shift)
     return program, tuple(parts)
 
 
 def site_route(h: TrigPoly) -> PhiProgram:
     """``pref_k * site_poly(k, h)`` for k = 1..d, compiled for :func:`site_functional`.
 
-    Polynomial k, at position k - 1, holds the rows of the powers l = 0, k,
-    -k, ..., d, -d, leaving out each l whose exact h_l is zero, as the exact
-    sum does: the cached :func:`_site_layout` of those powers, with each
-    row's count scaled by ``pref_k * h_l``, the numeric h_l and ``pref_k =
-    (-1)^{k+1} / (k Z_H)``.  The exact ``site_poly(k, h)`` would carry each
-    h_l's unit symbols into every term; phi of the two agrees to rounding.
+    Polynomial k, at position k - 1, holds the window sums of the powers l
+    = 0, k, -k, ..., d, -d, leaving out each l whose exact h_l is zero, as
+    the exact sum does: the cached :func:`_site_layout` of those powers,
+    with each part's weights and edges scaled by ``pref_k * h_l``, the
+    numeric h_l and ``pref_k = (-1)^{k+1} / (k Z_H)``.  The exact
+    ``site_poly(k, h)`` would carry each h_l's unit symbols into every term;
+    phi of the two agrees to rounding.
     """
     values = h.unit_values()
     h_num = {l: c.evaluate(values) for l, c in h.coeffs.items() if not c.is_zero}
@@ -944,7 +933,7 @@ def site_functional(a: np.ndarray, n: int, route: PhiProgram) -> float:
         window[:len(seg)] = seg
         site = sum(phi_sums(route, window, np.conj(window), 0, stop - start))
         mod2 = np.abs(a[start:stop]) ** 2
-        power_part = sum(mod2 ** k / k for k in range(1, len(route.coeffs) + 1))
+        power_part = sum(mod2 ** k / k for k in range(1, len(route.classes) + 1))
         total += float(site.real - np.sum(np.log1p(-mod2) + power_part))
     return total
 

@@ -222,8 +222,9 @@ def classify_values(schedule: Sequence[int], values: Sequence[float]) -> tuple:
     """Verdict from the least-squares slope over the top half of the schedule.
 
     ``|slope| < 1e-4`` and range < 1 over that window: bounded; ``slope >
-    1e-2``: diverging; anything else: inconclusive.  Returns ``(verdict,
-    slope, range)``.
+    1e-2``: diverging; anything else: inconclusive.  A window of one point,
+    as a schedule of one or two points has, shows no trend: inconclusive,
+    with slope and range 0.  Returns ``(verdict, slope, range)``.
     """
     if len(schedule) != len(values) or not schedule:
         raise LabError("schedule and values must align and be nonempty")
@@ -231,9 +232,8 @@ def classify_values(schedule: Sequence[int], values: Sequence[float]) -> tuple:
     xs = np.asarray(schedule[half:], dtype=float)
     ys = np.asarray(values[half:], dtype=float)
     if xs.size == 1:
-        slope = 0.0
-    else:
-        slope = float(np.polyfit(xs, ys, 1)[0])
+        return "inconclusive", 0.0, 0.0
+    slope = float(np.polyfit(xs, ys, 1)[0])
     value_range = float(np.max(ys) - np.min(ys))
     if abs(slope) < SLOPE_BOUNDED and value_range < RANGE_BOUNDED:
         return "bounded", slope, value_range

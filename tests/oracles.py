@@ -4,9 +4,10 @@
   composition of the package's calls.
 * The term-by-term phi compiler: :func:`phi_terms` and :func:`phi_program`
   compile any polynomial, unit symbols and all, and :func:`site_parts`
-  gives the weighted ``"site"`` parts that ``site_route`` compiles from
-  cached integer rows instead.  :func:`phi_sites` evaluates a compiled
-  program site by site and row by row, the oracle for ``phi_sums``.
+  gives the weighted site parts that ``site_route`` compiles from cached
+  window sums instead.  :func:`program_rows` reads any compiled program's
+  rows back from its window sums, and :func:`phi_sites` evaluates them
+  site by site and row by row, the oracle for ``phi_sums``.
 * The contact-degree cluster behind acceptance 9: the double-sum part of
   G'_2k, the k = 1 product witness, the capped Taylor degree at the
   critical point and a greedy search for a high-contact representative.
@@ -17,11 +18,11 @@ import numpy as np
 from opucgems.algmodel import (
     ModelError,
     PhiProgram,
+    _site_part,
     critical_product,
     hl_double_sum,
     in_polynomial_ring,
     table_for,
-    weight_free_part,
 )
 from opucgems.laurent import LaurentPoly, VarTable, exact_div, substitute
 from opucgems.opuc import ggt_matrix, log_term, trace_v
@@ -65,7 +66,8 @@ def phi_program(polys, unit_values):
     exponents ``(b_p, g_p)`` have the same b's and the same g's, each up to
     order, to the same product, so their rows merge into one, with the
     sorted b's paired with the sorted g's and the coefficients summed.
-    Every row is its own class, at offset 0: no translation is shared.
+    Every row is its own class, at offset 0: no translation is shared, so
+    the weights are the row coefficients and the edges have no column.
     """
     index = {}
     coeffs = []
@@ -82,39 +84,57 @@ def phi_program(polys, unit_values):
             [[index.setdefault(pair, len(index)) for pair in exps] for exps in rows],
             dtype=np.intp).reshape(len(rows), pairs))
     max_shift = max((max(pair) for pair in index), default=0)
-    return PhiProgram(tuple(index), tuple(classes),
-                      tuple(np.arange(len(c)) for c in coeffs),
-                      tuple(np.zeros(len(c), dtype=np.intp) for c in coeffs),
-                      tuple(coeffs), max_shift)
+    return PhiProgram(tuple(index), tuple(classes), tuple(coeffs),
+                      tuple(np.zeros((len(c), 0), dtype=complex) for c in coeffs), max_shift)
+
+
+def program_rows(program):
+    """Per polynomial, ``{pair factors: coefficient}`` over its rows, read
+    back from the window sums.
+
+    The rows of class c at offset o sum to ``edges[c, o - 1] - edges[c,
+    o]``, with ``weights[c]`` for o = 0 and zero past the last column; a
+    row's pair factors are its class's pairs moved by o.  This is exact:
+    no two rows share a class and an offset, and equal integer sums scale
+    to equal floats, so a zero difference is no row.  Asserts that no two
+    rows of a polynomial share their pair factors.
+    """
+    out = []
+    for classes, weights, edges in zip(program.classes, program.weights, program.edges,
+                                       strict=True):
+        above = np.column_stack([weights, edges])
+        coeffs = above - np.column_stack([edges, np.zeros(len(weights))])
+        rows = {tuple((program.shifts[i][0] + o, program.shifts[i][1] + o)
+                      for i in classes[c]): coeffs[c, o]
+                for c, o in zip(*(axis.tolist() for axis in np.nonzero(coeffs)))}
+        assert len(rows) == np.count_nonzero(coeffs)
+        out.append(rows)
+    return out
 
 
 def phi_sites(program, a, a_conj, start, stop):
     """phi of each compiled polynomial at each site ``start .. stop-1``.
 
-    A scalar loop over rows and pairs: row r at site j multiplies its
-    coefficient by ``a[j + o + b] * a_conj[j + o + g]`` for each pair ``(b,
-    g)`` of its class, o its offset.  ``a`` and ``a_conj`` hold at least
-    ``stop + max_shift`` coefficients from site 0 on.
+    A scalar loop over the rows of :func:`program_rows` and their pair
+    factors: a row at site j multiplies its coefficient by ``a[j + b] *
+    a_conj[j + g]`` for each of its pair factors ``(b, g)``.  ``a`` and
+    ``a_conj`` hold at least ``stop + max_shift`` coefficients from site 0
+    on.
     """
     values = []
-    for classes, row_class, offsets, coeffs in zip(
-            program.classes, program.row_class, program.offsets, program.coeffs,
-            strict=True):
+    for rows in program_rows(program):
         out = np.zeros(stop - start, dtype=complex)
-        for c, o, coeff in zip(row_class.tolist(), offsets.tolist(), coeffs.tolist(),
-                               strict=True):
+        for factors, coeff in rows.items():
             prod = np.full(stop - start, coeff, dtype=complex)
-            for slot in classes[c].tolist():
-                beta, gamma = program.shifts[slot]
-                prod *= (a[start + o + beta:stop + o + beta]
-                         * a_conj[start + o + gamma:stop + o + gamma])
+            for beta, gamma in factors:
+                prod *= a[start + beta:stop + beta] * a_conj[start + gamma:stop + gamma]
             out += prod
         values.append(out)
     return values
 
 
 def site_parts(k, h):
-    """``pref_k * site_poly(k, h)`` as ``(weight, part)`` pairs: the ``"site"``
+    """``pref_k * site_poly(k, h)`` as ``(weight, part)`` pairs: the site
     parts over the pair variables alone, l = 0, k, -k, ..., d, -d, weighted by
     the numeric ``pref_k * h_l`` with ``pref_k = (-1)^{k+1} / (k Z_H)``.  Parts
     whose exact h_l is zero are left out, as they are from the exact sum.
@@ -122,7 +142,7 @@ def site_parts(k, h):
     compiled term by term."""
     pref = (-1) ** (k + 1) / (k * h.z_h_numeric())
     powers = [0] + [s * l for l in range(k, h.degree + 1) for s in (1, -1)]
-    return [(pref * h.coeff_numeric(l), weight_free_part("site", k, l))
+    return [(pref * h.coeff_numeric(l), _site_part(k, l))
             for l in powers if not h.coeffs[l].is_zero]
 
 

@@ -61,6 +61,7 @@ from oracles import (
     phi_sites,
     phi_terms,
     product_representative,
+    program_rows,
     representative_search,
     site_parts,
     sum_rule_functional,
@@ -481,6 +482,9 @@ def test_route_parts_agree_degree_by_degree(k):
     zero = table.zero()
     parts = {route: {l: weight_free_part(route, k, l) for l in range(-d, d + 1)}
              for route in PART_ROUTES}
+    # the product as formed and the site part are built outside the part cache
+    parts["dd-exact"] = {l: algmodel._dd_product(k, l) for l in range(-d, d + 1)}
+    parts["site"] = {l: algmodel._site_part(k, l) for l in range(-d, d + 1)}
     for by_power in parts.values():
         for part in by_power.values():
             if part is not None:
@@ -1073,23 +1077,6 @@ def test_site_route_leaves_out_the_powers_whose_h_l_is_zero(pairs):
                       window_sums(scaled_site_polys(h), a, 3, 40))
 
 
-def program_rows(program):
-    """Per polynomial, ``{pair factors: coefficient}`` over its rows, a row's
-    factors its class's pairs moved by its offset; asserts that no two rows
-    of a polynomial share their pair factors."""
-    out = []
-    for classes, row_class, offsets, coeffs in zip(
-            program.classes, program.row_class, program.offsets, program.coeffs,
-            strict=True):
-        rows = {tuple((program.shifts[i][0] + o, program.shifts[i][1] + o) for i in classes[c])
-                : coeff
-                for c, o, coeff in zip(row_class.tolist(), offsets.tolist(), coeffs.tolist(),
-                                       strict=True)}
-        assert len(rows) == len(coeffs)
-        out.append(rows)
-    return out
-
-
 @pytest.mark.parametrize("pairs", [[(0.3, 1), (1.2, 1)], [(0.3, 3), (1.1, 2)]],
                          ids=["d2", "d5"])
 def test_compiled_rows_are_distinct_products_of_pair_factors(pairs):
@@ -1152,14 +1139,14 @@ def test_site_route_classes_and_block_pins():
     # classes than rows, and every polynomial above k = 1 has fewer
     route = site_route(build_h(CriticalPoints.from_pairs([(0.3, 3), (1.1, 2)])))
     classes = [len(c) for c in route.classes]
-    rows = [len(c) for c in route.coeffs]
+    rows = [len(r) for r in program_rows(route)]
     assert classes[0] == rows[0] and all(c < r for c, r in zip(classes[1:], rows[1:]))
     assert (sum(classes), sum(rows)) == (261, 621)
     # d = 8: a block holds more sites than the max_shift columns a site reads
     # past itself (one site per block when every row was evaluated at every
     # site, as one polynomial had more rows than SITE_ELEMENTS)
     wide = site_route(build_h(CriticalPoints.from_pairs([(0.3, 8)])))
-    assert (sum(map(len, wide.classes)), sum(map(len, wide.coeffs))) == (7826, 28386)
+    assert (sum(map(len, wide.classes)), sum(map(len, program_rows(wide)))) == (7826, 28386)
     assert wide.block > wide.max_shift
 
 
@@ -1197,8 +1184,8 @@ def test_site_block_holds_one_site_past_the_element_budget():
     # phi sum is the window's sum of |a_j|^2
     rows = SITE_ELEMENTS + 1
     program = PhiProgram(((0, 0),), (np.zeros((rows, 1), dtype=np.intp),),
-                         (np.arange(rows),), (np.zeros(rows, dtype=np.intp),),
-                         (np.full(rows, 1 / rows, dtype=complex),), 0)
+                         (np.full(rows, 1 / rows, dtype=complex),),
+                         (np.zeros((rows, 0), dtype=complex),), 0)
     assert program.block == 1
     a = 0.5 * np.exp(-0.7j * np.arange(4))
     mod2 = np.abs(a[:3]) ** 2

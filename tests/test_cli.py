@@ -183,6 +183,25 @@ def test_gem_study_round_trip(capsys, tmp_path):
     assert len(lines) == 4
 
 
+def test_gem_two_point_schedule_is_inconclusive(capsys, tmp_path):
+    # constant(0.5) against one first-order point diverges, and the site
+    # route doubles from N = 50 to 100; one point in the top half of the
+    # schedule cannot tell that from a bounded family
+    config = {
+        "family": {"name": "constant", "c": 0.5},
+        "criticalPoints": [{"thetaOverPi": 0.0, "m": 1}],
+        "schedule": [50, 100],
+    }
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(config))
+    code, records, err = run_cli(capsys, "gem", "--config", str(path))
+    assert code == 0
+    report = records[0]
+    assert report["corollaryRoute"][1] > 1.9 * report["corollaryRoute"][0]
+    assert report["verdict"] == "inconclusive"
+    assert "verdict=inconclusive" in err
+
+
 def test_szego_check_runs(capsys, tmp_path):
     path = tmp_path / "alphas.json"
     path.write_text(json.dumps([[0.5, 0.0], [-0.2, 0.3]]))

@@ -382,6 +382,14 @@ def test_classifier_slow_drift_inconclusive():
     assert verdict == "inconclusive"
 
 
+@pytest.mark.parametrize("schedule,values", [([100], [5.0]), ([50, 100], [1.0, 2.0])],
+                         ids=["one-point", "two-points"])
+def test_classifier_one_point_window_is_inconclusive(schedule, values):
+    # the top half of a one- or two-point schedule holds one point, which
+    # shows no trend: neither bounded nor diverging
+    assert classify_values(schedule, values) == ("inconclusive", 0.0, 0.0)
+
+
 # -- convergence studies ------------------------------------------------------------
 
 
