@@ -50,18 +50,17 @@ from .laurent import (
     exact_div,
     substitute,  # no caller here; perfbench/tracer.py rebinds this name
 )
+from .opuc import SITE_ELEMENTS
 from .trig import TrigPoly
 
 # guard for the symbolic trace expansion; k*l and window size beyond this
 # point produce polynomials too large for desk use
 MAX_TRACE_COMPLEXITY = 18
 MAX_TRACE_WINDOW = 80
-# complex entries in each intermediate array of site_functional: bounds its
-# working memory, and fixes its block of sites through PhiProgram.block,
-# unless a block of EDGE_SHARE * lead sites needs more (14.5 * 2^15 at d = 8)
-SITE_ELEMENTS = 2 ** 15
 # least sites per block, in units of PhiProgram.lead: each block also
-# computes lead columns past its last site
+# computes lead columns past its last site, and a block holds more than
+# SITE_ELEMENTS entries where EDGE_SHARE * lead sites need more (14.5 * 2^15
+# at d = 8)
 EDGE_SHARE = 8
 # largest weight degree a study compiles a site route for: on a 2-core host
 # the first K = 1 compile of a process, parts and rows included, takes about

@@ -20,7 +20,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .algmodel import MAX_SITE_DEGREE, site_functional, site_route
-from .opuc import VerblunskySeq, ggt_matrix, log_term, trace_v
+from .opuc import VerblunskySeq, log_term, trace_v
+from .opuc import ggt_matrix  # no caller here; perfbench/tracer.py rebinds this name
 from .trig import CriticalPoints, build_h
 
 DEFAULT_SCHEDULE = (50, 100, 200, 400, 800, 1600)
@@ -250,12 +251,12 @@ def convergence_study(family: SequenceFamily, points: CriticalPoints,
     The verdict is driven by the trace route; the per-site route is
     recorded alongside (their difference stays bounded in N).  Every
     route reads slices of one ``alpha.head(N_max + L)``, where ``L =
-    max(max_shift + 1, d)`` is the longest look-ahead of any route.  The
-    trace route and the log sums are computed afresh at each N; the site
-    route is a running sum that each N extends by the sites above the
-    previous N, so a study evaluates each site once.  The schedule and
-    the weight degree (at most ``MAX_SITE_DEGREE``) are checked before
-    anything is built.
+    max(max_shift + 1, d)`` is the longest look-ahead of any route.  Both
+    routes are running sums of per-site terms that do not depend on N, so
+    each N extends them by the sites above the previous N and a study
+    evaluates each site once; the log sums are computed afresh at each N.
+    The schedule and the weight degree (below the first N, and at most
+    ``MAX_SITE_DEGREE``) are checked before anything is built.
     """
     if (not isinstance(schedule, (list, tuple)) or not schedule
             or not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1
@@ -266,6 +267,9 @@ def convergence_study(family: SequenceFamily, points: CriticalPoints,
         raise LabError("schedule must be strictly increasing")
     if schedule[-1] > max_n:
         raise LabError("schedule exceeds the configured limit")
+    if points.degree >= schedule[0]:
+        raise LabError(f"weight degree {points.degree} must be smaller than the "
+                       f"matrix size, but the schedule starts at N = {schedule[0]}")
     if points.degree > MAX_SITE_DEGREE:
         raise LabError(f"weight degree {points.degree} exceeds the ceiling of "
                        f"{MAX_SITE_DEGREE} for compiling the site route")
@@ -276,13 +280,13 @@ def convergence_study(family: SequenceFamily, points: CriticalPoints,
     trace_values = []
     site_values = []
     log_sums = []
-    site_sum = 0.0
+    trace_sum = site_sum = 0.0
     prev = 0
     for n in schedule:
-        u = ggt_matrix(head, n)
         log_sum = log_term(head[:n])
-        trace_values.append(float(trace_v(u, h) - log_sum))
-        # a site's term does not depend on N: add only the sites new at this point
+        # a site's terms do not depend on N: add only the sites new at this point
+        trace_sum += trace_v(head, h, prev, n)
+        trace_values.append(float(trace_sum - log_sum))
         site_sum += site_functional(head[prev:], n - prev, route)
         site_values.append(site_sum)
         log_sums.append(float(log_sum))

@@ -16,21 +16,22 @@ with ``rho_j = sqrt(1 - |alpha_j|^2)`` and the conventions ``alpha_{-1} =
 truncation are read as powers of the adjoint, which is exact in the
 unitary limit and differs only by N-independent boundary terms otherwise.
 
-The trace route never forms the N x N matrix.  :func:`ggt_matrix` returns
-a :class:`GGTCorner` that stores only the coefficients and the rho's and
-produces one diagonal on demand.  The corner is upper Hessenberg: ``U[i,
-j] = 0`` unless ``j >= i - 1``, so along a product ``U[i_0, i_1] U[i_1,
-i_2] ...`` each step lowers the index by at most one.  A closed walk of
-length l therefore never raises the index by more than l - 1 in one
-step, and ``Tr(U^l)`` reads only diagonals -1 .. l-1 of U.  For the same
-reason, when only the traces of U^l for l <= d are wanted, ``U^m`` is
-needed only on offsets [-m, d-m]: it has nothing below -m, and an entry
-above d - m cannot be brought back to the diagonal by the at most d - m
-factors still to come.  :func:`trace_powers` keeps exactly those offsets,
-so it is exact, not an approximation, and costs O(N * d^3) time and
-O(N * d) memory instead of O(d * N^3) and O(N^2).  This is the
-closed-walk structure that ``algmodel.diagonal_entry`` enumerates.  The
-dense N x N fill lives in the tests, as the oracle of this route.
+The trace route never forms the matrix.  Its eigenvalues are the zeros of
+Phi_N (Simon, *OPUC* Part 1), so ``Tr(U^l)`` is their l-th power sum,
+``-l [w^l] log phi_N`` for the reversed polynomial ``phi_n(w) = w^n
+Phi_n(1/w)``.  With ``psi_n(w) = w^n Phi*_n(1/w)`` the Szego recursion
+reads ``(phi, psi) <- (phi - conj(alpha_n) w psi, w psi - alpha_n phi)``:
+step n multiplies phi by ``1 - conj(alpha_n) w f_n``, where the ratio ``f =
+psi / phi`` follows ``f <- (w f - alpha_n) / (1 - conj(alpha_n) w f)``.
+Mod ``w^d``, ``f_n`` depends only on ``alpha_{n-d} .. alpha_{n-1}``.  So
+``Tr(U^l)`` for l <= d is a sum over sites j < N of local moments ``-l
+[w^l] log(1 - conj(alpha_j) w f_j)``, with ``f_j`` run from f = 0 over the
+d steps before site j.  The route carries f alone: its coefficients stay
+bounded by 1, while phi's and psi's grow like 2^d and take digits with
+them.  :func:`trace_powers` sums the moments a block of sites at a time,
+in O(d^3) time per site and O(d) memory per site of a block.
+:func:`ggt_matrix` keeps the corner's coefficients and rho's, which the
+dense fill in the tests reads as the oracle of this route.
 """
 
 from __future__ import annotations
@@ -42,6 +43,11 @@ import numpy as np
 
 from .trig import TrigPoly
 
+# complex entries in each intermediate of a block of sites, in both numeric
+# routes (a series of rows in trace_powers, an array in
+# algmodel.site_functional): bounds their working memory and fixes how many
+# sites a block holds
+SITE_ELEMENTS = 2 ** 15
 # exclusive bound on the quadrature grid: the doubling loop stops here, so
 # a starting grid must lie below it for convergence to be checked at all
 MAX_GRID = 2 ** 20
@@ -89,37 +95,17 @@ class VerblunskySeq:
 
 
 class GGTCorner:
-    """The N x N truncated GGT matrix in O(N) generator form.
-
-    Holds ``a = (alpha_{-1} = -1, alpha_0, ..., alpha_{N-1})`` and ``rho_0
-    .. rho_{N-1}``; entries are produced one diagonal at a time.
-    """
+    """The N x N truncated GGT matrix: ``a = (alpha_{-1} = -1, alpha_0, ...,
+    alpha_{N-1})`` and ``rho_0 .. rho_{N-1}``, from which its entries follow."""
 
     def __init__(self, a: np.ndarray, rho: np.ndarray):
         self.a = a
         self.rho = rho
         self.shape = (rho.size, rho.size)
 
-    def diagonal(self, j: int) -> np.ndarray:
-        """``U[k, k+j]`` in numpy's ``diagonal(j)`` order, in O(N * j) time.
-
-        Row k of diagonal ``j >= 0`` is ``-alpha_{k-1} conj(alpha_{k+j})
-        rho_k ... rho_{k+j-1}``; the rho products are running products,
-        never quotients of cumulative products, since a rho can be tiny.
-        """
-        n = self.shape[0]
-        if j == -1:
-            return self.rho[:n - 1].astype(complex)
-        if j < -1 or j >= n:
-            return np.zeros(max(n - abs(j), 0), dtype=complex)
-        prods = np.ones(n - j)
-        for i in range(j):
-            prods *= self.rho[i:n - j + i]
-        return -self.a[:n - j] * np.conj(self.a[1 + j:]) * prods
-
 
 def ggt_matrix(head: np.ndarray, n: int) -> GGTCorner:
-    """The N x N top-left GGT corner of ``head[:n]``, in generator form."""
+    """The N x N top-left GGT corner of ``head[:n]``."""
     if n < 1:
         raise OpucError("matrix size must be at least 1")
     a = np.empty(n + 1, dtype=complex)
@@ -128,71 +114,74 @@ def ggt_matrix(head: np.ndarray, n: int) -> GGTCorner:
     return GGTCorner(a, np.sqrt(1.0 - np.abs(a[1:]) ** 2))
 
 
-def _row_aligned(diag: np.ndarray, j: int, n: int) -> np.ndarray:
-    """Diagonal j as a length-n array indexed by row, zero where absent."""
-    out = np.zeros(n, dtype=complex)
-    start = max(-j, 0)
-    out[start:start + diag.size] = diag
-    return out
+def trace_powers(head: np.ndarray, max_power: int, start: int, stop: int) -> np.ndarray:
+    """The share of sites ``start .. stop-1`` in ``Tr(U^1) .. Tr(U^max_power)``.
 
-
-def _band_product(a: dict, b: dict, lo: int, hi: int, n: int) -> dict:
-    """Diagonals lo..hi of ``A @ B`` from row-aligned diagonals of A and B.
-
-    ``C[k, k+j] = sum_p A[k, k+p] * B[k+p, k+j]``; a diagonal missing from
-    ``a`` or ``b`` is zero.
+    ``head`` holds the validated coefficients from site 0 on, at least
+    ``stop`` of them; ``U`` is the corner of any size N >= stop, since a
+    site's moment does not depend on N.  Site j runs the Mobius step of the
+    module docstring over ``alpha_{j-d} .. alpha_{j-1}``, ``d =
+    max_power``, with ``alpha_{-1} = -1`` and zeros before it, each step
+    one series division that gains one coefficient of f.  Its moments are
+    the Newton transform ``p_l = -l q_l - sum_{i<l} q_i p_{l-i}`` of ``q =
+    1 - conj(alpha_j) w f``.  A series over a block of sites is a list of
+    coefficient rows, one array per power of w; sites go ``SITE_ELEMENTS //
+    d`` to a block, so the rows of one series hold at most ``SITE_ELEMENTS``
+    entries.
     """
-    out = {}
-    for j in range(max(lo, 1 - n), min(hi, n - 1) + 1):
-        acc = np.zeros(n, dtype=complex)
-        for p, ap in a.items():
-            bq = b.get(j - p)
-            if bq is None:
-                continue
-            if p >= 0:
-                acc[:n - p] += ap[:n - p] * bq[p:]
-            else:
-                acc[-p:] += ap[-p:] * bq[:n + p]
-        out[j] = acc
-    return out
-
-
-def trace_powers(u: GGTCorner | np.ndarray, max_power: int) -> list:
-    """Traces of u^1 .. u^max_power for an upper Hessenberg u, from its band.
-
-    ``u`` is anything with ``shape`` and numpy's ``diagonal(j)``: a
-    :class:`GGTCorner` or a dense ndarray.  Only diagonals -1 .. max_power-1
-    are read, and u^m is kept on offsets [-m, max_power-m]; that is exact
-    (see the module docstring).  O(N * max_power^3) time, O(N * max_power)
-    memory.
-    """
-    n = u.shape[0]
-    band = {j: _row_aligned(u.diagonal(j), j, n)
-            for j in range(-1, min(max_power, n))}
-    power = band
-    traces = []
-    for m in range(1, max_power + 1):
-        traces.append(complex(np.sum(power[0])))
-        if m < max_power:
-            power = _band_product(power, band, -m - 1, max_power - m - 1, n)
+    if len(head) < stop:
+        raise OpucError("the trace route needs a coefficient for every site below stop")
+    d = max_power
+    block = max(1, SITE_ELEMENTS // d)
+    traces = np.zeros(d, dtype=complex)
+    for lo in range(start, stop, block):
+        width = min(block, stop - lo)
+        # alpha_{lo-d} .. alpha_{lo+width-1}; step t of site lo + i reads a[i + t]
+        if lo >= d:
+            a = head[lo - d:lo + width]
+        else:
+            a = np.zeros(width + d, dtype=complex)
+            a[d - lo - 1] = -1.0
+            a[d - lo:] = head[:lo + width]
+        # the coefficients of -f, one row each: after the step of alpha_{j-d}
+        # from f = 0 mod w, then after each later step, which divides
+        # (w f - alpha) by (1 - conj(alpha) w f), mod one more power of w
+        f = [a[:width]]
+        for t in range(1, d):
+            alpha = a[t:t + width]
+            alpha_conj = np.conj(alpha)
+            g = [alpha]
+            for k in range(1, t + 1):
+                acc = f[0] * g[k - 1]
+                for i in range(1, k):
+                    acc += f[i] * g[k - 1 - i]
+                g.append(f[k - 1] - alpha_conj * acc)
+            f = g
+        # the site's step multiplies phi by q = 1 - conj(alpha_j) w f
+        alpha_conj = np.conj(a[d:])
+        q = [alpha_conj * row for row in f]
+        p = []
+        for l in range(1, d + 1):
+            acc = -l * q[l - 1]
+            for i in range(1, l):
+                acc -= q[i - 1] * p[l - 1 - i]
+            p.append(acc)
+        traces += [row.sum() for row in p]
     return traces
 
 
-def trace_v(u: GGTCorner | np.ndarray, h: TrigPoly) -> float:
-    """``Tr(V(U))`` with negative powers read through the adjoint.
+def trace_v(head: np.ndarray, h: TrigPoly, start: int, stop: int) -> float:
+    """The share of sites ``start .. stop-1`` in ``Tr(V(U))``, with negative
+    powers read through the adjoint; U and ``head`` as for :func:`trace_powers`.
 
     Equals ``-(2 / Z_H) * Re sum_{l=1}^{d} (h_l / l) Tr(U^l)`` because
-    ``h_{-l} = conj(h_l)`` pairs each power with its adjoint.
+    ``h_{-l} = conj(h_l)`` pairs each power with its adjoint.  Shares add
+    up: ``trace_v(head, h, 0, m) + trace_v(head, h, m, n)`` is the value at n.
     """
     d = h.degree
-    if d >= u.shape[0]:
-        raise OpucError("weight degree must be smaller than the matrix size")
-    z_h = h.z_h_numeric()
-    traces = trace_powers(u, d)
-    acc = 0.0 + 0.0j
-    for l in range(1, d + 1):
-        acc += h.coeff_numeric(l) / l * traces[l - 1]
-    return float(-(2.0 / z_h) * acc.real)
+    traces = trace_powers(head, d, start, stop)
+    acc = sum(h.coeff_numeric(l) / l * traces[l - 1] for l in range(1, d + 1))
+    return float(-(2.0 / h.z_h_numeric()) * acc.real)
 
 
 def log_term(head: np.ndarray) -> float:

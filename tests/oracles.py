@@ -25,12 +25,12 @@ from opucgems.algmodel import (
     table_for,
 )
 from opucgems.laurent import LaurentPoly, VarTable, exact_div, substitute
-from opucgems.opuc import ggt_matrix, log_term, trace_v
+from opucgems.opuc import log_term, trace_v
 
 
 def sum_rule_functional(head, n, h):
     """``Tr(V(U_N)) - sum_{j<N} log(1 - |alpha_j|^2)`` over ``head[:n]``."""
-    return trace_v(ggt_matrix(head, n), h) - log_term(head[:n])
+    return trace_v(head, h, 0, n) - log_term(head[:n])
 
 
 def phi_terms(poly, unit_values):

@@ -242,6 +242,18 @@ def study_must_not_run(*args):
     raise AssertionError("convergence_study ran on malformed input")
 
 
+def site_route_must_not_run(*args):
+    raise AssertionError("the site route compiled for malformed input")
+
+
+def study_without_site_route(*args):
+    """The study, for input its up-front checks must reject before the site
+    route compiles."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lab, "site_route", site_route_must_not_run)
+        return REAL_STUDY(*args)
+
+
 # (command with any options, input data, replacement for lab.convergence_study or None)
 MALFORMED = [
     ("gem", {"family": {"name": "finiteSupport", "values": [[math.nan, 0.0]]}}, None),
@@ -250,7 +262,8 @@ MALFORMED = [
     ("gem", {"family": {"name": "powerDecay", "c": "zz", "gamma": 1.0}}, None),
     ("gem", {"schedule": [10, "x"]}, None),
     ("gem", {"criticalPoints": [{"thetaOverPi": 0.0, "m": 3}], "schedule": [2, 20]},
-     None),
+     study_without_site_route,
+     "weight degree 3 must be smaller than the matrix size, but the schedule starts at N = 2"),
     ("szego-check", [[math.nan, 0.0]], None),
     ("gem", {}, nan_slope_study),
     ("gem", {"family": {"name": "powerDecay", "c": 0.3, "gamma": -2000}}, None),

@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from opucgems import lab, opuc
+from opucgems.lab import LabError, SequenceFamily, convergence_study
 from opucgems.opuc import (
     OpucError,
     VerblunskySeq,
@@ -140,8 +142,7 @@ def test_entries_match_definition():
 
 
 def test_zero_sequence_powers_have_zero_trace():
-    u = ggt_matrix(VerblunskySeq.from_values([]).head(7), 7)
-    for t in trace_powers(u, 6):
+    for t in trace_powers(VerblunskySeq.from_values([]).head(7), 6, 0, 7):
         assert abs(t) == 0.0
 
 
@@ -171,8 +172,7 @@ def test_generator_must_return_one_value_per_index():
 def test_trace_v_zero_sequence_vanishes():
     h = h_szego()
     for n in (2, 5, 9):
-        u = ggt_matrix(VerblunskySeq.from_values([]).head(n), n)
-        assert abs(trace_v(u, h)) == 0.0
+        assert abs(trace_v(VerblunskySeq.from_values([]).head(n), h, 0, n)) == 0.0
 
 
 def test_trace_v_first_order_formula():
@@ -180,11 +180,10 @@ def test_trace_v_first_order_formula():
     rng = np.random.default_rng(5)
     n = 10
     head = random_seq(rng, 7).head(n)
-    u = ggt_matrix(head, n)
     # the j = 0 term reads alpha_{-1} = -1
     direct = -sum((alpha_prev * np.conj(alpha_j)).real
                   for alpha_prev, alpha_j in zip(np.append(-1.0, head), head))
-    assert abs(trace_v(u, h_szego()) - direct) <= 1e-12
+    assert abs(trace_v(head, h_szego(), 0, n) - direct) <= 1e-12
 
 
 def test_trace_v_matrix_oracle_higher_degree():
@@ -193,22 +192,23 @@ def test_trace_v_matrix_oracle_higher_degree():
     h = build_h(CriticalPoints.from_pairs([(0.3, 2), (1.4, 1)]), "numeric")
     seq = random_seq(rng, 6)
     n = 7
-    u = ggt_matrix(seq.head(n), n)
-    m = dense(u)
+    m = dense(ggt_matrix(seq.head(n), n))
     v_of_u = np.zeros((n, n), dtype=complex)
     for l in range(1, h.degree + 1):
         coeff = h.coeff_numeric(l)
         v_of_u += -(coeff / l) * np.linalg.matrix_power(m, l) / h.z_h_numeric()
         v_of_u += -(np.conj(coeff) / l) * \
             np.linalg.matrix_power(m.conj().T, l) / h.z_h_numeric()
-    assert abs(trace_v(u, h) - np.trace(v_of_u).real) <= 1e-12
+    assert abs(trace_v(seq.head(n), h, 0, n) - np.trace(v_of_u).real) <= 1e-12
 
 
 def test_degree_must_be_smaller_than_size():
-    h = build_h(CriticalPoints.from_pairs([(Fraction(0), 2)]), "numeric")
-    u = ggt_matrix(VerblunskySeq.from_values([0.1]).head(2), 2)
-    with pytest.raises(OpucError):
-        trace_v(u, h)
+    # the trace route is defined at every N; a study refuses its first N
+    # at or below the weight degree, before it builds anything
+    points = CriticalPoints.from_pairs([(Fraction(0), 2)])
+    with pytest.raises(LabError, match="^weight degree 2 must be smaller than the "
+                                       "matrix size, but the schedule starts at N = 2$"):
+        convergence_study(SequenceFamily.finite_support([0.1]), points, [2, 4])
 
 
 @pytest.mark.parametrize("eps,tol", [(1e-8, 1e-6), (1e-12, 1e-10)])
@@ -221,29 +221,18 @@ def test_adjoint_convention_against_inverse_near_unitary(eps, tol):
         vals = 0.5 * (rng.random(3) - 0.5) + 0.5j * (rng.random(3) - 0.5)
         boundary = (1 - eps) * np.exp(2j * np.pi * rng.random())
         seq = VerblunskySeq.from_values(list(vals) + [boundary])
-        u = ggt_matrix(seq.head(4), 4)
-        assert abs(trace_v(u, h) - trace_v_inverse(dense(u), h)) <= tol
-
-
-def test_diagonals_equal_dense_fill_exactly():
-    rng = np.random.default_rng(12)
-    for _ in range(200):
-        n = int(rng.integers(1, 40))
-        u = ggt_matrix(random_seq(rng, n, radius=1.3).head(n), n)
-        m = dense(u)
-        assert m.shape == u.shape == (n, n)
-        for j in range(-n - 1, n + 2):
-            assert np.array_equal(u.diagonal(j), m.diagonal(j))
+        head = seq.head(4)
+        assert abs(trace_v(head, h, 0, 4) - trace_v_inverse(dense(ggt_matrix(head, 4)), h)) <= tol
 
 
 def test_tiny_rho_products_stay_finite():
-    # |alpha| this close to 1 underflows rho products; a quotient of
-    # cumulative products would turn them into 0/0
+    # |alpha| this close to 1 underflows the dense oracle's rho products,
+    # and the recursion's Mobius steps meet |alpha| = 1 to rounding
     seq = VerblunskySeq.from_values([np.nextafter(1.0, 0.0)] * 60 + [0.3] * 4)
-    u = ggt_matrix(seq.head(64), 64)
-    for j in range(-1, 64):
-        assert np.array_equal(u.diagonal(j), dense(u).diagonal(j))
-    assert all(np.isfinite(t) for t in trace_powers(u, 6))
+    traces = trace_powers(seq.head(64), 6, 0, 64)
+    assert all(np.isfinite(t) for t in traces)
+    for got, want in zip(traces, dense_trace_powers(dense(ggt_matrix(seq.head(64), 64)), 6)):
+        assert close(got, want)
 
 
 @st.composite
@@ -264,38 +253,79 @@ def close(got, want):
     return abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
-@settings(max_examples=40, deadline=None)
-@given(n=st.integers(1, 800), d=st.integers(1, 6), radius=st.floats(0.0, 0.95),
-       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
-def test_banded_trace_route_equals_dense_oracle(n, d, radius, seed, data):
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 60), h=st.integers(1, 8).flatmap(weights),
+       radius=st.floats(0.0, 0.97), seed=st.integers(0, 2 ** 32 - 1))
+# N <= d + 1, and a run of coefficients near the bound at the largest degree
+@example(n=1, h=build_h(CriticalPoints.from_pairs([(0.5, 1)])), radius=0.5, seed=1)
+@example(n=3, h=build_h(CriticalPoints.from_pairs([(0.25, 8)])), radius=0.9, seed=3)
+@example(n=9, h=build_h(CriticalPoints.from_pairs([(0.25, 8)])), radius=0.97, seed=2)
+def test_trace_route_equals_dense_oracle(n, h, radius, seed):
+    d = h.degree
     rng = np.random.default_rng(seed)
     vals = radius * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
-    u = ggt_matrix(VerblunskySeq.from_values(vals.tolist()).head(n), n)
-    m = dense(u)
-    banded = trace_powers(u, d)
-    assert trace_powers(m, d) == banded
-    for got, want in zip(banded, dense_trace_powers(m, d), strict=True):
+    head = VerblunskySeq.from_values(vals.tolist()).head(n)
+    m = dense(ggt_matrix(head, n))
+    # blocks of one to a few sites, so that the shares cross block edges
+    budget = int(rng.integers(d, 4 * d + 1))
+    split = int(rng.integers(0, n + 1))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(opuc, "SITE_ELEMENTS", budget)
+        whole = trace_powers(head, d, 0, n)
+        shares = trace_powers(head, d, 0, split) + trace_powers(head, d, split, n)
+        value = trace_v(head, h, 0, n)
+        value_shares = trace_v(head, h, 0, split) + trace_v(head, h, split, n)
+    for got, share, want in zip(whole, shares, dense_trace_powers(m, d), strict=True):
         assert close(got, want)
-    h = data.draw(weights(d))
-    if d < n:
-        assert close(trace_v(u, h), dense_trace_v(m, h))
-    else:
-        with pytest.raises(OpucError):
-            trace_v(u, h)
+        assert close(share, got)
+    want = dense_trace_v(m, h)
+    assert close(value, want)
+    assert close(value_shares, value)
+
+
+def test_trace_route_needs_every_site():
+    head = VerblunskySeq.from_values([0.3, 0.2, 0.1]).head(3)
+    with pytest.raises(OpucError):
+        trace_powers(head, 2, 1, 4)
 
 
 def test_trace_v_at_n_20000_stays_small_in_memory():
     # one dense 20000 x 20000 complex matrix would be 6.4 GB
     h = build_h(CriticalPoints.from_pairs([(0.3, 2), (1.1, 2)]), "numeric")
     seq = VerblunskySeq(lambda n: 0.5 / (n + 1) ** 0.7, support=None)
+    head = seq.head(20000)
     tracemalloc.start()
     try:
-        value = trace_v(ggt_matrix(seq.head(20000), 20000), h)
+        value = trace_v(head, h, 0, 20000)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert math.isfinite(value)
     assert peak < 32 * 2 ** 20
+
+
+def test_trace_v_memory_stays_bounded_along_a_long_study(monkeypatch):
+    # the block of sites, not N, bounds the trace route's working memory;
+    # O(N d) temporaries of about 240 bytes a site would take 62.5 MB at
+    # the last point, N = 2.56e5
+    peaks = []
+
+    def measured(*args):
+        tracemalloc.start()
+        try:
+            return trace_v(*args)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(lab, "trace_v", measured)
+    schedule = [1000 * 2 ** j for j in range(9)]
+    report = convergence_study(SequenceFamily.power_decay(0.5, 0.22, 0.3),
+                               CriticalPoints.from_pairs([(0.3, 3), (1.1, 1)]),
+                               schedule, max_n=schedule[-1])
+    assert len(peaks) == len(schedule)
+    assert all(math.isfinite(v) for v in report.trace_values)
+    assert max(peaks) < 8 * 2 ** 20
 
 
 # -- the sum-rule functional ---------------------------------------------------------------
