@@ -267,13 +267,12 @@ class PhiProgram:
         return max(1, EDGE_SHARE * self.lead, SITE_ELEMENTS // widest - self.lead)
 
 
-def phi_sums(program: PhiProgram, a: np.ndarray, a_conj: np.ndarray,
-             start: int, stop: int) -> list:
-    """Per compiled polynomial, the sum of its phi over sites ``start .. stop-1``.
+def phi_sums(program: PhiProgram, a: np.ndarray, width: int) -> list:
+    """Per compiled polynomial, the sum of its phi over sites ``0 .. width-1``.
 
-    Column t of the block is site ``start + t``.  A term at offset o sums
-    its class product over the columns ``o .. o + width - 1``: the first
-    width columns, less the o leading ones, plus the o columns after them.
+    Column t of the block is site t.  A term at offset o sums its class
+    product over the columns ``o .. o + width - 1``: the first width
+    columns, less the o leading ones, plus the o columns after them.
     So a polynomial's sum is its class sums over the first width columns
     times the class weights, plus the edges times the trailing columns less
     the leading ones.  Each class product is formed once, over ``width +
@@ -281,16 +280,15 @@ def phi_sums(program: PhiProgram, a: np.ndarray, a_conj: np.ndarray,
     them.  The class sums are pairwise sums over the columns, and no BLAS
     call is made: a threaded one can stall on a busy host.
 
-    ``a`` holds the coefficients from site 0 on, at least ``stop + lead +
-    max_shift`` of them, and ``a_conj`` their conjugates.  Those from ``stop
-    + max_shift`` on meet only zero weights, so they may be zero padding.
+    ``a`` holds the coefficients from site 0 on, at least ``width + lead +
+    max_shift`` of them.  Those from ``width + max_shift`` on meet only zero
+    weights, so they may be zero padding.
     """
-    width = stop - start
     span = width + program.lead
+    a_conj = np.conj(a)
     factors = np.empty((len(program.shifts), span), dtype=complex)
     for row, (beta, gamma) in zip(factors, program.shifts):
-        np.multiply(a[start + beta:start + beta + span],
-                    a_conj[start + gamma:start + gamma + span], out=row)
+        np.multiply(a[beta:beta + span], a_conj[gamma:gamma + span], out=row)
     sums = []
     for classes, weights, edges in zip(program.classes, program.weights, program.edges):
         prod = factors[classes[:, 0]]
@@ -883,12 +881,11 @@ def site_route(h: TrigPoly) -> PhiProgram:
     = 0, k, -k, ..., d, -d, leaving out each l whose exact h_l is zero, as
     the exact sum does: the cached :func:`_site_layout` of those powers,
     with each part's weights and edges scaled by ``pref_k * h_l``, the
-    numeric h_l and ``pref_k = (-1)^{k+1} / (k Z_H)``.  The exact
-    ``site_poly(k, h)`` would carry each h_l's unit symbols into every term;
-    phi of the two agrees to rounding.
+    numeric h_l of ``h.numeric_coeffs`` and ``pref_k = (-1)^{k+1} / (k
+    Z_H)``.  The exact ``site_poly(k, h)`` would carry each h_l's unit
+    symbols into every term; phi of the two agrees to rounding.
     """
-    values = h.unit_values()
-    h_num = {l: c.evaluate(values) for l, c in h.coeffs.items() if not c.is_zero}
+    h_num = {l: c for l, c in h.numeric_coeffs.items() if not h.coeffs[l].is_zero}
     powers = tuple(tuple(l for l in [0] + [s * m for m in range(k, h.degree + 1) for s in (1, -1)]
                          if l in h_num)
                    for k in range(1, h.degree + 1))
@@ -930,7 +927,7 @@ def site_functional(a: np.ndarray, n: int, route: PhiProgram) -> float:
         window = np.zeros(stop - start + reach, dtype=complex)
         seg = a[start:min(stop + reach, n + route.max_shift)]
         window[:len(seg)] = seg
-        site = sum(phi_sums(route, window, np.conj(window), 0, stop - start))
+        site = sum(phi_sums(route, window, stop - start))
         mod2 = np.abs(a[start:stop]) ** 2
         power_part = sum(mod2 ** k / k for k in range(1, len(route.classes) + 1))
         total += float(site.real - np.sum(np.log1p(-mod2) + power_part))

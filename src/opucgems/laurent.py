@@ -382,17 +382,8 @@ class LaurentPoly:
             return self.inverse() ** (-n)
         if self.is_monomial:
             ((e, c),) = self.terms.items()
-            return _poly(self.table, {tuple(x * n for x in e): _scalar_pow(c, n)})
-        result = self.table.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base_needed = n >> 1
-            if base_needed:
-                base = base * base
-            n >>= 1
-        return result
+            return _poly(self.table, {tuple(x * n for x in e): _power(c, n, GR_ONE)})
+        return _power(self, n, self.table.one())
 
     def inverse(self) -> "LaurentPoly":
         """Inverse of a monomial (the only units of the Laurent ring)."""
@@ -508,15 +499,16 @@ def _poly(table: VarTable, terms: dict) -> LaurentPoly:
     return out
 
 
-def _scalar_pow(c: GaussianRational, n: int) -> GaussianRational:
-    """``c ** n`` for ``n >= 0`` by repeated squaring."""
-    out = GR_ONE
+def _power(base, n: int, one):
+    """``base ** n`` for ``n >= 0`` by repeated squaring, starting from ``one``;
+    serves coefficients and polynomials alike."""
+    out = one
     while n:
         if n & 1:
-            out = out * c
+            out = out * base
         n >>= 1
         if n:
-            c = c * c
+            base = base * base
     return out
 
 

@@ -174,14 +174,15 @@ def trace_v(head: np.ndarray, h: TrigPoly, start: int, stop: int) -> float:
     """The share of sites ``start .. stop-1`` in ``Tr(V(U))``, with negative
     powers read through the adjoint; U and ``head`` as for :func:`trace_powers`.
 
-    Equals ``-(2 / Z_H) * Re sum_{l=1}^{d} (h_l / l) Tr(U^l)`` because
-    ``h_{-l} = conj(h_l)`` pairs each power with its adjoint.  Shares add
-    up: ``trace_v(head, h, 0, m) + trace_v(head, h, m, n)`` is the value at n.
+    Equals ``-(2 / Z_H) * Re sum_{l=1}^{d} (h_l / l) Tr(U^l)``, ``h_l`` from
+    ``h.numeric_coeffs``, since ``h_{-l} = conj(h_l)`` pairs each power with
+    its adjoint.  Shares add up: ``trace_v(head, h, 0, m) + trace_v(head, h,
+    m, n)`` is the value at n.
     """
     d = h.degree
     traces = trace_powers(head, d, start, stop)
-    acc = sum(h.coeff_numeric(l) / l * traces[l - 1] for l in range(1, d + 1))
-    return float(-(2.0 / h.z_h_numeric()) * acc.real)
+    acc = sum(h.numeric_coeffs[l] / l * traces[l - 1] for l in range(1, d + 1))
+    return float(-(2.0 / h.numeric_coeffs[0].real) * acc.real)
 
 
 def log_term(head: np.ndarray) -> float:
@@ -227,9 +228,9 @@ def bs_weight_quadrature(values: np.ndarray, h: TrigPoly | None,
     ``values`` are the coefficients as :meth:`VerblunskySeq.head` returns
     them; every later one is zero.  Uniform trapezoid rule on the periodic
     integrand (the grid mean); the grid doubles until two successive
-    results agree within ``QUADRATURE_TOL`` or it reaches ``MAX_GRID``.
-    With ``h=None`` the weight H is 1, which recovers the classical Szego
-    sum ``sum log(1 - |alpha_n|^2)``.
+    results agree within ``QUADRATURE_TOL``, and reaching ``MAX_GRID``
+    first raises :class:`OpucError`.  With ``h=None`` the weight H is 1,
+    which recovers the classical Szego sum ``sum log(1 - |alpha_n|^2)``.
     """
     if not 2 ** 10 <= grid_size < MAX_GRID:
         raise OpucError(f"grid size must be at least 2^10 and below {MAX_GRID}")
@@ -249,4 +250,5 @@ def bs_weight_quadrature(values: np.ndarray, h: TrigPoly | None,
         if abs(refined - value) < QUADRATURE_TOL:
             return refined
         value = refined
-    return value
+    raise OpucError(f"the quadrature grid reached its ceiling of {MAX_GRID} "
+                    f"before two grids agreed within {QUADRATURE_TOL}")

@@ -9,8 +9,8 @@ theta}`` and ``z_j = e^{i theta_j}``.
 H has one representation: ``h_l`` are Laurent polynomials in unit symbols
 ``z1..zK``.  A symbol stays generic unless its angle is an exact quarter
 multiple of pi, in which case the Gaussian-rational unit is substituted.
-Numeric values of H (coefficients, ``Z_H``, values on a grid) are
-evaluations of these exact coefficients at the concrete angles.
+Numeric values of H (``h_l``, ``Z_H``, values on a grid) come from one
+evaluation of these coefficients at the angles, made on first numeric use.
 
 ``Z_H`` is the mean of H over the circle, which equals ``h_0``.
 """
@@ -20,6 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -145,11 +146,14 @@ class CriticalPoints:
         return sum(self.multiplicities)
 
     def numeric_angles(self) -> list:
-        """Angles in radians; fails on generic entries."""
+        """Angles in radians; fails on generic entries.  A float angle is
+        reduced mod 2 (exactly, by ``fmod``) before it is scaled by pi."""
         out = []
         for theta in self.angles:
             if theta is None:
                 raise TrigError("generic angle has no numeric value")
+            if isinstance(theta, float):
+                theta = math.fmod(theta, 2.0)
             out.append(_angle_float(theta) * math.pi)
         return out
 
@@ -169,8 +173,8 @@ class TrigPoly:
 
     ``coeffs[l]`` is a LaurentPoly over ``table`` (unit symbols only) and
     ``unit_polys[j]`` is the polynomial standing for ``e^{i theta_j}`` (a
-    symbol or an exact constant).  Numeric values are evaluations of these
-    coefficients at the concrete angles; no float copy is stored.
+    symbol or an exact constant).  :attr:`numeric_coeffs` evaluates these
+    coefficients at the concrete angles once, on first numeric use.
     """
 
     points: CriticalPoints
@@ -179,11 +183,11 @@ class TrigPoly:
     coeffs: Mapping[int, LaurentPoly]
     unit_polys: tuple
 
-    def z_h_numeric(self) -> float:
-        return self.coeff_numeric(0).real
-
-    def coeff_numeric(self, l: int) -> complex:
-        return self.coeffs[l].evaluate(self.unit_values())
+    @cached_property
+    def numeric_coeffs(self) -> dict:
+        """``{l: h_l}`` for l in -d..d as complex numbers, ``Z_H = h_0``; shared, read-only."""
+        values = self.unit_values()
+        return {l: c.evaluate(values) for l, c in self.coeffs.items()}
 
     def unit_values(self) -> dict:
         """Numeric value of every table symbol (needs numeric angles)."""
@@ -196,10 +200,7 @@ class TrigPoly:
     def eval_numeric(self, thetas: np.ndarray) -> np.ndarray:
         """Evaluate H on a grid of angles (real output)."""
         z = np.exp(1j * np.asarray(thetas, dtype=float))
-        total = np.zeros_like(z)
-        for l in range(-self.degree, self.degree + 1):
-            total = total + self.coeff_numeric(l) * z ** l
-        return total.real
+        return sum(c * z ** l for l, c in self.numeric_coeffs.items()).real
 
 
 def _convolve(a: dict, b: dict) -> dict:

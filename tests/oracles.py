@@ -140,9 +140,9 @@ def site_parts(k, h):
     whose exact h_l is zero are left out, as they are from the exact sum.
     ``phi_program([site_parts(k, h) for k in 1..d], {})`` is the site route
     compiled term by term."""
-    pref = (-1) ** (k + 1) / (k * h.z_h_numeric())
+    pref = (-1) ** (k + 1) / (k * h.numeric_coeffs[0].real)
     powers = [0] + [s * l for l in range(k, h.degree + 1) for s in (1, -1)]
-    return [(pref * h.coeff_numeric(l), _site_part(k, l))
+    return [(pref * h.numeric_coeffs[l], _site_part(k, l))
             for l in powers if not h.coeffs[l].is_zero]
 
 

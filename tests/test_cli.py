@@ -322,6 +322,7 @@ MALFORMED = [
     ("verify --kmax 7 --dmax 9", None, None),
     ("dump-g2k --k 6 --d 12", None, None),
     ("verify --kmax 10 --dmax 1", None, None),
+    ("szego-check", [[0.99999999, 0.0]], None),
 ]
 
 
@@ -341,7 +342,8 @@ MALFORMED = [
     "gem-values-flat", "gem-name-list", "gem-family-text", "gem-angle-zero-denominator",
     "gem-degree-above-ceiling", "gem-angle-list", "gem-angle-dict", "gem-angle-int-huge",
     "gem-angle-text-huge", "enum-d-count-above-ceiling", "verify-part-above-ceiling",
-    "dump-g2k-part-above-ceiling", "verify-relation-above-ceiling"])
+    "dump-g2k-part-above-ceiling", "verify-relation-above-ceiling",
+    "szego-quadrature-above-ceiling"])
 @pytest.mark.filterwarnings("error")
 def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch,
                                                command, data, study, message):

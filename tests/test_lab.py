@@ -310,6 +310,19 @@ def test_one_head_study_equals_a_head_per_consumer(family, points, schedule):
     assert max(relative_gaps(report["corollaryRoute"], site_values)) <= 1e-12
 
 
+@pytest.mark.parametrize("angle,reduced", [(1e308, 0.0), (2.5, 0.5), (-3.5, -1.5)])
+def test_float_angles_are_reduced_mod_two(angle, reduced):
+    # a float angle of any finite size is reduced mod 2, keeping its sign,
+    # before it is scaled by pi: 1e308 * pi would overflow to inf and give
+    # NaN units
+    family = SequenceFamily.power_decay(0.4, 0.5, phase=0.2)
+    got, want = (convergence_study(family, CriticalPoints.from_pairs([(theta, 2)]),
+                                   (20, 40, 80)).to_json()
+                 for theta in (angle, reduced))
+    for key in ("traceRoute", "corollaryRoute", "logTermSums", "diagnostics"):
+        assert got[key] == want[key]
+
+
 def test_red_case_study_equals_per_index_oracle_exactly():
     family = SequenceFamily.constant(0.5)
     points = CriticalPoints.from_pairs([(0.0, 2)])

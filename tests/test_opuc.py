@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from opucgems import lab, opuc
 from opucgems.lab import LabError, SequenceFamily, convergence_study
+from opucgems.laurent import LaurentPoly
 from opucgems.opuc import (
     OpucError,
     VerblunskySeq,
@@ -68,8 +69,8 @@ def dense_trace_powers(m, max_power):
 def dense_trace_v(m, h):
     """``trace_v`` on a dense matrix through :func:`dense_trace_powers`."""
     traces = dense_trace_powers(m, h.degree)
-    acc = sum(h.coeff_numeric(l) / l * traces[l - 1] for l in range(1, h.degree + 1))
-    return float(-(2.0 / h.z_h_numeric()) * acc.real)
+    acc = sum(h.numeric_coeffs[l] / l * traces[l - 1] for l in range(1, h.degree + 1))
+    return float(-(2.0 / h.numeric_coeffs[0].real) * acc.real)
 
 
 def trace_v_inverse(m, h):
@@ -83,9 +84,9 @@ def trace_v_inverse(m, h):
     inv_traces = dense_trace_powers(np.linalg.inv(m), d)
     acc = 0.0 + 0.0j
     for l in range(1, d + 1):
-        acc += h.coeff_numeric(l) / l * traces[l - 1]
-        acc += h.coeff_numeric(-l) / l * inv_traces[l - 1]
-    return float((-1.0 / h.z_h_numeric()) * acc.real)
+        acc += h.numeric_coeffs[l] / l * traces[l - 1]
+        acc += h.numeric_coeffs[-l] / l * inv_traces[l - 1]
+    return float((-1.0 / h.numeric_coeffs[0].real) * acc.real)
 
 
 # -- matrix structure -----------------------------------------------------------------
@@ -194,11 +195,11 @@ def test_trace_v_matrix_oracle_higher_degree():
     n = 7
     m = dense(ggt_matrix(seq.head(n), n))
     v_of_u = np.zeros((n, n), dtype=complex)
+    z_h = h.numeric_coeffs[0].real
     for l in range(1, h.degree + 1):
-        coeff = h.coeff_numeric(l)
-        v_of_u += -(coeff / l) * np.linalg.matrix_power(m, l) / h.z_h_numeric()
-        v_of_u += -(np.conj(coeff) / l) * \
-            np.linalg.matrix_power(m.conj().T, l) / h.z_h_numeric()
+        coeff = h.numeric_coeffs[l]
+        v_of_u += -(coeff / l) * np.linalg.matrix_power(m, l) / z_h
+        v_of_u += -(np.conj(coeff) / l) * np.linalg.matrix_power(m.conj().T, l) / z_h
     assert abs(trace_v(seq.head(n), h, 0, n) - np.trace(v_of_u).real) <= 1e-12
 
 
@@ -344,10 +345,11 @@ def test_functional_single_coefficient_value():
     u = dense(ggt_matrix(seq.head(4), 4))
     h = h_szego()
     v_of_u = np.zeros((4, 4), dtype=complex)
+    z_h = h.numeric_coeffs[0].real
     for l in range(1, 2):
-        coeff = complex(h.coeff_numeric(l))
-        v_of_u += -(coeff / l) * np.linalg.matrix_power(u, l) / h.z_h_numeric()
-        v_of_u += -(np.conj(coeff) / l) * np.linalg.matrix_power(u.conj().T, l) / h.z_h_numeric()
+        coeff = complex(h.numeric_coeffs[l])
+        v_of_u += -(coeff / l) * np.linalg.matrix_power(u, l) / z_h
+        v_of_u += -(np.conj(coeff) / l) * np.linalg.matrix_power(u.conj().T, l) / z_h
     oracle = float(np.trace(v_of_u).real) - log_term(seq.head(4))
     assert abs(value - oracle) <= 1e-14
 
@@ -383,6 +385,33 @@ def test_quadrature_single_coefficient():
 def test_quadrature_zero_sequence():
     values = VerblunskySeq.from_values([]).head(0)
     assert abs(bs_weight_quadrature(values, h_szego())) <= 1e-14
+
+
+D5_POINTS = CriticalPoints.from_pairs([(0.3, 3), (1.1, 2)])
+D5_FAMILY = SequenceFamily.power_decay(0.4, 0.9, phase=0.37)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: convergence_study(D5_FAMILY, D5_POINTS, (50, 100, 200, 400)),
+    lambda: convergence_study(D5_FAMILY, D5_POINTS, (50, 100, 200, 400, 800, 1600, 3200, 6400)),
+    lambda: bs_weight_quadrature(np.array([0.5, 0.2j, -0.1]), build_h(D5_POINTS)),
+], ids=["study-4-points", "study-8-points", "quadrature"])
+def test_the_weight_is_evaluated_once(monkeypatch, run):
+    # both routes, at every point of the schedule, and every grid of the
+    # quadrature read h_l from one cached evaluation of the 2d + 1 exact ones
+    calls = []
+    evaluate = LaurentPoly.evaluate
+    monkeypatch.setattr(LaurentPoly, "evaluate",
+                        lambda poly, values: calls.append(poly) or evaluate(poly, values))
+    run()
+    assert len(calls) == 2 * D5_POINTS.degree + 1
+
+
+def test_quadrature_that_does_not_converge_raises():
+    # |alpha| this close to 1 puts a spike in log w that no grid below the
+    # ceiling resolves to QUADRATURE_TOL; the last grid's value is not returned
+    with pytest.raises(OpucError, match=f"ceiling of {opuc.MAX_GRID} "):
+        bs_weight_quadrature(np.array([0.99999999]), None)
 
 
 def test_weight_is_probability_density():
