@@ -47,7 +47,7 @@ from .laurent import (
     _accumulate,
     _poly,
     divided_diff,
-    exact_div,
+    exact_div,  # no caller here; perfbench/tracer.py rebinds this name
     substitute,  # no caller here; perfbench/tracer.py rebinds this name
 )
 from .opuc import SITE_ELEMENTS
@@ -613,22 +613,6 @@ def g2k_trace_scaled(k: int, h: TrigPoly) -> LaurentPoly:
     return _weighted(partial(weight_free_part, "trace", k), k, h, _sign(k))
 
 
-def hl_double_sum(k: int, h: TrigPoly) -> LaurentPoly:
-    """The Hall-Littlewood double sum, by divided differences of powers.
-
-    ``sum_{p,q} H(a_p b_q) / (prod_{s!=p}(1 - a_s/a_p) prod_{t!=q}(b_q/b_t
-    - 1))``.  Since ``H(t x) = sum_l h_l t^l x^l`` the sum is linear in the
-    coefficients h_l, and each power separates into a divided difference
-    over the a points times one over the b points:
-    ``prod b_t * sum_l h_l * D(a_1..a_k)(t^{l+k-1}) * D(b_1..b_k)(t^{l-1})``,
-    the weighted sum of the products :func:`_dd_product` forms (no normal
-    form).  The term of l is zero for ``1 <= |l| < k``, where one factor is
-    the divided difference of a power in 0..k-2.  Any division failure in
-    the recursion signals a broken identity.
-    """
-    return _weighted(partial(_dd_product, k), k, h)
-
-
 def g2k_hl_scaled_dd(k: int, h: TrigPoly) -> LaurentPoly:
     """Divided-difference route for ``k * Z_H * G'_2k`` in normal form."""
     out = _weighted(partial(weight_free_part, "dd", k), k, h, _sign(k))
@@ -671,8 +655,8 @@ def g2k_routes_check(k: int, h: TrigPoly) -> RouteCheckResult:
 def build_g2k_hl(k: int, h: TrigPoly) -> LaurentPoly:
     """Normal form of G'_2k built by both Hall-Littlewood routes.
 
-    The routes give ``k * Z_H * G'_2k``, and the result divides by the
-    monomial ``k * Z_H``.  That needs Z_H = h_0 to be a constant, as it is
+    The routes give ``k * Z_H * G'_2k``, and the result is that times the
+    scalar ``1 / (k * Z_H)``.  That needs Z_H = h_0 to be a constant, as it is
     for one critical point or for exact quarter angles; otherwise G'_2k has
     coefficients that are rational functions of the unit symbols, and a
     :class:`ModelError` says so before either route runs.  The two routes
@@ -687,7 +671,20 @@ def build_g2k_hl(k: int, h: TrigPoly) -> LaurentPoly:
     hom = g2k_hl_scaled_hom(k, h)
     if dd != hom:
         raise ModelError(f"route disagreement for k={k}, d={h.degree}")
-    return exact_div(dd, h.coeffs[0].embed(dd.table) * Fraction(k))
+    return dd * (1 / (k * z_h.constant_value()))
+
+
+def _denominators(points: Sequence[LaurentPoly], flipped: bool = False) -> list:
+    """``prod_{s!=i}(1 - p_s/p_i)`` for each index i, or ``prod_{s!=i}(p_i/p_s
+    - 1)`` when ``flipped``."""
+    one = points[0].table.one()
+    out = []
+    for i, p in enumerate(points):
+        p_inv = p.inverse()
+        factors = (p * q.inverse() - one if flipped else one - q * p_inv
+                   for s, q in enumerate(points) if s != i)
+        out.append(math.prod(factors, start=one))
+    return out
 
 
 def basis_relation_check(k: int) -> bool:
@@ -696,41 +693,21 @@ def basis_relation_check(k: int) -> bool:
     For all p, q in [k]: ``d_p * e_{q+1} * a_p * b_q = (prod x_i y_i)^2``
     and the denominator products match:
     ``prod_{s!=p}(1 - a_s/a_p) * prod_{t!=q}(b_q/b_t - 1)`` equals
-    ``prod_{s!=q}(1 - e_{s+1}/e_{q+1}) * prod_{t!=p}(d_p/d_t - 1)``.
+    ``prod_{s!=q}(1 - e_{s+1}/e_{q+1}) * prod_{t!=p}(d_p/d_t - 1)`` with
+    ``e_{k+1} = e_1``; each product is formed once per index.
     """
     table = VarTable(k)
-    one = table.one()
     a = a_monomials(table, k)
     b = b_monomials(table, k)
     d_m = d_monomials(table, k)
     e = e_monomials(table, k)
+    e_next = e[1:] + e[:1]
     unit2 = table.pair_monomial([2] * k, [2] * k)
-
-    def e_next(idx: int) -> LaurentPoly:
-        # e_{idx+1} with the wrap e_{k+1} = e_1 (1-based idx in [1, k])
-        return e[idx % k]
-
-    for p in range(1, k + 1):
-        for q in range(1, k + 1):
-            if d_m[p - 1] * e_next(q) * a[p - 1] * b[q - 1] != unit2:
-                return False
-            lhs = one
-            for s in range(1, k + 1):
-                if s != p:
-                    lhs = lhs * (one - a[s - 1] * a[p - 1].inverse())
-            for t in range(1, k + 1):
-                if t != q:
-                    lhs = lhs * (b[q - 1] * b[t - 1].inverse() - one)
-            rhs = one
-            for s in range(1, k + 1):
-                if s != q:
-                    rhs = rhs * (one - e_next(s) * e_next(q).inverse())
-            for t in range(1, k + 1):
-                if t != p:
-                    rhs = rhs * (d_m[p - 1] * d_m[t - 1].inverse() - one)
-            if lhs != rhs:
-                return False
-    return True
+    a_den, b_den = _denominators(a), _denominators(b, flipped=True)
+    e_den, d_den = _denominators(e_next), _denominators(d_m, flipped=True)
+    return all(d_m[p] * e_next[q] * a[p] * b[q] == unit2
+               and a_den[p] * b_den[q] == e_den[q] * d_den[p]
+               for p in range(k) for q in range(k))
 
 
 # -- the constant identity ---------------------------------------------------------
@@ -748,9 +725,6 @@ def constant_partial_sums(k: int) -> tuple:
     sign = _sign(k)
 
     a_poly = divided_diff(pts, k - 1) * sign
-    if not a_poly.is_monomial and not a_poly.is_zero:
-        raise ModelError("first constant sum did not collapse to a scalar")
-
     prod_t = math.prod(pts, start=table.one())
     b_poly = divided_diff(pts, -1) * prod_t * sign
     a_val = a_poly.constant_value()
@@ -810,15 +784,13 @@ def _site_rows(k: int, l: int) -> tuple | None:
     part = _site_part(k, l)
     if part is None:
         return None
-    rows: dict = {}
     for e, c in part.terms.items():
         if min(e) < 0:
             raise ModelError("phi needs nonnegative pair exponents")
         if c.d != 1 or c.b:
             raise ModelError("a site part has a non-integer coefficient")
-        key = tuple(sorted(e[0::2])) + tuple(sorted(e[1::2]))
-        rows[key] = rows.get(key, 0) + c.a
-    rows = {key: count for key, count in rows.items() if count}
+    rows = _accumulate({}, ((tuple(sorted(e[0::2])) + tuple(sorted(e[1::2])), c.a)
+                            for e, c in part.terms.items()))
     exps = np.array(list(rows), dtype=np.intp).reshape(len(rows), 2 * k)
     offsets = exps.min(axis=1)
     classes, row_class = np.unique(exps - offsets[:, None], axis=0, return_inverse=True)
@@ -905,7 +877,7 @@ def site_functional(a: np.ndarray, n: int, route: PhiProgram) -> float:
     of the window, so it is not constant in N.
 
     ``a`` holds the validated coefficients from the first site on, at
-    least ``n + max_shift + 1`` of them; ``route`` is :func:`site_route` of
+    least ``n + max_shift`` of them; ``route`` is :func:`site_route` of
     the weight, built once and reused for every n.  Its polynomials carry
     their pref_k, so the k-sum over a block of sites is the sum of its
     :func:`phi_sums` values.  Site j reads only ``a_j .. a_{j + max_shift}``,

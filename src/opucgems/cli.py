@@ -37,8 +37,8 @@ MAX_ENUM_TUPLES = 10 ** 6
 # 0.56 GB; (7, 9) has 140140 and (6, 10) 378378
 MAX_PART_TUPLES = 130_000
 # largest kmax verify takes, as it checks the basis relations for k = 1..kmax;
-# on a 2-core host basis_relation_check takes about 0.45 s at k = 6, 2.3 s at
-# k = 7 and 12 s at k = 8, about 5x more per further k
+# on a 2-core host basis_relation_check takes about 0.15 s at k = 6, 0.9 s at
+# k = 7 and 5.3 s at k = 8, about 6x more per further k
 MAX_RELATION_K = 7
 
 

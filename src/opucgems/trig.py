@@ -2,9 +2,10 @@
 
 The weight is ``H(e^{i\\theta}) = prod_j (1 - cos(theta - theta_j))^{m_j}``,
 stored through its Fourier coefficients ``h_l`` for ``l in [-d, d]`` where
-``d = sum m_j``.  Each factor is built from the exact linear factorization
-``1 - cos(theta - theta_j) = (x - z_j)(1/x - 1/z_j) / 2`` with ``x = e^{i
-theta}`` and ``z_j = e^{i theta_j}``.
+``d = sum m_j``.  Each critical point's factor is one binomial row.  With
+``x = e^{i theta}``, ``z_j = e^{i theta_j}`` and ``w = x/z_j``, the identity
+``1 - cos(theta - theta_j) = -(w^{1/2} - w^{-1/2})^2 / 2`` gives
+``(1 - cos(theta - theta_j))^m = 2^{-m} sum_{l=-m}^{m} (-1)^l C(2m, m+l) w^l``.
 
 H has one representation: ``h_l`` are Laurent polynomials in unit symbols
 ``z1..zK``.  A symbol stays generic unless its angle is an exact quarter
@@ -209,7 +210,8 @@ def _convolve(a: dict, b: dict) -> dict:
 
 
 def build_h(points: CriticalPoints, mode: str = "exact") -> TrigPoly:
-    """Construct H by convolving the 2d exact linear factors.
+    """Construct H by convolving one binomial row per critical point,
+    ``(1 - cos(theta - theta_j))^m = 2^{-m} sum_l (-1)^l C(2m, m+l) (x/z_j)^l``.
 
     A quarter-multiple Fraction angle gets its Gaussian-rational unit; other
     angles keep a generic symbol ``z_j``.  ``"exact"`` rejects any other
@@ -235,13 +237,11 @@ def build_h(points: CriticalPoints, mode: str = "exact") -> TrigPoly:
             )
         else:
             unit_polys.append(table.var(name))
-    half = table.const(Fraction(1, 2))
     coeffs = {0: table.one()}
     for z, m in zip(unit_polys, points.multiplicities):
-        z_inv = z.inverse()
-        for _ in range(m):
-            coeffs = _convolve(coeffs, {1: half, 0: -half * z})
-            coeffs = _convolve(coeffs, {-1: table.one(), 0: -z_inv})
+        row = {l: z ** -l * Fraction((-1) ** abs(l) * math.comb(2 * m, m + l), 2 ** m)
+               for l in range(-m, m + 1)}
+        coeffs = _convolve(coeffs, row)
     full = {l: coeffs.get(l, table.zero()) for l in range(-d, d + 1)}
     for l in range(0, d + 1):
         if full[-l] != full[l].conjugate():

@@ -8,29 +8,53 @@
   window sums instead.  :func:`program_rows` reads any compiled program's
   rows back from its window sums, and :func:`phi_sites` evaluates them
   site by site and row by row, the oracle for ``phi_sums``.
-* The contact-degree cluster behind acceptance 9: the double-sum part of
-  G'_2k, the k = 1 product witness, the capped Taylor degree at the
-  critical point and a greedy search for a high-contact representative.
+* :func:`linear_factor_weight`, the weight's coefficients from its 2d
+  linear factors, the oracle for ``build_h``'s binomial rows.
+* The contact-degree cluster behind acceptance 9: the Hall-Littlewood
+  double sum and its part of G'_2k, the k = 1 product witness, the capped
+  Taylor degree at the critical point and a greedy search for a
+  high-contact representative.
 """
+
+from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
 from opucgems.algmodel import (
     ModelError,
     PhiProgram,
+    _dd_product,
     _site_part,
+    _weighted,
     critical_product,
-    hl_double_sum,
     in_polynomial_ring,
     table_for,
 )
 from opucgems.laurent import LaurentPoly, VarTable, exact_div, substitute
 from opucgems.opuc import log_term, trace_v
+from opucgems.trig import _convolve, build_h
 
 
 def sum_rule_functional(head, n, h):
     """``Tr(V(U_N)) - sum_{j<N} log(1 - |alpha_j|^2)`` over ``head[:n]``."""
     return trace_v(head, h, 0, n) - log_term(head[:n])
+
+
+def linear_factor_weight(points, mode):
+    """``{l: h_l}`` for l in -d..d by convolving the 2d exact linear factors
+    ``1 - cos(theta - theta_j) = (x - z_j)(1/x - 1/z_j) / 2``, over the table
+    and units of ``build_h(points, mode)``."""
+    h = build_h(points, mode)
+    table = h.table
+    half = table.const(Fraction(1, 2))
+    coeffs = {0: table.one()}
+    for z, m in zip(h.unit_polys, points.multiplicities):
+        z_inv = z.inverse()
+        for _ in range(m):
+            coeffs = _convolve(coeffs, {1: half, 0: -half * z})
+            coeffs = _convolve(coeffs, {-1: table.one(), 0: -z_inv})
+    return {l: coeffs.get(l, table.zero()) for l in range(-h.degree, h.degree + 1)}
 
 
 def phi_terms(poly, unit_values):
@@ -144,6 +168,22 @@ def site_parts(k, h):
     powers = [0] + [s * l for l in range(k, h.degree + 1) for s in (1, -1)]
     return [(pref * h.numeric_coeffs[l], _site_part(k, l))
             for l in powers if not h.coeffs[l].is_zero]
+
+
+def hl_double_sum(k, h):
+    """The Hall-Littlewood double sum, by divided differences of powers.
+
+    ``sum_{p,q} H(a_p b_q) / (prod_{s!=p}(1 - a_s/a_p) prod_{t!=q}(b_q/b_t
+    - 1))``.  Since ``H(t x) = sum_l h_l t^l x^l`` the sum is linear in the
+    coefficients h_l, and each power separates into a divided difference
+    over the a points times one over the b points:
+    ``prod b_t * sum_l h_l * D(a_1..a_k)(t^{l+k-1}) * D(b_1..b_k)(t^{l-1})``,
+    the weighted sum of the products ``_dd_product`` forms (no normal
+    form).  The term of l is zero for ``1 <= |l| < k``, where one factor is
+    the divided difference of a power in 0..k-2.  Any division failure in
+    the recursion signals a broken identity.
+    """
+    return _weighted(partial(_dd_product, k), k, h)
 
 
 def hl_part(k, h):

@@ -35,7 +35,6 @@ from opucgems.algmodel import (
     g2k_hl_scaled_hom,
     g2k_routes_check,
     g2k_trace_scaled,
-    hl_double_sum,
     hom_sums,
     in_polynomial_ring,
     index_tuple_count,
@@ -55,6 +54,7 @@ from opucgems.laurent import LaurentPoly, VarTable, divided_diff, exact_div, sub
 from opucgems.opuc import OpucError, VerblunskySeq, trace_powers
 from opucgems.trig import CriticalPoints, build_h
 from oracles import (
+    hl_double_sum,
     hl_part,
     l_degree,
     phi_program,
@@ -652,6 +652,18 @@ def test_constant_sums(k):
 @pytest.mark.parametrize("k", range(1, 5))
 def test_basis_relations(k):
     assert basis_relation_check(k)
+
+
+@pytest.mark.parametrize("k", range(2, 5))
+def test_basis_relations_fail_on_a_wrong_monomial(k, monkeypatch):
+    # two d monomials swapped: the check must see it, not return True regardless
+    def swapped(table, k):
+        d = d_monomials(table, k)
+        d[0], d[1] = d[1], d[0]
+        return d
+
+    monkeypatch.setattr(algmodel, "d_monomials", swapped)
+    assert not basis_relation_check(k)
 
 
 # -- basis monomials and homogeneous sums against name-keyed oracles ---------------------

@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opucgems.opuc import VerblunskySeq
 from opucgems.trig import CriticalPoints, TrigError, build_h
-from oracles import sum_rule_functional
+from oracles import linear_factor_weight, sum_rule_functional
 
 
 def coeff(h, l):
@@ -119,6 +120,36 @@ def test_exact_specialization_matches_numeric():
     values = hx.unit_values()
     for l in range(-hx.degree, hx.degree + 1):
         assert abs(hx.coeffs[l].evaluate(values) - hn.numeric_coeffs[l]) <= 1e-12
+
+
+@st.composite
+def weights(draw):
+    """``(points, mode)``: K <= 3 critical points of total degree d <= 8, all
+    generic, all quarter Fractions, Fractions of pi/6 (``"numeric"``, quarter
+    multiples among them) or floats."""
+    mults = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)
+                 .filter(lambda m: sum(m) <= 8))
+    kind = draw(st.sampled_from(["generic", "quarter", "sixth", "float"]))
+    if kind == "generic":
+        return CriticalPoints.generic(mults), "exact"
+    pool = {"quarter": [Fraction(q, 2) for q in range(4)],
+            "sixth": [Fraction(q, 6) for q in range(12)],
+            "float": [q / 50 for q in range(100)]}[kind]
+    angles = draw(st.lists(st.sampled_from(pool), min_size=len(mults),
+                           max_size=len(mults), unique=True))
+    mode = "numeric" if kind == "sixth" else "exact"
+    return CriticalPoints.from_pairs(list(zip(angles, mults))), mode
+
+
+@settings(max_examples=60, deadline=None)
+@given(weights())
+def test_binomial_rows_equal_the_linear_factor_product(case):
+    points, mode = case
+    h = build_h(points, mode)
+    oracle = linear_factor_weight(points, mode)
+    assert set(h.coeffs) == set(oracle)
+    for l, c in oracle.items():
+        assert h.coeffs[l] == c
 
 
 def test_coefficient_symmetry_exact():
