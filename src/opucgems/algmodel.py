@@ -34,6 +34,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
+from itertools import repeat
+from operator import add
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -46,6 +48,8 @@ from .laurent import (
     VarTable,
     _accumulate,
     _poly,
+    _scalar_triple,
+    _triple,
     divided_diff,
     exact_div,  # no caller here; perfbench/tracer.py rebinds this name
     substitute,  # no caller here; perfbench/tracer.py rebinds this name
@@ -466,8 +470,15 @@ def _weighted(part, k: int, h: TrigPoly, sign=GR_ONE) -> LaurentPoly:
     part; it is not asked for where h_l is zero.  The table lays the pair
     slots first and the unit slots after them, and h_l has only unit slots,
     so a term of the product has the part's exponent tuple followed by the
-    h_l term's: the lift needs no embedding.  The sign scales each h_l, which
-    has a few terms, not the sum.
+    h_l term's: the lift needs no embedding.  The sign scales each h_l term,
+    not the sum.
+
+    A part's terms are grouped by coefficient (:func:`_by_coefficient`), and
+    each (group, h_l term) pair forms its one product ``cp * (ch * sign)``,
+    shared by the group's lifted terms; the exponent tuples are concatenated
+    and the terms stored at C speed.  Every route part up to k = 5, |l| = 8
+    has the one coefficient 1 (-1 for the dd part at l = 0 and even k), so
+    a lift of those makes one product per h_l term.
 
     No two lifted terms collide: a part's y-degree minus x-degree is l, and
     appending h_l's distinct unit exponents is injective.  So the terms go
@@ -482,12 +493,28 @@ def _weighted(part, k: int, h: TrigPoly, sign=GR_ONE) -> LaurentPoly:
             continue
         p = part(l)
         if p is not None:
-            weight = [(e, c * sign) for e, c in coeff.terms.items()]
-            out.update((ep + eh, cp * ch) for ep, cp in p.terms.items() for eh, ch in weight)
+            weight = [(eh, ch * sign) for eh, ch in coeff.terms.items()]
+            for cp, exps in _by_coefficient(p.terms):
+                for eh, ch in weight:
+                    out.update(zip(map(add, exps, repeat(eh)), repeat(cp * ch)))
             made += len(p.terms) * len(weight)
     if len(out) != made:
         raise ModelError(f"lifted terms collided for k={k}")
     return _poly(table, out)
+
+
+def _by_coefficient(terms: dict) -> list:
+    """``(coefficient, exponent tuples)`` per distinct coefficient of ``terms``,
+    keyed on the integer triple, not on the scalar's hash, which builds
+    Fractions.  One coefficient shared by all terms, the common case, is
+    found at C speed."""
+    triples = list(map(_scalar_triple, terms.values()))
+    if triples and triples.count(triples[0]) == len(triples):
+        return [(next(iter(terms.values())), terms.keys())]
+    groups: dict = {}
+    for e, t in zip(terms, triples):
+        groups.setdefault(t, []).append(e)
+    return [(_triple(*t), exps) for t, exps in groups.items()]
 
 
 # -- weight-free parts ------------------------------------------------------------
@@ -663,6 +690,12 @@ def build_g2k_hl(k: int, h: TrigPoly) -> LaurentPoly:
     are compared exactly before returning; a mismatch (or a NonDivisible
     from the divided-difference recursion) is an identity failure, not a
     recoverable condition.
+
+    The scalar goes in where the sign does, once per h_l term: the result
+    is the complete-homogeneous lift again, with ``(-1)^{k+1} / (k * Z_H)``
+    for the sign, not a pass over every term of the checked sum.  Exact
+    products are associative, so its terms equal the checked terms times the
+    scalar.
     """
     z_h = h.coeffs[0]
     if z_h != h.table.const(z_h.constant_value()):
@@ -671,7 +704,8 @@ def build_g2k_hl(k: int, h: TrigPoly) -> LaurentPoly:
     hom = g2k_hl_scaled_hom(k, h)
     if dd != hom:
         raise ModelError(f"route disagreement for k={k}, d={h.degree}")
-    return dd * (1 / (k * z_h.constant_value()))
+    scale = _sign(k) / (k * z_h.constant_value())
+    return _weighted(partial(weight_free_part, "hom", k), k, h, scale)
 
 
 def _denominators(points: Sequence[LaurentPoly], flipped: bool = False) -> list:
@@ -695,6 +729,12 @@ def basis_relation_check(k: int) -> bool:
     ``prod_{s!=p}(1 - a_s/a_p) * prod_{t!=q}(b_q/b_t - 1)`` equals
     ``prod_{s!=q}(1 - e_{s+1}/e_{q+1}) * prod_{t!=p}(d_p/d_t - 1)`` with
     ``e_{k+1} = e_1``; each product is formed once per index.
+
+    Both identities read ``L_p * R_q = L'_p * R'_q``, so 2k - 1 pairs settle
+    all k^2: every (p, 1) and every (1, q).  Multiplying the equations for
+    (p, 1) and (1, q) and cancelling those for (1, 1) gives the one for (p,
+    q), since the Laurent ring has no zero divisors; so the check first
+    makes sure that neither factor of the (1, 1) left side is zero.
     """
     table = VarTable(k)
     a = a_monomials(table, k)
@@ -705,9 +745,12 @@ def basis_relation_check(k: int) -> bool:
     unit2 = table.pair_monomial([2] * k, [2] * k)
     a_den, b_den = _denominators(a), _denominators(b, flipped=True)
     e_den, d_den = _denominators(e_next), _denominators(d_m, flipped=True)
+    if a_den[0].is_zero or b_den[0].is_zero:
+        return False
+    pairs = [(p, 0) for p in range(k)] + [(0, q) for q in range(1, k)]
     return all(d_m[p] * e_next[q] * a[p] * b[q] == unit2
                and a_den[p] * b_den[q] == e_den[q] * d_den[p]
-               for p in range(k) for q in range(k))
+               for p, q in pairs)
 
 
 # -- the constant identity ---------------------------------------------------------

@@ -33,12 +33,12 @@ MAX_ENUM_TUPLES = 10 ** 6
 # largest weight-free part verify and dump-g2k build, as index tuples
 # (index_tuple_count(k, d)); the parts stay cached for the process, so this
 # also bounds what the cache holds.  On a 2-core host verify --kmax 5 --dmax 10
-# (126126) takes about 27 s and 0.9 GB and dump-g2k --k 5 --d 10 11 s and
-# 0.56 GB; (7, 9) has 140140 and (6, 10) 378378
+# (126126) takes about 15 s and 0.73 GB and dump-g2k --k 5 --d 10 8.8 s and
+# 0.5 GB; (7, 9) has 140140 and (6, 10) 378378
 MAX_PART_TUPLES = 130_000
 # largest kmax verify takes, as it checks the basis relations for k = 1..kmax;
-# on a 2-core host basis_relation_check takes about 0.15 s at k = 6, 0.9 s at
-# k = 7 and 5.3 s at k = 8, about 6x more per further k
+# on a 2-core host basis_relation_check takes about 0.05 s at k = 6, 0.34 s at
+# k = 7 and 1.5 s at k = 8, about 5x more per further k
 MAX_RELATION_K = 7
 
 

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, sub
+from operator import add, attrgetter, sub
 from typing import Iterable, Mapping, Sequence
 
 
@@ -193,12 +193,25 @@ class GaussianRational:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def to_text(self) -> str:
-        """Canonical ``a/b+c/d*i`` form used by the text serialization."""
+        """Canonical ``a/b+c/d*i`` form used by the text serialization.
+
+        Each part is written as :class:`Fraction` writes it, ``n`` or ``n/m``
+        in lowest terms with the sign on ``n``, but from the integer triple:
+        one gcd per part, no Fraction built.
+        """
         sign = "+" if self.b >= 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}*i"
+        return f"{_part_text(self.a, self.d)}{sign}{_part_text(abs(self.b), self.d)}*i"
 
 
 _new_scalar = object.__new__
+# the canonical integer triple of a scalar, read at C speed
+_scalar_triple = attrgetter("a", "b", "d")
+
+
+def _part_text(n: int, d: int) -> str:
+    """``str(Fraction(n, d))`` for ``d > 0``."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 def _triple(a: int, b: int, d: int) -> GaussianRational:
@@ -473,15 +486,20 @@ class LaurentPoly:
         return hash((self.table, tuple(self.sorted_terms())))
 
     def to_text(self) -> str:
-        """Deterministic text form: sorted terms, ``(coeff)*x1^e1*...``."""
+        """Deterministic text form: sorted terms, ``(coeff)*x1^e1*...``.
+
+        Each distinct coefficient, keyed on its integer triple, is written
+        once per call.
+        """
         if self.is_zero:
             return "0"
+        texts = {t: _triple(*t).to_text()
+                 for t in set(map(_scalar_triple, self.terms.values()))}
+        names = self.table.names
         chunks = []
         for e, c in self.sorted_terms():
-            mono = "*".join(
-                f"{name}^{exp}" for name, exp in zip(self.table.names, e) if exp
-            )
-            chunks.append(f"({c.to_text()})*{mono or '1'}")
+            mono = "*".join([f"{name}^{exp}" for name, exp in zip(names, e) if exp])
+            chunks.append(f"({texts[c.a, c.b, c.d]})*{mono or '1'}")
         return " + ".join(chunks)
 
     def __repr__(self):

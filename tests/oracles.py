@@ -10,6 +10,8 @@
   site by site and row by row, the oracle for ``phi_sums``.
 * :func:`linear_factor_weight`, the weight's coefficients from its 2d
   linear factors, the oracle for ``build_h``'s binomial rows.
+* :func:`scalar_text` and :func:`poly_text`, the text form written term by
+  term through :class:`Fraction`, the oracle for ``to_text``.
 * The contact-degree cluster behind acceptance 9: the Hall-Littlewood
   double sum and its part of G'_2k, the k = 1 product witness, the capped
   Taylor degree at the critical point and a greedy search for a
@@ -55,6 +57,23 @@ def linear_factor_weight(points, mode):
             coeffs = _convolve(coeffs, {1: half, 0: -half * z})
             coeffs = _convolve(coeffs, {-1: table.one(), 0: -z_inv})
     return {l: coeffs.get(l, table.zero()) for l in range(-h.degree, h.degree + 1)}
+
+
+def scalar_text(a, b, d):
+    """The text of the scalar ``(a + b*i) / d``, each part through a Fraction."""
+    sign = "+" if b >= 0 else "-"
+    return f"{Fraction(a, d)}{sign}{abs(Fraction(b, d))}*i"
+
+
+def poly_text(poly):
+    """``poly.to_text()`` with every term's coefficient written afresh."""
+    if poly.is_zero:
+        return "0"
+    chunks = []
+    for e, c in poly.sorted_terms():
+        mono = "*".join(f"{name}^{exp}" for name, exp in zip(poly.table.names, e) if exp)
+        chunks.append(f"({scalar_text(c.a, c.b, c.d)})*{mono or '1'}")
+    return " + ".join(chunks)
 
 
 def phi_terms(poly, unit_values):

@@ -666,6 +666,83 @@ def test_basis_relations_fail_on_a_wrong_monomial(k, monkeypatch):
     assert not basis_relation_check(k)
 
 
+def corrupt_denominators(monkeypatch, entries):
+    """Make ``_denominators`` return ``change(product)`` at each ``(list, index)``
+    of ``entries``; the lists count in call order: a, b, e, d."""
+    real = algmodel._denominators
+    calls = []
+
+    def wrong(points, flipped=False):
+        out = real(points, flipped)
+        for index, change in entries.get(len(calls), ()):
+            out[index] = change(out[index])
+        calls.append(flipped)
+        return out
+
+    monkeypatch.setattr(algmodel, "_denominators", wrong)
+    return calls
+
+
+@pytest.mark.parametrize("k,which,index", [(k, which, index) for k in (2, 3, 4)
+                                            for which in range(4) for index in range(1, k)])
+def test_basis_relations_fail_on_one_wrong_denominator(k, which, index, monkeypatch):
+    # 2k - 1 comparisons settle all k^2 pairs: one wrong product at any index
+    # of any of the four lists, the shared index 0 aside, is still seen
+    calls = corrupt_denominators(monkeypatch, {which: [(index, lambda p: p * 2)]})
+    assert not basis_relation_check(k)
+    assert calls == [False, True, False, True]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_basis_relations_do_not_cancel_a_zero_product(k, monkeypatch):
+    # with a_den[0] = d_den[0] = 0 each of the 2k - 1 comparisons reads 0 = 0
+    # or holds as it should, so only the nonzero test on the cancelled
+    # products can see it
+    zero = VarTable(k).zero()
+    corrupt_denominators(monkeypatch, {0: [(0, lambda p: zero)], 3: [(0, lambda p: zero)]})
+    assert not basis_relation_check(k)
+
+
+def with_changed_part(monkeypatch, route, power, change):
+    """Make ``weight_free_part`` return ``change(terms)`` for one route's part
+    at t^power, leaving the cached part as it is."""
+    real = algmodel.weight_free_part
+
+    def changed(r, k, l):
+        part = real(r, k, l)
+        if r == route and l == power:
+            part = LaurentPoly(part.table, change(dict(part.terms)))
+        return part
+
+    monkeypatch.setattr(algmodel, "weight_free_part", changed)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_routes_see_one_dropped_term_of_a_dd_part(k, monkeypatch):
+    h = build_h(CriticalPoints.generic([k + 1]))
+    assert g2k_routes_check(k, h).passed
+    with_changed_part(monkeypatch, "dd", k, lambda terms: dict(sorted(terms.items())[1:]))
+    assert not g2k_routes_check(k, h).routes_equal
+    with pytest.raises(ModelError, match="route disagreement"):
+        build_g2k_hl(k, h)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_routes_see_one_doubled_coefficient_of_a_trace_part(k, monkeypatch):
+    # the doubled term gives the part a second distinct coefficient: the lift
+    # must keep its terms apart from the rest
+    def doubled(terms):
+        e = min(terms)
+        terms[e] = terms[e] * 2
+        return terms
+
+    h = build_h(CriticalPoints.generic([k, 1]))
+    with_changed_part(monkeypatch, "trace", -k, doubled)
+    result = g2k_routes_check(k, h)
+    assert result.routes_equal
+    assert not result.trace_equals_hl
+
+
 # -- basis monomials and homogeneous sums against name-keyed oracles ---------------------
 
 

@@ -6,7 +6,7 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from opucgems import laurent
 from opucgems.laurent import (
@@ -23,6 +23,7 @@ from opucgems.laurent import (
     substitute,
 )
 from opucgems.laurent import _accumulate, _grlex_key
+from oracles import poly_text, scalar_text
 
 
 def table_k1():
@@ -504,6 +505,45 @@ def test_text_serialization_is_canonical():
 
 def test_zero_serializes_as_zero():
     assert table_k1().zero().to_text() == "0"
+
+
+@st.composite
+def canonical_triples(draw):
+    """``(a, b, d)`` with d > 0 and gcd(a, b, d) = 1: zero, small, negative and
+    beyond-64-bit parts, over denominators that share factors with them."""
+    part = st.just(0) | st.integers(-30, 30) | st.integers(-2 ** 90, 2 ** 90)
+    a, b = draw(part), draw(part)
+    d = draw(st.sampled_from([1, 2, 3, 4, 6, 12, 1024, 3 ** 45]) | st.integers(1, 2 ** 70))
+    g = math.gcd(a, b, d)
+    return a // g, b // g, d // g
+
+
+@settings(max_examples=300, deadline=None)
+@given(canonical_triples())
+@example((0, 0, 1))
+@example((0, -3, 2))
+@example((-6, 4, 9))
+@example((2 ** 64 + 1, 0, 1))
+@example((-(2 ** 65) - 2, 2 ** 64 + 7, 3 ** 41))
+def test_scalar_text_matches_the_fraction_oracle(triple):
+    a, b, d = triple
+    x = laurent._triple(a, b, d)
+    assert x == GaussianRational(Fraction(a, d), Fraction(b, d))
+    assert x.to_text() == scalar_text(a, b, d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(canonical_triples(), min_size=1, max_size=3),
+       st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(0, 2)),
+                max_size=8, unique=True),
+       st.data())
+def test_poly_text_matches_the_term_by_term_oracle(triples, exponents, data):
+    # coefficients repeat across terms, as a lift's do; each distinct one is
+    # written once per call, and the text is the term-by-term one
+    t = table_k1()
+    coeffs = [laurent._triple(*tr) for tr in triples if tr[0] or tr[1]] or [GaussianRational(1)]
+    p = LaurentPoly(t, {e: data.draw(st.sampled_from(coeffs)) for e in exponents})
+    assert p.to_text() == poly_text(p)
 
 
 # -- scalar oracle ----------------------------------------------------------------------
