@@ -15,12 +15,14 @@ independent ways and compared as normal forms:
 Both are linear in the weight's coefficients h_l, so a route's part for the
 power t^l depends only on (k, l), not on the weight or its degree:
 :func:`weight_free_part` builds each part once per process, over the pair
-variables alone, and ``_weighted`` alone lifts the parts into a weight's
-table and multiplies them by the exact h_l.  The site route compiles each
-site part once into window sums (:func:`_site_rows`) and weights those by
-numeric h_l.  Terms that are translates of one product share a shift
-class, so :func:`phi_sums` sums a run of sites from each class's product,
-formed once over the run, and two sums of the class's coefficients.
+variables alone.  Two routes agree on a weight exactly when their parts
+agree at each l with h_l != 0 (:func:`parts_agree`), so no check lifts a
+part; ``_weighted`` alone lifts the parts into a weight's table and
+multiplies them by the exact h_l.  The site route compiles each site part
+once into window sums (:func:`_site_rows`) and weights those by numeric
+h_l.  Terms that are translates of one product share a shift class, so
+:func:`phi_sums` sums a run of sites from each class's product, formed once
+over the run, and two sums of the class's coefficients.
 
 The evaluation map ``phi`` sends ``x_p^b y_p^g`` (per pair) to
 ``alpha_{n+b} * conj(alpha_{n+g})``; in particular a constant c maps to
@@ -531,8 +533,7 @@ def weight_free_part(route: str, k: int, l: int) -> LaurentPoly | None:
     h_l multiplies depends only on (k, l): it is built once per process and
     shared by every weight and degree.  The cache keeps every part the
     process asks for, so callers bound (k, l) (``cli.MAX_PART_TUPLES``).
-    It holds the three routes :func:`g2k_routes_check` compares, each in
-    normal form:
+    It holds the three routes :func:`parts_agree` compares, in normal form:
 
     * ``"trace"``: the index-tuple sum S_l^+ for l >= k and S_{-l}^- for
       l <= -k (:func:`_trace_part`);
@@ -666,17 +667,32 @@ class RouteCheckResult:
         return self.routes_equal and self.trace_equals_hl
 
 
+def parts_agree(first: str, second: str, k: int, h: TrigPoly) -> bool:
+    """True when routes ``first`` and ``second`` give one ``k * Z_H * G_2k``
+    for h: their cached parts agree at each l with h_l != 0, the dd part at
+    l = 0 being the constant ``(-1)^{k+1}`` that cancels ``-Z_H``.  The lift
+    is linear and injective (parts of different l lift to disjoint terms),
+    so this is the lifted sums' equality, and nothing is lifted.
+    """
+    def net(route: str, l: int) -> dict:
+        part = weight_free_part(route, k, l)
+        if (route, l) == ("dd", 0):
+            part = part - _sign(k)
+        return {} if part is None else part.terms
+
+    return all(net(first, l) == net(second, l)
+               for l, coeff in h.coeffs.items() if not coeff.is_zero)
+
+
 def g2k_routes_check(k: int, h: TrigPoly) -> RouteCheckResult:
     """Full equivalence check between all three constructions of G_2k.
 
-    Compares the scaled (by ``k * Z_H``) normal forms, which is equivalent
-    to comparing the polynomials themselves because the Laurent ring has
-    no zero divisors.
+    Compares the scaled (by ``k * Z_H``) sums, which is comparing the
+    polynomials in a ring without zero divisors: dd with hom and trace with
+    dd, power by power (:func:`parts_agree`).  A weight whose h_l are all
+    nonzero, as a generic one's are, so checks every weight of degree <= d.
     """
-    dd = g2k_hl_scaled_dd(k, h)
-    hom = g2k_hl_scaled_hom(k, h)
-    tr = g2k_trace_scaled(k, h)
-    return RouteCheckResult(dd == hom, tr == dd)
+    return RouteCheckResult(parts_agree("dd", "hom", k, h), parts_agree("trace", "dd", k, h))
 
 
 def build_g2k_hl(k: int, h: TrigPoly) -> LaurentPoly:
@@ -687,22 +703,15 @@ def build_g2k_hl(k: int, h: TrigPoly) -> LaurentPoly:
     for one critical point or for exact quarter angles; otherwise G'_2k has
     coefficients that are rational functions of the unit symbols, and a
     :class:`ModelError` says so before either route runs.  The two routes
-    are compared exactly before returning; a mismatch (or a NonDivisible
-    from the divided-difference recursion) is an identity failure, not a
-    recoverable condition.
-
-    The scalar goes in where the sign does, once per h_l term: the result
-    is the complete-homogeneous lift again, with ``(-1)^{k+1} / (k * Z_H)``
-    for the sign, not a pass over every term of the checked sum.  Exact
-    products are associative, so its terms equal the checked terms times the
-    scalar.
+    are compared exactly, part by part (:func:`parts_agree`), and the hom
+    parts alone lifted, with ``(-1)^{k+1} / (k * Z_H)`` for the sign; a
+    mismatch (or a NonDivisible from the divided-difference recursion) is an
+    identity failure, not a recoverable condition.
     """
     z_h = h.coeffs[0]
     if z_h != h.table.const(z_h.constant_value()):
         raise ModelError("Z_H = h_0 is not a constant, so G'_2k is not a Laurent polynomial")
-    dd = g2k_hl_scaled_dd(k, h)
-    hom = g2k_hl_scaled_hom(k, h)
-    if dd != hom:
+    if not parts_agree("dd", "hom", k, h):
         raise ModelError(f"route disagreement for k={k}, d={h.degree}")
     scale = _sign(k) / (k * z_h.constant_value())
     return _weighted(partial(weight_free_part, "hom", k), k, h, scale)

@@ -33,8 +33,8 @@ MAX_ENUM_TUPLES = 10 ** 6
 # largest weight-free part verify and dump-g2k build, as index tuples
 # (index_tuple_count(k, d)); the parts stay cached for the process, so this
 # also bounds what the cache holds.  On a 2-core host verify --kmax 5 --dmax 10
-# (126126) takes about 15 s and 0.73 GB and dump-g2k --k 5 --d 10 8.8 s and
-# 0.5 GB; (7, 9) has 140140 and (6, 10) 378378
+# (126126) takes about 12 s and 0.37 GB and dump-g2k --k 5 --d 10 about 7.5 s
+# and 0.39 GB; (7, 9) has 140140 and (6, 10) 378378
 MAX_PART_TUPLES = 130_000
 # largest kmax verify takes, as it checks the basis relations for k = 1..kmax;
 # on a 2-core host basis_relation_check takes about 0.05 s at k = 6, 0.34 s at

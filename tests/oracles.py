@@ -12,6 +12,8 @@
   linear factors, the oracle for ``build_h``'s binomial rows.
 * :func:`scalar_text` and :func:`poly_text`, the text form written term by
   term through :class:`Fraction`, the oracle for ``to_text``.
+* :func:`routes_by_lifts`, the G_2k route check as whole lifted sums, the
+  oracle for ``g2k_routes_check``, which compares parts power by power.
 * The contact-degree cluster behind acceptance 9: the Hall-Littlewood
   double sum and its part of G'_2k, the k = 1 product witness, the capped
   Taylor degree at the critical point and a greedy search for a
@@ -26,10 +28,14 @@ import numpy as np
 from opucgems.algmodel import (
     ModelError,
     PhiProgram,
+    RouteCheckResult,
     _dd_product,
     _site_part,
     _weighted,
     critical_product,
+    g2k_hl_scaled_dd,
+    g2k_hl_scaled_hom,
+    g2k_trace_scaled,
     in_polynomial_ring,
     table_for,
 )
@@ -203,6 +209,16 @@ def hl_double_sum(k, h):
     the recursion signals a broken identity.
     """
     return _weighted(partial(_dd_product, k), k, h)
+
+
+def routes_by_lifts(k, h):
+    """``g2k_routes_check(k, h)`` by three lifts: each route's whole
+    ``k * Z_H * G_2k`` for h through its per-weight builder, and the normal
+    forms compared term by term, dd with hom and trace with dd."""
+    dd = g2k_hl_scaled_dd(k, h)
+    hom = g2k_hl_scaled_hom(k, h)
+    tr = g2k_trace_scaled(k, h)
+    return RouteCheckResult(dd == hom, tr == dd)
 
 
 def hl_part(k, h):

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from opucgems import algmodel
 from opucgems.algmodel import (
@@ -63,6 +63,7 @@ from oracles import (
     product_representative,
     program_rows,
     representative_search,
+    routes_by_lifts,
     site_parts,
     sum_rule_functional,
 )
@@ -717,12 +718,18 @@ def with_changed_part(monkeypatch, route, power, change):
     monkeypatch.setattr(algmodel, "weight_free_part", changed)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_routes_see_one_dropped_term_of_a_dd_part(k, monkeypatch):
+@pytest.mark.parametrize("k,power", [pytest.param(k, k, id=str(k)) for k in (1, 2, 3)]
+                         + [pytest.param(2, 0, id="2-power0")])
+def test_routes_see_one_dropped_term_of_a_dd_part(k, power, monkeypatch):
+    # at power 0 the dd part is the constant (-1)^{k+1} that cancels -Z_H:
+    # dropped, the dd route no longer equals the hom route or the trace route
     h = build_h(CriticalPoints.generic([k + 1]))
     assert g2k_routes_check(k, h).passed
-    with_changed_part(monkeypatch, "dd", k, lambda terms: dict(sorted(terms.items())[1:]))
-    assert not g2k_routes_check(k, h).routes_equal
+    with_changed_part(monkeypatch, "dd", power, lambda terms: dict(sorted(terms.items())[1:]))
+    result = g2k_routes_check(k, h)
+    assert not result.routes_equal
+    if power == 0:
+        assert not result.trace_equals_hl
     with pytest.raises(ModelError, match="route disagreement"):
         build_g2k_hl(k, h)
 
@@ -741,6 +748,76 @@ def test_routes_see_one_doubled_coefficient_of_a_trace_part(k, monkeypatch):
     result = g2k_routes_check(k, h)
     assert result.routes_equal
     assert not result.trace_equals_hl
+
+
+PART_CHANGES = {"drop": lambda terms: dict(sorted(terms.items())[1:]),
+                "double": lambda terms: {**terms, min(terms): terms[min(terms)] * 2}}
+
+
+@st.composite
+def route_cases(draw):
+    """A weight with K <= 3 points and degree d <= 5, each angle generic, a
+    quarter multiple of pi or a float; k in 1..d+1; and, or not, one
+    changed part ``(route, l, change)`` at a power whose part is nonzero,
+    which may be a power with h_l = 0."""
+    mults = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)
+                 .filter(lambda ms: sum(ms) <= 5))
+    quarters = draw(st.permutations([Fraction(q, 2) for q in range(4)]))
+    floats = draw(st.permutations([0.3, 0.7, 1.1, 1.6]))
+    angles = [draw(st.sampled_from([None, q, f])) for q, f in zip(quarters, floats)]
+    pairs = list(zip(angles, mults))
+    d = sum(mults)
+    k = draw(st.integers(1, d + 1))
+    change = None
+    if draw(st.integers(0, 2)):  # two cases in three change a part
+        spots = [(route, l) for route in PART_ROUTES for l in range(-d, d + 1)
+                 if weight_free_part(route, k, l) is not None]
+        change = (*draw(st.sampled_from(spots)), draw(st.sampled_from(sorted(PART_CHANGES))))
+    return pairs, k, change
+
+
+@settings(max_examples=60, deadline=None)
+@given(route_cases())
+@example(([(None, 2)], 3, None))  # k > d: only the dd part at l = 0 is read
+@example(([(Fraction(0), 1), (Fraction(1), 1)], 1, None))  # h_1 = h_-1 = 0
+@example(([(Fraction(0), 1), (Fraction(1), 1)], 1, ("trace", 1, "drop")))
+@example(([(Fraction(0), 1), (Fraction(1), 1)], 2, ("dd", -2, "double")))
+@example(([(None, 1), (0.3, 1)], 1, ("dd", 0, "drop")))
+@example(([(0.3, 2), (Fraction(1, 2), 1)], 2, ("hom", -3, "double")))
+def test_routes_check_equals_the_lift_oracle(case):
+    # the check compares parts power by power, the oracle whole lifted sums:
+    # both see the same changed part, and read the same where h_l = 0
+    pairs, k, change = case
+    h = build_h(CriticalPoints.from_pairs(pairs))
+    with pytest.MonkeyPatch.context() as mp:
+        if change is not None:
+            route, power, kind = change
+            with_changed_part(mp, route, power, PART_CHANGES[kind])
+        assert g2k_routes_check(k, h) == routes_by_lifts(k, h)
+    if change is None:
+        assert g2k_routes_check(k, h).passed
+
+
+@pytest.mark.parametrize("pairs,builds", [([(None, 3)], True), ([(None, 2), (None, 1)], False),
+                                          ([(Fraction(0), 2), (Fraction(1, 2), 1)], True)])
+def test_routes_check_lifts_nothing_and_build_lifts_once(pairs, builds, monkeypatch):
+    # build_g2k_hl needs a constant Z_H: one point, or exact angles only
+    h = build_h(CriticalPoints.from_pairs(pairs))
+    calls = []
+    weighted = algmodel._weighted
+
+    def counted(*args):
+        calls.append(args[1])
+        return weighted(*args)
+
+    monkeypatch.setattr(algmodel, "_weighted", counted)
+    for k in range(1, h.degree + 2):
+        assert g2k_routes_check(k, h).passed
+        assert calls == []
+        if builds:
+            build_g2k_hl(k, h)
+            assert calls == [k]
+            calls.clear()
 
 
 # -- basis monomials and homogeneous sums against name-keyed oracles ---------------------

@@ -100,7 +100,8 @@ def test_verify_flags_constant_sign(capsys):
 # and the dump-g2k normal forms against silent drift in the exact kernel.  The
 # (3, 6) digest was recorded with the plain-symbol divided differences of the
 # whole weight, before they became divided differences of single powers.  The
-# (5, 8) digest was recorded before the weight-free parts were cached.
+# (5, 8) digest was recorded before the weight-free parts were cached, and the
+# k = 4 and k = 5 dump-g2k digests while the route check still lifted each part.
 PINNED_STDOUT = [
     ("verify --kmax 2 --dmax 4",
      "13f1852e4a74ab5e7593df41d7871028d6ffaeeecfe5023d24f0e6db10e78594"),
@@ -120,6 +121,10 @@ PINNED_STDOUT = [
      "acf88c20e2158ad068ae738c952403a5b8c70e40050b4f180ddef2cdf9eb7aa4"),
     ("dump-g2k --k 3 --d 4 --theta 1/2",
      "4b2856bf4590166dcf7652da6499f4e48ae90b3f4c6edea08f17da68f0a4a471"),
+    ("dump-g2k --k 4 --d 6 --theta 1",
+     "790ae83772b0c9d32bd616a031fd9b6348a5fc8c57d53f3f00b4d1f887e5a75f"),
+    ("dump-g2k --k 5 --d 7",
+     "90f6e12d45bcaecbfde7387701b8963514551ebb111465261b430dc46eb6a759"),
 ]
 
 
