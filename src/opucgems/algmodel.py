@@ -532,7 +532,7 @@ def weight_free_part(route: str, k: int, l: int) -> LaurentPoly | None:
     Every route is linear in the weight's coefficients h_l, so the part that
     h_l multiplies depends only on (k, l): it is built once per process and
     shared by every weight and degree.  The cache keeps every part the
-    process asks for, so callers bound (k, l) (``cli.MAX_PART_TUPLES``).
+    process asks for, so callers bound (k, l) (``cli.MAX_PART_TERMS``).
     It holds the three routes :func:`parts_agree` compares, in normal form:
 
     * ``"trace"``: the index-tuple sum S_l^+ for l >= k and S_{-l}^- for
@@ -689,8 +689,9 @@ def g2k_routes_check(k: int, h: TrigPoly) -> RouteCheckResult:
 
     Compares the scaled (by ``k * Z_H``) sums, which is comparing the
     polynomials in a ring without zero divisors: dd with hom and trace with
-    dd, power by power (:func:`parts_agree`).  A weight whose h_l are all
-    nonzero, as a generic one's are, so checks every weight of degree <= d.
+    dd, power by power (:func:`parts_agree`).  A generic weight of degree d
+    has every h_l with |l| <= d nonzero, so its check covers every weight of
+    degree <= d.
     """
     return RouteCheckResult(parts_agree("dd", "hom", k, h), parts_agree("trace", "dd", k, h))
 

@@ -30,12 +30,14 @@ EXIT_BAD_INPUT = 2
 # largest index-tuple set enum-d lists: (k, l) = (5, 12) has 600600 tuples and
 # takes about 7 s and 155 MB on a 2-core host; (6, 12) has 2.86e6
 MAX_ENUM_TUPLES = 10 ** 6
-# largest weight-free part verify and dump-g2k build, as index tuples
-# (index_tuple_count(k, d)); the parts stay cached for the process, so this
-# also bounds what the cache holds.  On a 2-core host verify --kmax 5 --dmax 10
-# (126126) takes about 12 s and 0.37 GB and dump-g2k --k 5 --d 10 about 7.5 s
-# and 0.39 GB; (7, 9) has 140140 and (6, 10) 378378
-MAX_PART_TUPLES = 130_000
+# most terms verify and dump-g2k may form building the weight-free parts they
+# cache, so that a command stays near 10 s and 0.5 GB; counted first, as each
+# part's index tuples plus the k*|l| steps of its complete homogeneous sums (the
+# cost at k = 1, a part being one tuple), and verify's (dmax + 1)^2
+# degree2-product terms.  On a busy 2-core host verify --kmax 5 --dmax 10
+# (504755) takes about 10.4 s and 0.37 GB, --kmax 1 --dmax 500 (502501) 11.0 s
+# and 0.14 GB, and dump-g2k --k 5 --d 10 (399804) 9.6 s and 0.39 GB
+MAX_PART_TERMS = 520_000
 # largest kmax verify takes, as it checks the basis relations for k = 1..kmax;
 # on a 2-core host basis_relation_check takes about 0.05 s at k = 6, 0.34 s at
 # k = 7 and 1.5 s at k = 8, about 5x more per further k
@@ -56,29 +58,28 @@ def _say(message: str):
     sys.stderr.write(message + "\n")
 
 
-def _part_too_large(command: str, k: int, d: int) -> bool:
-    """Say so in one line when the (k, d) part passes ``MAX_PART_TUPLES``."""
-    count = algmodel.index_tuple_count(k, d)
-    if count > MAX_PART_TUPLES:
-        _say(f"{command}: the part for k={k}, d={d} has {count} index tuples, "
-             f"above the ceiling of {MAX_PART_TUPLES}")
-    return count > MAX_PART_TUPLES
+def _parts_too_large(command: str, what: str, ks: range, d: int, terms: int = 0) -> bool:
+    """Say so in one line when ``terms`` and those of the parts at each k in
+    ks for 0 < |l| <= d pass ``MAX_PART_TERMS``; a huge d stops early."""
+    for k in ks:
+        for l in range(1, d + 1):
+            terms += 2 * (algmodel.index_tuple_count(k, l) + k * l)
+            if terms > MAX_PART_TERMS:
+                _say(f"{command}: {what} forms at least {terms} terms, "
+                     f"above the ceiling of {MAX_PART_TERMS}")
+                return True
+    return False
 
 
 # -- verify ------------------------------------------------------------------------
 
 
 def _verify_cases(kmax: int, dmax: int) -> list:
-    """Deterministic list of (case_id, kind, params) descriptors."""
-    cases = []
-    for d in range(1, dmax + 1):
-        for k in range(1, min(kmax, d) + 1):
-            cases.append((f"g2k-routes K=1 k={k} d={d}", "routes", (k, (d,))))
-        if d >= 2:
-            mults = (d - 1, 1)
-            for k in range(1, min(kmax, d) + 1):
-                cases.append((f"g2k-routes K=2 k={k} m={mults}", "routes",
-                              (k, mults)))
+    """Deterministic list of (case_id, kind, params) descriptors.  One routes
+    case per k suffices: a generic weight of degree dmax has h_l != 0 at every
+    |l| <= dmax, so it compares each part a weight of degree <= dmax weighs."""
+    cases = [(f"g2k-routes K=1 k={k} d={dmax}", "routes", (k, dmax))
+             for k in range(1, min(kmax, dmax) + 1)]
     for k in range(1, min(kmax, 3) + 1):
         for l in range(1, max(2, dmax) + 1):
             if k * l <= algmodel.MAX_TRACE_COMPLEXITY:
@@ -103,11 +104,9 @@ def _verify_cases(kmax: int, dmax: int) -> list:
 
 def _dispatch_case(kind: str, params: tuple) -> tuple:
     if kind == "routes":
-        k, mults = params
-        h = build_h(CriticalPoints.generic(list(mults)), "exact")
-        r = algmodel.g2k_routes_check(k, h)
-        return r.passed, {"k": k, "d": sum(mults),
-                          "routesEqual": r.routes_equal,
+        k, d = params
+        r = algmodel.g2k_routes_check(k, build_h(CriticalPoints.generic([d]), "exact"))
+        return r.passed, {"k": k, "d": d, "routesEqual": r.routes_equal,
                           "traceEqualsHl": r.trace_equals_hl}
     if kind == "trace":
         k, l = params
@@ -154,10 +153,8 @@ def cmd_verify(args) -> int:
     if args.kmax < 1 or args.dmax < 1:
         _say("verify: need kmax >= 1 and dmax >= 1")
         return EXIT_BAD_INPUT
-    # the route cases build parts up to (min(kmax, dmax), dmax), and the
-    # count over k can peak below the top k, so check each
-    if any(_part_too_large("verify", k, args.dmax)
-           for k in range(1, min(args.kmax, args.dmax) + 1)):
+    if _parts_too_large("verify", f"kmax={args.kmax}, dmax={args.dmax}",
+                        range(1, min(args.kmax, args.dmax) + 1), args.dmax, (args.dmax + 1) ** 2):
         return EXIT_BAD_INPUT
     if args.kmax > MAX_RELATION_K:
         _say(f"verify: the basis relations for k={args.kmax} are above the ceiling "
@@ -230,7 +227,7 @@ def cmd_dump_g2k(args) -> int:
     if args.k < 1 or args.d < args.k:
         _say("dump-g2k: need 1 <= k <= d")
         return EXIT_BAD_INPUT
-    if _part_too_large("dump-g2k", args.k, args.d):
+    if _parts_too_large("dump-g2k", f"k={args.k}, d={args.d}", range(args.k, args.k + 1), args.d):
         return EXIT_BAD_INPUT
     if args.theta is None:
         points = CriticalPoints.generic([args.d])

@@ -14,7 +14,9 @@ Each test prints one pass/fail line.  Criteria:
     difference for 20 random finitely supported sequences,
  7. the quadrature identity for 20 random finitely supported sequences,
     and the sum rule power by power: Tr(U_N^l)/l = -conj(c_l) for l <= 6,
-    with c_l the Taylor coefficients of log Phi*, for 60 more,
+    with c_l the Taylor coefficients of log Phi*, for 60 more; and the
+    weighted sum rule for 40 more against random weights: both numeric
+    routes equal minus the weighted quadrature over Z_H,
  8. the bounded/diverging dichotomy at desk scale: a bounded powerDecay
     family; the rotating constant against first-order weights, classified
     diverging; and against second-order weights, where the measured slope
@@ -286,6 +288,37 @@ def test_trace_powers_equal_log_pstar_coefficients():
     ok = worst <= 1e-12
     report(f"ACCEPTANCE 7 per-power sum rule, worst |Tr(U^l)/l + conj(c_l)| = "
            f"{worst:.2e} <= 1e-12: {'PASS' if ok else 'FAIL'}")
+    assert ok
+
+
+def test_acceptance_7_weighted_sum_rule():
+    # F_N = -(1/Z_H) (1/2pi) int H log w for alpha supported on s sites, once
+    # N = s + 4d + 5 is past the support; the site route reaches it only when
+    # 3d zeros come first, and those zeros change w, so Q is taken again
+    rng = np.random.default_rng(72)
+    errors = {"trace": [], "trace, padded": [], "site, padded": []}
+    for _ in range(40):
+        support = int(rng.integers(1, 8))
+        values = random_bounded_values(rng, support, 0.7)
+        points = random_weight(rng, max_degree=6)
+        d = points.degree
+        h = build_h(points, "numeric")
+        z_h = h.numeric_coeffs[0].real
+        for padding in (0, 3 * d):
+            padded = [0j] * padding + values
+            n = len(padded) + 4 * d + 5
+            study = convergence_study(SequenceFamily.finite_support(padded), points, [n])
+            quad = bs_weight_quadrature(np.asarray(padded), h) / z_h
+            if padding:
+                errors["trace, padded"].append(abs(study.trace_values[0] + quad))
+                errors["site, padded"].append(abs(study.site_values[0] + quad))
+            else:
+                errors["trace"].append(abs(study.trace_values[0] + quad))
+    worst = {route: max(errs) for route, errs in errors.items()}
+    ok = max(worst.values()) <= 1e-10
+    report("ACCEPTANCE 7 weighted sum rule, worst |F + Q/Z_H| = "
+           + ", ".join(f"{route} {err:.2e}" for route, err in worst.items())
+           + f" <= 1e-10: {'PASS' if ok else 'FAIL'}")
     assert ok
 
 

@@ -95,20 +95,43 @@ def test_verify_flags_constant_sign(capsys):
     assert all("signNote" in r for r in constant_cases)
 
 
+def test_verify_compares_each_route_identity_once(capsys, monkeypatch):
+    # one generic K = 1 case per k at d = dmax weighs every power |l| <= dmax,
+    # so each (route pair, k, l) is compared by exactly one case
+    real = algmodel.parts_agree
+    compared = []
+
+    def recording(first, second, k, h):
+        compared.extend((first, second, k, l)
+                        for l, coeff in h.coeffs.items() if not coeff.is_zero)
+        return real(first, second, k, h)
+
+    monkeypatch.setattr(algmodel, "parts_agree", recording)
+    code, records, _ = run_cli(capsys, "verify", "--kmax", "3", "--dmax", "5")
+    assert code == 0
+    expected = [(first, second, k, l) for first, second in (("dd", "hom"), ("trace", "dd"))
+                for k in range(1, 4) for l in range(-5, 6)]
+    assert sorted(compared) == sorted(expected)
+    routes = [r for r in records if r["case"].startswith("g2k-routes")]
+    assert [r["k"] for r in routes] == [1, 2, 3]
+    assert all(r["d"] == 5 for r in routes)
+
+
 # SHA-256 of the whole stdout, recorded with the Fraction-pair scalar and the
 # max-scan division; guards every verify record (``comparedTerms`` included)
 # and the dump-g2k normal forms against silent drift in the exact kernel.  The
-# (3, 6) digest was recorded with the plain-symbol divided differences of the
-# whole weight, before they became divided differences of single powers.  The
-# (5, 8) digest was recorded before the weight-free parts were cached, and the
-# k = 4 and k = 5 dump-g2k digests while the route check still lifted each part.
+# verify digests were recorded when verify came to keep one g2k-routes case
+# per k, at d = dmax: each stdout is the one before with the other routes lines
+# removed and every other line byte for byte the same.  The dump-g2k digests
+# for k <= 3 are older; those for k = 4 and 5 were recorded while the route
+# check still lifted each part.
 PINNED_STDOUT = [
     ("verify --kmax 2 --dmax 4",
-     "13f1852e4a74ab5e7593df41d7871028d6ffaeeecfe5023d24f0e6db10e78594"),
+     "74f94a611ee58d432db6f081262b4bbaf7b25a82699814affe9fc5bb8f6881ea"),
     ("verify --kmax 3 --dmax 6",
-     "5d27bbd33c9868e4055e6b79415c851336945cb506142e3d8c1c0d66689171fd"),
+     "811c3ce82152eecc193a1bd229f39d156483229f7a321e3e2cfd58d1be7972c4"),
     ("verify --kmax 5 --dmax 8",
-     "eced1fb00bb024a39bff6f0d32d7ae19584db8de3863f97b8f9f87620fc3d43f"),
+     "df8014c038df05fc74ff4ef29c6a0c2df84cd7e04a9dc3282a1de87c26ff9170"),
     ("dump-g2k --k 1 --d 3",
      "3da817de65c83def9cb6cc9aa5de178b08b46b0e9f63cfc8103eedf666398b38"),
     ("dump-g2k --k 2 --d 3",
@@ -136,20 +159,23 @@ def test_stdout_digest_is_pinned(capsys, command, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("command", ["dump-g2k --k 3 --d 4", "verify --kmax 4 --dmax 4"])
-def test_part_ceiling_admits_its_own_count(capsys, monkeypatch, command):
-    # the largest part of both commands is (3, 4), with 45 index tuples; at
-    # verify's top k = 4 the count is down to 35
-    count = algmodel.index_tuple_count(3, 4)
-    monkeypatch.setattr(cli, "MAX_PART_TUPLES", count)
+# each part set forms 2 * sum_{l=1}^{d} (index_tuple_count(k, l) + k*l) terms:
+# 2 * (10 + 45 + 3*10) = 170 at (3, 4); verify (4, 4) adds k = 1, 2 and 4
+# (28, 92 and 150) and the (4 + 1)^2 terms of its degree2-product case
+@pytest.mark.parametrize("command,what,count", [
+    ("dump-g2k --k 3 --d 4", "k=3, d=4", 170),
+    ("verify --kmax 4 --dmax 4", "kmax=4, dmax=4", 28 + 92 + 170 + 150 + 25)],
+    ids=["dump-g2k --k 3 --d 4", "verify --kmax 4 --dmax 4"])
+def test_part_ceiling_admits_its_own_count(capsys, monkeypatch, command, what, count):
+    monkeypatch.setattr(cli, "MAX_PART_TERMS", count)
     assert main(command.split()) == 0
     capsys.readouterr()
-    monkeypatch.setattr(cli, "MAX_PART_TUPLES", count - 1)
+    monkeypatch.setattr(cli, "MAX_PART_TERMS", count - 1)
     assert main(command.split()) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (f"{command.split()[0]}: the part for k=3, d=4 has {count} "
-                            f"index tuples, above the ceiling of {count - 1}\n")
+    assert captured.err == (f"{command.split()[0]}: {what} forms at least {count} "
+                            f"terms, above the ceiling of {count - 1}\n")
 
 
 def test_relation_ceiling_admits_its_own_k(capsys, monkeypatch):
@@ -326,6 +352,9 @@ MALFORMED = [
     ("enum-d --k 6 --l 12", None, None),
     ("verify --kmax 7 --dmax 9", None, None),
     ("dump-g2k --k 6 --d 12", None, None),
+    ("verify --kmax 1 --dmax 1000", None, None),
+    ("dump-g2k --k 2 --d 200", None, None),
+    ("dump-g2k --k 1 --d 5000", None, None),
     ("verify --kmax 10 --dmax 1", None, None),
     ("szego-check", [[0.99999999, 0.0]], None),
 ]
@@ -347,7 +376,9 @@ MALFORMED = [
     "gem-values-flat", "gem-name-list", "gem-family-text", "gem-angle-zero-denominator",
     "gem-degree-above-ceiling", "gem-angle-list", "gem-angle-dict", "gem-angle-int-huge",
     "gem-angle-text-huge", "enum-d-count-above-ceiling", "verify-part-above-ceiling",
-    "dump-g2k-part-above-ceiling", "verify-relation-above-ceiling",
+    "dump-g2k-part-above-ceiling", "verify-steps-above-ceiling",
+    "dump-g2k-parts-above-ceiling", "dump-g2k-steps-above-ceiling",
+    "verify-relation-above-ceiling",
     "szego-quadrature-above-ceiling"])
 @pytest.mark.filterwarnings("error")
 def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch,
