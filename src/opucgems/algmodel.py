@@ -9,20 +9,24 @@ independent ways and compared as normal forms:
 
 * the trace route, from the index-tuple expansion of ``Tr(U_N^l)``,
 * the Hall-Littlewood route, from the double sum over the monomials
-  ``a_{k,p}`` and ``b_{k,q}``, itself evaluated both by nested divided
-  differences and by complete homogeneous symmetric sums.
+  ``a_{k,p}`` and ``b_{k,q}``, evaluated by complete homogeneous symmetric
+  sums.
 
 Both are linear in the weight's coefficients h_l, so a route's part for the
 power t^l depends only on (k, l), not on the weight or its degree:
 :func:`weight_free_part` builds each part once per process, over the pair
 variables alone.  Two routes agree on a weight exactly when their parts
 agree at each l with h_l != 0 (:func:`parts_agree`), so no check lifts a
-part; ``_weighted`` alone lifts the parts into a weight's table and
-multiplies them by the exact h_l.  The site route compiles each site part
-once into window sums (:func:`_site_rows`) and weights those by numeric
-h_l.  Terms that are translates of one product share a shift class, so
-:func:`phi_sums` sums a run of sites from each class's product, formed once
-over the run, and two sums of the class's coefficients.
+part.  The double sum's own form, nested divided differences, differs from
+the homogeneous sums only by the classical identity for divided differences
+of powers, which :func:`dd_premise` checks once per (k, n) over unit
+symbols; no command forms a divided-difference part.  ``_weighted`` alone
+lifts the parts into a weight's table and multiplies them by the exact h_l.
+The site route compiles each site part once into window sums
+(:func:`_site_rows`) and weights those by numeric h_l.  Terms that are
+translates of one product share a shift class, so :func:`phi_sums` sums a
+run of sites from each class's product, formed once over the run, and two
+sums of the class's coefficients.
 
 The evaluation map ``phi`` sends ``x_p^b y_p^g`` (per pair) to
 ``alpha_{n+b} * conj(alpha_{n+g})``; in particular a constant c maps to
@@ -153,12 +157,16 @@ def compositions(total: int, parts: int, positive: bool = False) -> Iterator[tup
 def hom_sums(points: Sequence[LaurentPoly], degree: int) -> list:
     """Complete homogeneous symmetric polynomials ``[h_0, ..., h_degree]`` of the points.
 
-    One pass over the points of ``h_m(p_1..p_j) = h_m(p_1..p_{j-1}) + p_j *
-    h_{m-1}(p_1..p_j)``; only ``[h_0] = [1]`` for negative degree.
+    The rows start as the running powers of the first point, ``h_m(p_1) =
+    p_1^m``; then one pass over the other points of ``h_m(p_1..p_j) =
+    h_m(p_1..p_{j-1}) + p_j * h_{m-1}(p_1..p_j)``.  Only ``[h_0] = [1]`` for
+    negative degree.
     """
-    table = points[0].table
-    rows = [table.one()] + [table.zero()] * degree
-    for point in points:
+    first, *rest = points
+    rows = [first.table.one()]
+    for m in range(1, degree + 1):
+        rows.append(rows[m - 1] * first)
+    for point in rest:
         for m in range(1, degree + 1):
             rows[m] = rows[m] + point * rows[m - 1]
     return rows
@@ -478,9 +486,9 @@ def _weighted(part, k: int, h: TrigPoly, sign=GR_ONE) -> LaurentPoly:
     A part's terms are grouped by coefficient (:func:`_by_coefficient`), and
     each (group, h_l term) pair forms its one product ``cp * (ch * sign)``,
     shared by the group's lifted terms; the exponent tuples are concatenated
-    and the terms stored at C speed.  Every route part up to k = 5, |l| = 8
-    has the one coefficient 1 (-1 for the dd part at l = 0 and even k), so
-    a lift of those makes one product per h_l term.
+    and the terms stored at C speed.  Every trace and hom part up to k = 5,
+    |l| = 8 has the one coefficient 1, so a lift of those makes one product
+    per h_l term.
 
     No two lifted terms collide: a part's y-degree minus x-degree is l, and
     appending h_l's distinct unit exponents is injective.  So the terms go
@@ -522,7 +530,7 @@ def _by_coefficient(terms: dict) -> list:
 # -- weight-free parts ------------------------------------------------------------
 
 
-PART_ROUTES = ("trace", "hom", "dd")
+PART_ROUTES = ("trace", "hom")
 
 
 @cache
@@ -533,26 +541,22 @@ def weight_free_part(route: str, k: int, l: int) -> LaurentPoly | None:
     h_l multiplies depends only on (k, l): it is built once per process and
     shared by every weight and degree.  The cache keeps every part the
     process asks for, so callers bound (k, l) (``cli.MAX_PART_TERMS``).
-    It holds the three routes :func:`parts_agree` compares, in normal form:
+    It holds the two routes :func:`parts_agree` compares, in normal form:
 
     * ``"trace"``: the index-tuple sum S_l^+ for l >= k and S_{-l}^- for
       l <= -k (:func:`_trace_part`);
     * ``"hom"``: ``h_l(a) * prod(b) * h_{l-k}(b)`` for l >= k and
-      ``h_{-l}(e) * prod(d) * h_{-l-k}(d)`` for l <= -k (:func:`_pair_part`);
-    * ``"dd"``: ``D(a)(t^{l+k-1}) * prod b * D(b)(t^{l-1})``
-      (:func:`_dd_product`).
+      ``h_{-l}(e) * prod(d) * h_{-l-k}(d)`` for l <= -k (:func:`_pair_part`).
 
-    The trace and pair parts are zero for ``0 < |l| < k`` (and at l = 0).
-    The site parts (:func:`_site_part`) are not kept: the site route caches
-    their window sums instead.
+    Both parts are zero for ``0 < |l| < k`` (and at l = 0).  The
+    divided-difference products (:func:`_dd_product`) and the site parts
+    (:func:`_site_part`) are not kept: :func:`dd_premise` stands in for the
+    first, and the site route caches the window sums of the second.
     """
     if route not in PART_ROUTES:
         raise ModelError(f"unknown route {route!r}")
     if k < 1:
         raise ModelError("k must be positive")
-    if route == "dd":
-        exact = _dd_product(k, l)
-        return None if exact is None else exact.normal_form()
     table = VarTable(k)
     if abs(l) < k:
         return None
@@ -606,25 +610,15 @@ def _pair_part(k: int, l: int, table: VarTable, neg_pts: Sequence[LaurentPoly],
 
 def _dd_product(k: int, l: int) -> LaurentPoly | None:
     """``D(a)(t^{l+k-1}) * prod b * D(b)(t^{l-1})`` over ``VarTable(k)``, as
-    formed (no normal form), or None where it is zero.
-
-    The divided differences run over the k points ``a_1..a_k`` and
-    ``b_1..b_k``, and one of ``t^m`` over k points is zero exactly when
-    ``0 <= m <= k-2``.  The factor with the smaller power, ``D(b)(t^{l-1})``
-    for l >= 0 and ``D(a)(t^{l+k-1})`` for l < 0, is formed first and is the
-    one that can vanish: for ``1 <= l < k`` and for ``1-k <= l < 0``.  Then
-    the other factor is never formed; else ``prod b`` goes into the short
-    factor before the long product.
+    formed (no normal form), or None where it is zero: for ``1 <= |l| < k``,
+    where one factor is the divided difference of a power in 0..k-2.  The
+    divided differences run over the k points ``a_1..a_k`` and ``b_1..b_k``.
     """
     table = VarTable(k)
-    a_pts = a_monomials(table, k)
     b_pts = b_monomials(table, k)
-    short, long = (((b_pts, l - 1), (a_pts, l + k - 1)) if l >= 0
-                   else ((a_pts, l + k - 1), (b_pts, l - 1)))
-    f = divided_diff(*short)
-    if f.is_zero:
-        return None
-    return f * math.prod(b_pts, start=table.one()) * divided_diff(*long)
+    out = (divided_diff(a_monomials(table, k), l + k - 1)
+           * math.prod(b_pts, start=table.one()) * divided_diff(b_pts, l - 1))
+    return None if out.is_zero else out
 
 
 # -- the G_2k builders ----------------------------------------------------------------
@@ -642,8 +636,14 @@ def g2k_trace_scaled(k: int, h: TrigPoly) -> LaurentPoly:
 
 
 def g2k_hl_scaled_dd(k: int, h: TrigPoly) -> LaurentPoly:
-    """Divided-difference route for ``k * Z_H * G'_2k`` in normal form."""
-    out = _weighted(partial(weight_free_part, "dd", k), k, h, _sign(k))
+    """Divided-difference route for ``k * Z_H * G'_2k`` in normal form.
+
+    The products of :func:`_dd_product`, built afresh and kept by no cache,
+    lifted as formed and taken to normal form once.  At l = 0 the product is
+    the constant ``(-1)^{k+1}``, which the sign makes 1 and ``- Z_H``
+    cancels.
+    """
+    out = _weighted(partial(_dd_product, k), k, h, _sign(k)).normal_form()
     return out - h.coeffs[0].embed(out.table)
 
 
@@ -669,31 +669,55 @@ class RouteCheckResult:
 
 def parts_agree(first: str, second: str, k: int, h: TrigPoly) -> bool:
     """True when routes ``first`` and ``second`` give one ``k * Z_H * G_2k``
-    for h: their cached parts agree at each l with h_l != 0, the dd part at
-    l = 0 being the constant ``(-1)^{k+1}`` that cancels ``-Z_H``.  The lift
-    is linear and injective (parts of different l lift to disjoint terms),
-    so this is the lifted sums' equality, and nothing is lifted.
+    for h: their cached parts agree at each l with h_l != 0.  The lift is
+    linear and injective (parts of different l lift to disjoint terms), so
+    this is the lifted sums' equality, and nothing is lifted.
     """
     def net(route: str, l: int) -> dict:
         part = weight_free_part(route, k, l)
-        if (route, l) == ("dd", 0):
-            part = part - _sign(k)
         return {} if part is None else part.terms
 
     return all(net(first, l) == net(second, l)
                for l, coeff in h.coeffs.items() if not coeff.is_zero)
 
 
+def hl_routes_agree(k: int, h: TrigPoly) -> bool:
+    """True when the double sum's divided-difference form equals its
+    homogeneous-sum form (the ``"hom"`` parts) at each l with h_l != 0.
+
+    The dd form's part for t^l is ``D(a)(t^{l+k-1}) * prod(b) *
+    D(b)(t^{l-1})``, so it is the hom part exactly where :func:`dd_premise`
+    holds at n = l + k - 1 and n = l - 1:
+
+    * for l >= k both factors are ``(-1)^{k-1}`` times h_l(a) and h_{l-k}(b);
+    * for ``1 <= |l| < k`` one factor is zero, as is the hom part;
+    * at l = 0 the product is ``(-1)^{k-1} prod(b) / prod(b)``, the constant
+      that cancels ``- Z_H``;
+    * for l <= -k the factors are h_{-l-k}(1/a) / prod(a) and h_{-l}(1/b) /
+      prod(b), and the hom part's e and d points stand for them through
+      the monomial identities of :func:`basis_relation_check`.
+
+    This reads the premise at each n once and the basis relation not at all:
+    ``verify`` checks that as a case of its own, for every k it has a routes
+    case for.
+    """
+    powers = [l for l, coeff in h.coeffs.items() if not coeff.is_zero]
+    return all(dd_premise(k, n) for n in {n for l in powers for n in (l + k - 1, l - 1)})
+
+
 def g2k_routes_check(k: int, h: TrigPoly) -> RouteCheckResult:
-    """Full equivalence check between all three constructions of G_2k.
+    """Equivalence check between the constructions of G_2k.
 
     Compares the scaled (by ``k * Z_H``) sums, which is comparing the
-    polynomials in a ring without zero divisors: dd with hom and trace with
-    dd, power by power (:func:`parts_agree`).  A generic weight of degree d
-    has every h_l with |l| <= d nonzero, so its check covers every weight of
+    polynomials in a ring without zero divisors.  ``routes_equal``: the two
+    Hall-Littlewood evaluations, nested divided differences and complete
+    homogeneous sums, agree (:func:`hl_routes_agree`, with the basis
+    relation of k).  ``trace_equals_hl``: the trace and hom parts agree,
+    power by power (:func:`parts_agree`).  A generic weight of degree d has
+    every h_l with |l| <= d nonzero, so its check covers every weight of
     degree <= d.
     """
-    return RouteCheckResult(parts_agree("dd", "hom", k, h), parts_agree("trace", "dd", k, h))
+    return RouteCheckResult(hl_routes_agree(k, h), parts_agree("trace", "hom", k, h))
 
 
 def build_g2k_hl(k: int, h: TrigPoly) -> LaurentPoly:
@@ -704,15 +728,15 @@ def build_g2k_hl(k: int, h: TrigPoly) -> LaurentPoly:
     for one critical point or for exact quarter angles; otherwise G'_2k has
     coefficients that are rational functions of the unit symbols, and a
     :class:`ModelError` says so before either route runs.  The two routes
-    are compared exactly, part by part (:func:`parts_agree`), and the hom
-    parts alone lifted, with ``(-1)^{k+1} / (k * Z_H)`` for the sign; a
-    mismatch (or a NonDivisible from the divided-difference recursion) is an
-    identity failure, not a recoverable condition.
+    are compared through the premise of each power (:func:`hl_routes_agree`),
+    and the hom parts alone lifted, with ``(-1)^{k+1} / (k * Z_H)`` for the
+    sign; a failed premise (or a NonDivisible from the divided-difference
+    recursion) is an identity failure, not a recoverable condition.
     """
     z_h = h.coeffs[0]
     if z_h != h.table.const(z_h.constant_value()):
         raise ModelError("Z_H = h_0 is not a constant, so G'_2k is not a Laurent polynomial")
-    if not parts_agree("dd", "hom", k, h):
+    if not hl_routes_agree(k, h):
         raise ModelError(f"route disagreement for k={k}, d={h.degree}")
     scale = _sign(k) / (k * z_h.constant_value())
     return _weighted(partial(weight_free_part, "hom", k), k, h, scale)
@@ -766,6 +790,38 @@ def basis_relation_check(k: int) -> bool:
 # -- the constant identity ---------------------------------------------------------
 
 
+def _unit_points(k: int) -> tuple:
+    """``(table, [t_1, ..., t_k])``: k unit symbols over their own table."""
+    names = tuple(f"t{i}" for i in range(1, k + 1))
+    table = VarTable(0, units=names)
+    return table, [table.var(name) for name in names]
+
+
+@cache
+def dd_premise(k: int, n: int) -> bool:
+    """The classical identity for the divided difference of one power over
+    the k unit symbols of :func:`_unit_points`, with D signed as
+    :func:`divided_diff` signs it, ``D(t^n) = sum_i t_i^n / prod_{j!=i}(t_j -
+    t_i)``:
+
+    * ``D(t^n) = (-1)^{k-1} h_{n-k+1}(t)`` for n >= 0, zero for n <= k-2;
+    * ``D(t^n) = h_{-n-1}(1/t) / prod t`` for n < 0.
+
+    Any k distinct monomials, the a and b points among them, may stand for
+    the symbols, so the identity holds over them too.  Cached per (k, n).
+    """
+    if k < 1:
+        raise ModelError("k must be positive")
+    table, pts = _unit_points(k)
+    if n >= 0:
+        m, points, scale = n - k + 1, pts, _sign(k)
+    else:
+        points = [p.inverse() for p in pts]
+        m, scale = -n - 1, math.prod(points, start=table.one())
+    want = hom_sums(points, m)[m] * scale if m >= 0 else table.zero()
+    return divided_diff(pts, n) == want
+
+
 def constant_partial_sums(k: int) -> tuple:
     """The two scalar factors of the double-sum constant identity.
 
@@ -773,8 +829,7 @@ def constant_partial_sums(k: int) -> tuple:
     prod_{s != p} (t_p/t_s - 1)`` equals ``(-1)^{k+1}``; both are computed
     through exact divided differences of ``x^{k-1}`` and ``1/x``.
     """
-    table = VarTable(0, units=tuple(f"t{i}" for i in range(1, k + 1)))
-    pts = [table.var(f"t{i}") for i in range(1, k + 1)]
+    table, pts = _unit_points(k)
     sign = _sign(k)
 
     a_poly = divided_diff(pts, k - 1) * sign

@@ -35,8 +35,8 @@ MAX_ENUM_TUPLES = 10 ** 6
 # part's index tuples plus the k*|l| steps of its complete homogeneous sums (the
 # cost at k = 1, a part being one tuple), and verify's (dmax + 1)^2
 # degree2-product terms.  On a busy 2-core host verify --kmax 5 --dmax 10
-# (504755) takes about 10.4 s and 0.37 GB, --kmax 1 --dmax 500 (502501) 11.0 s
-# and 0.14 GB, and dump-g2k --k 5 --d 10 (399804) 9.6 s and 0.39 GB
+# (504755) takes 5.9-9.9 s and 0.25 GB, --kmax 1 --dmax 500 (502501) 8.3-9.3 s
+# and 0.14 GB, and dump-g2k --k 5 --d 10 (399804) 5.8-6.5 s and 0.30 GB
 MAX_PART_TERMS = 520_000
 # largest kmax verify takes, as it checks the basis relations for k = 1..kmax;
 # on a 2-core host basis_relation_check takes about 0.05 s at k = 6, 0.34 s at

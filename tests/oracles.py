@@ -214,11 +214,11 @@ def hl_double_sum(k, h):
 def routes_by_lifts(k, h):
     """``g2k_routes_check(k, h)`` by three lifts: each route's whole
     ``k * Z_H * G_2k`` for h through its per-weight builder, and the normal
-    forms compared term by term, dd with hom and trace with dd."""
+    forms compared term by term, dd with hom and trace with hom."""
     dd = g2k_hl_scaled_dd(k, h)
     hom = g2k_hl_scaled_hom(k, h)
     tr = g2k_trace_scaled(k, h)
-    return RouteCheckResult(dd == hom, tr == dd)
+    return RouteCheckResult(dd == hom, tr == hom)
 
 
 def hl_part(k, h):

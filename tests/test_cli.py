@@ -7,8 +7,9 @@ import os
 
 import pytest
 
-from opucgems import algmodel, cli, lab
+from opucgems import algmodel, cli, lab, laurent
 from opucgems.cli import main
+from opucgems.trig import CriticalPoints, build_h
 
 
 def run_cli(capsys, *argv):
@@ -97,24 +98,98 @@ def test_verify_flags_constant_sign(capsys):
 
 def test_verify_compares_each_route_identity_once(capsys, monkeypatch):
     # one generic K = 1 case per k at d = dmax weighs every power |l| <= dmax,
-    # so each (route pair, k, l) is compared by exactly one case
+    # so each (route pair, k, l) is compared by exactly one case, and each
+    # premise (k, n) that those powers need is evaluated once
     real = algmodel.parts_agree
-    compared = []
+    real_premise = algmodel.dd_premise
+    compared, premises = [], []
 
     def recording(first, second, k, h):
         compared.extend((first, second, k, l)
                         for l, coeff in h.coeffs.items() if not coeff.is_zero)
         return real(first, second, k, h)
 
+    def premise(k, n):
+        premises.append((k, n))
+        return real_premise(k, n)
+
     monkeypatch.setattr(algmodel, "parts_agree", recording)
+    monkeypatch.setattr(algmodel, "dd_premise", premise)
     code, records, _ = run_cli(capsys, "verify", "--kmax", "3", "--dmax", "5")
     assert code == 0
-    expected = [(first, second, k, l) for first, second in (("dd", "hom"), ("trace", "dd"))
-                for k in range(1, 4) for l in range(-5, 6)]
+    expected = [("trace", "hom", k, l) for k in range(1, 4) for l in range(-5, 6)]
     assert sorted(compared) == sorted(expected)
+    # n = l - 1 and n = l + k - 1 for |l| <= 5
+    assert sorted(premises) == [(k, n) for k in range(1, 4) for n in range(-6, k + 5)]
     routes = [r for r in records if r["case"].startswith("g2k-routes")]
     assert [r["k"] for r in routes] == [1, 2, 3]
     assert all(r["d"] == 5 for r in routes)
+
+
+def hom_sums_top_step_broken(points, degree):
+    """``hom_sums`` with one step broken: the running power of the first
+    point skips its product at the top degree."""
+    first, *rest = points
+    rows = [first.table.one()]
+    for m in range(1, degree + 1):
+        rows.append(rows[m - 1] * (first if m < degree else first.table.one()))
+    for point in rest:
+        for m in range(1, degree + 1):
+            rows[m] = rows[m] + point * rows[m - 1]
+    return rows
+
+
+def divided_diff_sign_flipped(points, power):
+    """``divided_diff`` dividing by ``p_i - p_{i-j}`` at each of its levels:
+    the opposite sign for an even number of points."""
+    return laurent.divided_diff(points, power) * (-1) ** (len(points) - 1)
+
+
+@pytest.mark.parametrize("name,mutant,broken", [
+    ("divided_diff", divided_diff_sign_flipped, {2}),
+    ("hom_sums", hom_sums_top_step_broken, {1, 2, 3})], ids=["divided_diff-sign", "hom_sums-step"])
+def test_a_broken_premise_fails_verify_and_the_hl_build(capsys, monkeypatch, fresh_exact_caches,
+                                                        name, mutant, broken):
+    # a flipped sign cancels in the product of the two dd factors, so only
+    # the premise sees it, at each even k
+    monkeypatch.setattr(algmodel, name, mutant)
+    code, records, _ = run_cli(capsys, "verify", "--kmax", "3", "--dmax", "5")
+    assert code == 1
+    routes = {r["k"]: r for r in records if r["case"].startswith("g2k-routes")}
+    assert {k for k, r in routes.items() if r["routesEqual"] is False} == broken
+    assert all(routes[k]["status"] == "fail" for k in broken)
+    h = build_h(CriticalPoints.generic([3]), "exact")
+    for k in broken:
+        with pytest.raises(algmodel.ModelError, match="route disagreement"):
+            algmodel.build_g2k_hl(k, h)
+
+
+def test_verify_and_dump_form_no_divided_difference_part(capsys, monkeypatch, fresh_exact_caches):
+    # with the part cache empty, any divided-difference part a command needs
+    # would be formed here
+    calls = []
+    real = algmodel._dd_product
+
+    def recording(k, l):
+        calls.append((k, l))
+        return real(k, l)
+
+    monkeypatch.setattr(algmodel, "_dd_product", recording)
+    assert main(["verify", "--kmax", "3", "--dmax", "5"]) == 0
+    assert main(["dump-g2k", "--k", "3", "--d", "4", "--theta", "1/2"]) == 0
+    capsys.readouterr()
+    assert calls == []
+
+
+def test_every_routes_case_has_its_basis_relation():
+    # routesEqual for l <= -k rests on the basis relation of k, which verify
+    # checks as a case of its own
+    for kmax in range(1, cli.MAX_RELATION_K + 1):
+        for dmax in range(1, 12):
+            cases = cli._verify_cases(kmax, dmax)
+            routes = {params[0] for _, kind, params in cases if kind == "routes"}
+            relations = {params[0] for _, kind, params in cases if kind == "relation"}
+            assert routes and routes <= relations
 
 
 # SHA-256 of the whole stdout, recorded with the Fraction-pair scalar and the
@@ -124,7 +199,8 @@ def test_verify_compares_each_route_identity_once(capsys, monkeypatch):
 # per k, at d = dmax: each stdout is the one before with the other routes lines
 # removed and every other line byte for byte the same.  The dump-g2k digests
 # for k <= 3 are older; those for k = 4 and 5 were recorded while the route
-# check still lifted each part.
+# check still lifted each part.  All of them held when the divided-difference
+# parts gave way to the premise of each power.
 PINNED_STDOUT = [
     ("verify --kmax 2 --dmax 4",
      "74f94a611ee58d432db6f081262b4bbaf7b25a82699814affe9fc5bb8f6881ea"),
