@@ -41,14 +41,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
 from itertools import repeat
-from operator import add
+from operator import add, itemgetter
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .laurent import (
     GR_ONE,
-    GR_ZERO,
     GaussianRational,
     LaurentPoly,
     VarTable,
@@ -63,8 +62,10 @@ from .laurent import (
 from .opuc import SITE_ELEMENTS
 from .trig import TrigPoly
 
-# guard for the symbolic trace expansion; k*l and window size beyond this
-# point produce polynomials too large for desk use
+# guards for the symbolic trace expansion: k*l and the window size.  verify's
+# trace cases, pinned by their stdout, stop at k*l = 18; past it the walk-sum
+# dynamic program takes about 0.04 s at (k, l) = (4, 8), 0.2 s at (6, 8),
+# 0.7-1.2 s at (5, 10), 2.2-3.5 s at (6, 10) and 7 s at (8, 10) on a 2-core host
 MAX_TRACE_COMPLEXITY = 18
 MAX_TRACE_WINDOW = 80
 # least sites per block, in units of PhiProgram.lead: each block also
@@ -155,17 +156,22 @@ def compositions(total: int, parts: int, positive: bool = False) -> Iterator[tup
 
 
 def hom_sums(points: Sequence[LaurentPoly], degree: int) -> list:
-    """Complete homogeneous symmetric polynomials ``[h_0, ..., h_degree]`` of the points.
+    """Complete homogeneous symmetric polynomials ``[h_0, ..., h_degree]`` of
+    the points, which are monomials.
 
-    The rows start as the running powers of the first point, ``h_m(p_1) =
-    p_1^m``; then one pass over the other points of ``h_m(p_1..p_j) =
-    h_m(p_1..p_{j-1}) + p_j * h_{m-1}(p_1..p_j)``.  Only ``[h_0] = [1]`` for
-    negative degree.
+    The rows start as the powers of the first point, ``h_m(p_1) = p_1^m``:
+    for ``p_1 = c * x^e`` that is ``c^m * x^{m e}``, one exponent sum per row
+    (and a coefficient product unless c = 1), no polynomial product.  Then one
+    pass over the other points of ``h_m(p_1..p_j) = h_m(p_1..p_{j-1}) + p_j
+    * h_{m-1}(p_1..p_j)``.  Only ``[h_0] = [1]`` for negative degree.
     """
     first, *rest = points
-    rows = [first.table.one()]
-    for m in range(1, degree + 1):
-        rows.append(rows[m - 1] * first)
+    ((e, c),) = first.terms.items()
+    rows, power, coeff = [first.table.one()], e, c
+    for _ in range(degree):
+        rows.append(_poly(first.table, {power: coeff}))
+        power = tuple(map(add, power, e))
+        coeff = coeff if c == GR_ONE else coeff * c
     for point in rest:
         for m in range(1, degree + 1):
             rows[m] = rows[m] + point * rows[m - 1]
@@ -328,7 +334,8 @@ def trace_symbolic(l: int, n_sym: int) -> LaurentPoly:
     Uses the squared-rho variant of the truncation, whose entries are
     polynomial (``-al_{k-1} ac_l`` above the diagonal, ``1 - al_m ac_m``
     on the subdiagonal); it has the same traces of powers as the GGT
-    corner itself.  Computed by enumerating closed Hessenberg walks.
+    corner itself.  Computed by the walk-sum dynamic program of
+    :func:`_walk_sums`, one start row at a time.
     """
     if l < 1 or n_sym < 1:
         raise ModelError("power and window must be positive")
@@ -341,65 +348,92 @@ def diagonal_entry(l: int, degree: int) -> LaurentPoly:
     """Degree-``degree`` part of ``(U^l)_{ll}`` of the infinite squared-rho matrix.
 
     A closed walk of length l from row l falls at most one row per step and
-    must climb back, so it stays in rows 1..2l-1 of ``trace_table(2l)``.
+    must climb back, so it stays in rows 1..2l-1 of ``trace_table(2l)``;
+    :func:`_walk_sums` sums those walks with the degree capped at each step.
     """
     return _closed_walks(l, 2 * l, (l,), degree)
 
 
 def _closed_walks(l: int, n_sym: int, starts, degree: int | None = None) -> LaurentPoly:
-    """Sum of the closed Hessenberg walks of length l from each start row.
+    """Sum of the closed Hessenberg walks of length l from each start row,
+    as a polynomial over ``trace_table(n_sym)``: :func:`_walk_sums` unpacked.
 
-    With ``degree`` set, only its homogeneous part: walk products drop the
-    terms above it (degrees never fall), and a walk left empty is cut.
+    With ``degree`` set, only its homogeneous part.
     """
-    table = trace_table(n_sym)
-    entry_cache: dict = {}
+    bits = l.bit_length()
+    terms = {_unpack(e, n_sym, bits): _triple(c, 0, 1)
+             for e, c in _walk_sums(l, n_sym, starts, degree).items()}
+    return _poly(trace_table(n_sym), terms)
 
-    def entry(row: int, col: int) -> LaurentPoly:
+
+def _walk_sums(l: int, n_sym: int, starts, degree: int | None = None) -> dict:
+    """``{packed exponent: int coefficient}`` of the closed Hessenberg walks
+    of length l from each start row, summed by a transfer-matrix dynamic
+    program rather than walk by walk.
+
+    The state after s steps maps (row, degree) to the packed sum of the
+    walks' first s entry products ending there.  Every entry term is a
+    monomial with coefficient +-1: the subdiagonal entry ``1 - al_c ac_c``,
+    row 0's ``ac_c`` and every other ``-al_{r-1} ac_c``.  A step adds one
+    packed monomial per term, so the sums stay exact in Python ints.  Only
+    rows from which the start can still be reached are kept (a walk falls at
+    most one row per step), and with ``degree`` set, only states at or below
+    it (degrees never fall); the result is then that homogeneous part.
+
+    Packing: symbol al_m has field 2m and ac_m field 2m + 1, each ``bits =
+    l.bit_length()`` wide.  A walk takes at most one al and one ac per step,
+    so no exponent exceeds l < 2^bits and sums of walk monomials never carry
+    from one field into the next.
+    """
+    bits = l.bit_length()
+    entries: dict = {}
+
+    def entry(row: int, col: int) -> tuple:
+        """``(packed monomial, sign, degree)`` per term of ``U[row, col]``."""
         key = (row, col)
-        cached = entry_cache.get(key)
+        cached = entries.get(key)
         if cached is None:
+            ac = 1 << (2 * col + 1) * bits
             if col == row - 1:
-                cached = table.one() - table.monomial(
-                    {f"al{col}": 1, f"ac{col}": 1})
+                cached = ((0, 1, 0), (ac | 1 << 2 * col * bits, -1, 2))
             elif row == 0:
-                cached = table.var(f"ac{col}")
+                cached = ((ac, 1, 1),)
             else:
-                cached = table.monomial({f"al{row - 1}": 1, f"ac{col}": 1}, -1)
-            entry_cache[key] = cached
+                cached = ((ac | 1 << 2 * (row - 1) * bits, -1, 2),)
+            entries[key] = cached
         return cached
 
     out: dict = {}
-
-    def rec(start: int, pos: int, remaining: int, acc: LaurentPoly):
-        if degree is not None:
-            acc = _poly(table, {e: c for e, c in acc.terms.items() if sum(e) <= degree})
-            if acc.is_zero:
-                return
-        if remaining == 1:
-            if start >= pos - 1:
-                _accumulate(out, (acc * entry(pos, start)).terms.items())
-            return
-        lo = max(pos - 1, 0)
-        hi = min(n_sym - 1, start + remaining - 1)
-        for nxt in range(lo, hi + 1):
-            rec(start, nxt, remaining - 1, acc * entry(pos, nxt))
-
     for start in starts:
-        rec(start, start, l, table.one())
-    if degree is not None:
-        out = {e: c for e, c in out.items() if sum(e) == degree}
-    return _poly(table, out)
+        states = {(start, 0): {0: 1}}
+        for remaining in range(l, 0, -1):
+            hi = min(n_sym - 1, start + remaining - 1)
+            stepped: dict = {}
+            for (row, deg), sums in states.items():
+                # the last step must land on the start row
+                lo = max(row - 1, 0) if remaining > 1 else start
+                for col in range(lo, hi + 1):
+                    for mono, sign, rise in entry(row, col):
+                        if degree is not None and deg + rise > degree:
+                            continue
+                        target = stepped.setdefault((col, deg + rise), {})
+                        get = target.get
+                        for e, c in sums.items():
+                            e += mono
+                            target[e] = get(e, 0) + sign * c
+            states = stepped
+        for (_, deg), sums in states.items():
+            if degree is None or deg == degree:
+                for e, c in sums.items():
+                    out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
 
 
-def _orbit_sums(terms, n_sym: int) -> dict:
-    """Coefficient sums per orbit, each monomial shifted to least al/ac index 0."""
-    out: dict = {}
-    for e, c in terms:
-        lo = min(i for i in range(n_sym) if e[i] or e[n_sym + i])
-        pad = (0,) * lo
-        _accumulate(out, ((e[lo:n_sym] + pad + e[n_sym + lo:] + pad, c),))
-    return out
+def _unpack(e: int, n_sym: int, bits: int) -> tuple:
+    """Exponent tuple over ``trace_table(n_sym)`` of a packed monomial."""
+    mask = (1 << bits) - 1
+    fields = [e >> f * bits & mask for f in range(2 * n_sym)]
+    return tuple(fields[0::2] + fields[1::2])
 
 
 @dataclass
@@ -438,29 +472,45 @@ def trace_orbit_check(k: int, l: int, tuples, weight: GaussianRational
     Both sides of the expansion are sums over the sites n of one shifted
     polynomial, so they agree exactly when their orbit sums do.  Tuple
     entries lie in ``[-l+1, l]``, so a shift by l-1 fits ``trace_table(2l)``.
+    Both sides stay packed as :func:`_walk_sums` packs them: a site is one
+    (al, ac) field pair, so the lowest set bit gives a monomial's least
+    index and the highest its span.  Only a mismatch is unpacked.
     """
     if k * l > MAX_TRACE_COMPLEXITY:
         raise ModelError("k*l exceeds the configured symbolic-trace guard")
     n = 2 * l
-    actual = _orbit_sums(diagonal_entry(l, 2 * k).terms.items(), n)
+    # a tuple has k of each kind, so its fields need max(k, l) < 2^bits; the
+    # walk side uses l < 2^bits and is empty when k > l (its degree is <= 2l)
+    bits = max(k, l).bit_length()
+    site = 2 * bits
 
-    def vector(tup):  # i_p indexes al, j_p indexes ac
-        vec = [0] * (2 * n)
-        for slot, idx in enumerate(tup):
-            vec[slot % 2 * n + idx + l - 1] += 1
-        return tuple(vec)
+    def orbit_sums(terms) -> dict:
+        """Sums per orbit, each monomial shifted to least al/ac index 0."""
+        out: dict = {}
+        for e, c in terms:
+            e >>= ((e & -e).bit_length() - 1) // site * site
+            out[e] = out.get(e, 0) + c
+        return out
 
-    predicted = _orbit_sums(((vector(tup), weight) for tup in tuples), n)
+    def packed(tup):  # i_p indexes al, j_p indexes ac
+        return sum(1 << (2 * (idx + l - 1) + slot % 2) * bits for slot, idx in enumerate(tup))
+
+    sums = orbit_sums(_walk_sums(l, n, (l,), 2 * k).items())
+    actual = {e: c for e, c in sums.items() if c}
+    counts = orbit_sums((packed(tup), 1) for tup in tuples)
     # an orbit of index span s has 3l + 1 - s copies in [2l, 5l]
-    copies = sum(3 * l + 1 - max(i for i in range(n) if e[i] or e[n + i]) for e in actual)
+    copies = sum(3 * l + 1 - (e.bit_length() - 1) // site for e in actual)
     result = TraceExpansionResult(k, l, copies, len(actual))
-    names = trace_table(n).names
-    for e in sorted(set(actual) | set(predicted)):
-        got, want = actual.get(e, GR_ZERO), predicted.get(e, GR_ZERO)
+    wrong = []
+    for e in set(actual) | set(counts):
+        got, want = GaussianRational(actual.get(e, 0)), weight * counts.get(e, 0)
         if got != want:
-            mono = "*".join(f"{names[i]}^{x}" for i, x in enumerate(e) if x)
-            result.mismatches.append({"monomial": mono, "trace": got.to_text(),
-                                      "predicted": want.to_text()})
+            wrong.append((_unpack(e, n, bits), got, want))
+    names = trace_table(n).names
+    for vec, got, want in sorted(wrong, key=itemgetter(0)):
+        mono = "*".join(f"{names[i]}^{x}" for i, x in enumerate(vec) if x)
+        result.mismatches.append({"monomial": mono, "trace": got.to_text(),
+                                  "predicted": want.to_text()})
     return result
 
 

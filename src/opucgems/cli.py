@@ -21,6 +21,7 @@ import sys
 from fractions import Fraction
 
 from . import algmodel, lab
+from .laurent import NonDivisible
 from .opuc import OpucError, bs_weight_quadrature, log_term
 from .trig import CriticalPoints, TrigError, build_h, exact_unit
 
@@ -35,7 +36,7 @@ MAX_ENUM_TUPLES = 10 ** 6
 # part's index tuples plus the k*|l| steps of its complete homogeneous sums (the
 # cost at k = 1, a part being one tuple), and verify's (dmax + 1)^2
 # degree2-product terms.  On a busy 2-core host verify --kmax 5 --dmax 10
-# (504755) takes 5.9-9.9 s and 0.25 GB, --kmax 1 --dmax 500 (502501) 8.3-9.3 s
+# (504755) takes 5.9-9.9 s and 0.25 GB, --kmax 1 --dmax 500 (502501) 6.8-7.6 s
 # and 0.14 GB, and dump-g2k --k 5 --d 10 (399804) 5.8-6.5 s and 0.30 GB
 MAX_PART_TERMS = 520_000
 # largest kmax verify takes, as it checks the basis relations for k = 1..kmax;
@@ -248,6 +249,9 @@ def cmd_dump_g2k(args) -> int:
     except TrigError as exc:
         _say(f"dump-g2k: {exc}")
         return EXIT_BAD_INPUT
+    except (algmodel.ModelError, NonDivisible) as exc:  # a failed identity
+        _say(f"dump-g2k: {exc}")
+        return EXIT_CHECK_FAILED
     _emit({"k": args.k, "d": args.d,
            "theta": None if args.theta is None else str(Fraction(args.theta)),
            "g2k": g.to_text()})

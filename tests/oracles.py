@@ -14,6 +14,9 @@
   term through :class:`Fraction`, the oracle for ``to_text``.
 * :func:`routes_by_lifts`, the G_2k route check as whole lifted sums, the
   oracle for ``g2k_routes_check``, which compares parts power by power.
+* :func:`walk_enumeration`, the closed Hessenberg walks summed one walk at
+  a time, the oracle for the walk-sum dynamic program behind
+  ``_closed_walks``.
 * The contact-degree cluster behind acceptance 9: the Hall-Littlewood
   double sum and its part of G'_2k, the k = 1 product witness, the capped
   Taylor degree at the critical point and a greedy search for a
@@ -38,8 +41,9 @@ from opucgems.algmodel import (
     g2k_trace_scaled,
     in_polynomial_ring,
     table_for,
+    trace_table,
 )
-from opucgems.laurent import LaurentPoly, VarTable, exact_div, substitute
+from opucgems.laurent import LaurentPoly, VarTable, _accumulate, _poly, exact_div, substitute
 from opucgems.opuc import log_term, trace_v
 from opucgems.trig import _convolve, build_h
 
@@ -219,6 +223,53 @@ def routes_by_lifts(k, h):
     hom = g2k_hl_scaled_hom(k, h)
     tr = g2k_trace_scaled(k, h)
     return RouteCheckResult(dd == hom, tr == hom)
+
+
+def walk_enumeration(l, n_sym, starts, degree=None):
+    """Sum of the closed Hessenberg walks of length l from each start row,
+    enumerated walk by walk over ``trace_table(n_sym)``.
+
+    With ``degree`` set, only its homogeneous part: walk products drop the
+    terms above it (degrees never fall), and a walk left empty is cut.
+    """
+    table = trace_table(n_sym)
+    entry_cache = {}
+
+    def entry(row, col):
+        key = (row, col)
+        cached = entry_cache.get(key)
+        if cached is None:
+            if col == row - 1:
+                cached = table.one() - table.monomial(
+                    {f"al{col}": 1, f"ac{col}": 1})
+            elif row == 0:
+                cached = table.var(f"ac{col}")
+            else:
+                cached = table.monomial({f"al{row - 1}": 1, f"ac{col}": 1}, -1)
+            entry_cache[key] = cached
+        return cached
+
+    out = {}
+
+    def rec(start, pos, remaining, acc):
+        if degree is not None:
+            acc = _poly(table, {e: c for e, c in acc.terms.items() if sum(e) <= degree})
+            if acc.is_zero:
+                return
+        if remaining == 1:
+            if start >= pos - 1:
+                _accumulate(out, (acc * entry(pos, start)).terms.items())
+            return
+        lo = max(pos - 1, 0)
+        hi = min(n_sym - 1, start + remaining - 1)
+        for nxt in range(lo, hi + 1):
+            rec(start, nxt, remaining - 1, acc * entry(pos, nxt))
+
+    for start in starts:
+        rec(start, start, l, table.one())
+    if degree is not None:
+        out = {e: c for e, c in out.items() if sum(e) == degree}
+    return _poly(table, out)
 
 
 def hl_part(k, h):

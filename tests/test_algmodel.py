@@ -66,6 +66,7 @@ from oracles import (
     routes_by_lifts,
     site_parts,
     sum_rule_functional,
+    walk_enumeration,
 )
 
 
@@ -258,6 +259,18 @@ def test_trace_guard():
         trace_expansion_check(5, 5)
 
 
+@pytest.mark.parametrize("l,n_sym", [(l, m * l) for l in range(1, 7) for m in (1, 2, 3)])
+def test_closed_walks_equal_walk_enumeration(l, n_sym):
+    """The walk-sum dynamic program against the walks enumerated one by one:
+    from every start row (row 0's entries give the odd degrees) and from
+    row l alone, in full and at each degree up to 2l."""
+    for starts in (range(n_sym), (l,))[:1 + (l < n_sym)]:
+        full = walk_enumeration(l, n_sym, starts)
+        assert algmodel._closed_walks(l, n_sym, starts) == full
+        for degree in range(2 * l + 1):
+            assert algmodel._closed_walks(l, n_sym, starts, degree) == degree_part(full, degree)
+
+
 @pytest.mark.parametrize("l", range(1, 6))
 def test_diagonal_entry_is_degree_part_of_all_walks(l):
     full = algmodel._closed_walks(l, 2 * l, (l,))
@@ -286,6 +299,32 @@ def test_orbit_check_reports_a_wrong_weight(k, l):
     weight = GaussianRational(Fraction((-1) ** k * (l + 1), k))
     r = trace_orbit_check(k, l, enum_d(k, l), weight)
     assert len(r.mismatches) == r.compared_orbits > 0
+
+
+# mismatch records of (2, 3) with the weight (l + 1)/k and of (3, 4) without
+# its least tuple, (0, 0, -2, -2, -3, 1)
+MISMATCH_PINS = {
+    (2, 3): [
+        {"monomial": "al0^1*al2^1*ac2^1*ac3^1", "trace": "3+0*i", "predicted": "4+0*i"},
+        {"monomial": "al0^1*al1^1*ac2^2", "trace": "3+0*i", "predicted": "4+0*i"},
+        {"monomial": "al0^1*al1^1*ac1^1*ac3^1", "trace": "3+0*i", "predicted": "4+0*i"},
+        {"monomial": "al0^2*ac1^1*ac2^1", "trace": "3+0*i", "predicted": "4+0*i"},
+    ],
+    (3, 4): [
+        {"monomial": "al0^1*al1^1*al3^1*ac1^1*ac3^1*ac4^1", "trace": "-4+0*i",
+         "predicted": "-8/3+0*i"},
+    ],
+}
+
+
+def test_orbit_check_mismatch_records_are_pinned():
+    k, l = 2, 3
+    wrong = trace_orbit_check(k, l, enum_d(k, l), GaussianRational(Fraction(l + 1, k)))
+    k, l = 3, 4
+    dropped = trace_orbit_check(k, l, sorted(enum_d(k, l))[1:],
+                                GaussianRational(Fraction(-l, k)))
+    assert wrong.mismatches == MISMATCH_PINS[2, 3]
+    assert dropped.mismatches == MISMATCH_PINS[3, 4]
 
 
 @pytest.mark.parametrize("k,l", [(1, 8), (2, 8), (3, 6)])

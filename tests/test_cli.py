@@ -164,6 +164,27 @@ def test_a_broken_premise_fails_verify_and_the_hl_build(capsys, monkeypatch, fre
             algmodel.build_g2k_hl(k, h)
 
 
+def hom_sums_zero(points, degree):
+    """``hom_sums`` with every row zero."""
+    return [points[0].table.zero()] * (degree + 1)
+
+
+def divided_diff_not_divisible(points, power):
+    raise laurent.NonDivisible("remainder left")
+
+
+@pytest.mark.parametrize("name,mutant,message", [
+    ("hom_sums", hom_sums_zero, "route disagreement for k=2, d=3"),
+    ("divided_diff", divided_diff_not_divisible, "remainder left")], ids=["hom_sums", "divided_diff"])
+def test_dump_g2k_reports_a_failed_identity_in_one_line(capsys, monkeypatch, fresh_exact_caches,
+                                                       name, mutant, message):
+    monkeypatch.setattr(algmodel, name, mutant)
+    code = main(["dump-g2k", "--k", "2", "--d", "3"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"dump-g2k: {message}\n"
+
+
 def test_verify_and_dump_form_no_divided_difference_part(capsys, monkeypatch, fresh_exact_caches):
     # with the part cache empty, any divided-difference part a command needs
     # would be formed here
