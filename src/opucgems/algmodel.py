@@ -7,26 +7,28 @@ unit symbols ``z_j`` standing for the critical points ``e^{i theta_j}``.
 The degree-2k part ``G_2k`` of the sum-rule trace functional is built two
 independent ways and compared as normal forms:
 
-* the trace route, from the index-tuple expansion of ``Tr(U_N^l)``,
+* the trace route, from the index-tuple expansion of ``Tr(U_N^l)``: each
+  index tuple is the exponent tuple of its monomial,
 * the Hall-Littlewood route, from the double sum over the monomials
   ``a_{k,p}`` and ``b_{k,q}``, evaluated by complete homogeneous symmetric
-  sums.
+  sums (the hom route).
 
 Both are linear in the weight's coefficients h_l, so a route's part for the
 power t^l depends only on (k, l), not on the weight or its degree:
 :func:`weight_free_part` builds each part once per process, over the pair
-variables alone.  Two routes agree on a weight exactly when their parts
+variables alone.  The two routes agree on a weight exactly when their parts
 agree at each l with h_l != 0 (:func:`parts_agree`), so no check lifts a
 part.  The double sum's own form, nested divided differences, differs from
 the homogeneous sums only by the classical identity for divided differences
 of powers, which :func:`dd_premise` checks once per (k, n) over unit
 symbols; no command forms a divided-difference part.  ``_weighted`` alone
 lifts the parts into a weight's table and multiplies them by the exact h_l.
-The site route compiles each site part once into window sums
-(:func:`_site_rows`) and weights those by numeric h_l.  Terms that are
-translates of one product share a shift class, so :func:`phi_sums` sums a
-run of sites from each class's product, formed once over the run, and two
-sums of the class's coefficients.
+The site route compiles each site part, the hom part's construction times
+a monomial (:func:`_pair_part`), once into window sums (:func:`_site_rows`)
+and weights those by numeric h_l.  Terms that are translates of one product
+share a shift class, so :func:`phi_sums` sums a run of sites from each
+class's product, formed once over the run, and two sums of the class's
+coefficients.
 
 The evaluation map ``phi`` sends ``x_p^b y_p^g`` (per pair) to
 ``alpha_{n+b} * conj(alpha_{n+g})``; in particular a constant c maps to
@@ -344,16 +346,6 @@ def trace_symbolic(l: int, n_sym: int) -> LaurentPoly:
     return _closed_walks(l, n_sym, range(n_sym))
 
 
-def diagonal_entry(l: int, degree: int) -> LaurentPoly:
-    """Degree-``degree`` part of ``(U^l)_{ll}`` of the infinite squared-rho matrix.
-
-    A closed walk of length l from row l falls at most one row per step and
-    must climb back, so it stays in rows 1..2l-1 of ``trace_table(2l)``;
-    :func:`_walk_sums` sums those walks with the degree capped at each step.
-    """
-    return _closed_walks(l, 2 * l, (l,), degree)
-
-
 def _closed_walks(l: int, n_sym: int, starts, degree: int | None = None) -> LaurentPoly:
     """Sum of the closed Hessenberg walks of length l from each start row,
     as a polynomial over ``trace_table(n_sym)``: :func:`_walk_sums` unpacked.
@@ -596,7 +588,7 @@ def weight_free_part(route: str, k: int, l: int) -> LaurentPoly | None:
     * ``"trace"``: the index-tuple sum S_l^+ for l >= k and S_{-l}^- for
       l <= -k (:func:`_trace_part`);
     * ``"hom"``: ``h_l(a) * prod(b) * h_{l-k}(b)`` for l >= k and
-      ``h_{-l}(e) * prod(d) * h_{-l-k}(d)`` for l <= -k (:func:`_pair_part`).
+      ``h_{-l}(c) * prod(d) * h_{-l-k}(d)`` for l <= -k (:func:`_pair_part`).
 
     Both parts are zero for ``0 < |l| < k`` (and at l = 0).  The
     divided-difference products (:func:`_dd_product`) and the site parts
@@ -610,19 +602,18 @@ def weight_free_part(route: str, k: int, l: int) -> LaurentPoly | None:
     table = VarTable(k)
     if abs(l) < k:
         return None
-    if route == "trace":
-        return _trace_part(k, l, table).normal_form()
-    return _pair_part(k, l, table, e_monomials(table, k), table.one()).normal_form()
+    build = _trace_part(k, l, table) if route == "trace" else _pair_part(k, l, table, table.one())
+    return build.normal_form()
 
 
 def _site_part(k: int, l: int) -> LaurentPoly | None:
     """The site part for t^l over ``VarTable(k)``; None when it is zero.
 
-    The ``"hom"`` part of :func:`weight_free_part` with the c points for e,
-    times ``U = (prod x_i y_i)^{2k}``, and ``(-1)^{k+1} U`` at l = 0: every
-    exponent cleared to >= 0, as :func:`site_poly` and :func:`_site_rows`
-    need.  Built afresh on each call: :func:`_site_rows` caches its window
-    sums, so a study keeps those and not the much larger polynomial.
+    The ``"hom"`` part of :func:`weight_free_part` before its normal form,
+    times ``U = (prod x_i y_i)^{2k}`` (:func:`_pair_part` with scale U), and
+    ``(-1)^{k+1} U`` at l = 0: no exponent is negative, as :func:`site_poly`
+    and :func:`_site_rows` need.  Built afresh on each call: the rows cache
+    their window sums, so a study keeps those, not the larger polynomial.
     """
     table = VarTable(k)
     unit = table.pair_monomial([2 * k] * k, [2 * k] * k)
@@ -630,30 +621,28 @@ def _site_part(k: int, l: int) -> LaurentPoly | None:
         return unit * _sign(k)
     if abs(l) < k:
         return None
-    return _pair_part(k, l, table, c_monomials(table, k), unit)
+    return _pair_part(k, l, table, unit)
 
 
 def _trace_part(k: int, l: int, table: VarTable) -> LaurentPoly:
-    """S_l^+ for l > 0 and S_{-l}^- for l < 0: the index tuples of
-    :func:`enum_d` in their positive or negative monomial form, summed."""
-    out: dict = {}
-    for tup in enum_d(k, abs(l)):
-        if l > 0:  # prod_p x_p^{i_p} y_p^{j_p}
-            mono = table.pair_monomial(tup[::2], tup[1::2])
-        else:  # prod_p y_{p-1}^{i_p} x_p^{j_p} with y_0 := y_k
-            mono = table.pair_monomial(tup[1::2], tup[2::2] + tup[:1])
-        _accumulate(out, mono.terms.items())
-    return _poly(table, out)
+    """S_l^+ for l > 0 and S_{-l}^- for l < 0 over ``table = VarTable(k)``,
+    whose slots run ``x1, y1, ..., xk, yk``: each index tuple of
+    :func:`enum_d` is the exponent tuple of ``prod_p x_p^{i_p} y_p^{j_p}``,
+    and rotated by one slot that of ``prod_p y_{p-1}^{i_p} x_p^{j_p}`` with
+    ``y_0 := y_k``.  Distinct tuples give distinct monomials, each with
+    coefficient 1."""
+    tuples = enum_d(k, abs(l))
+    return _poly(table, dict.fromkeys(tuples if l > 0 else (t[1:] + t[:1] for t in tuples),
+                                      GR_ONE))
 
 
-def _pair_part(k: int, l: int, table: VarTable, neg_pts: Sequence[LaurentPoly],
-               scale: LaurentPoly) -> LaurentPoly:
+def _pair_part(k: int, l: int, table: VarTable, scale: LaurentPoly) -> LaurentPoly:
     """``scale * h_l(a) * prod(b) * h_{l-k}(b)`` for l >= k and ``scale *
-    h_{-l}(neg_pts) * prod(d) * h_{-l-k}(d)`` for l <= -k, by complete
-    homogeneous sums.  The negative point set is e (quotient ring) or c
-    (cleared exponents), and ``scale`` is a monomial."""
+    h_{-l}(c) * prod(d) * h_{-l-k}(d)`` for l <= -k, by complete homogeneous
+    sums; ``scale`` is a monomial.  The c points have no negative exponent
+    and equal e but for ``c_1 = e_1 * prod x_i y_i``: the normal form is e's."""
     pts, tail = ((a_monomials(table, k), b_monomials(table, k)) if l > 0
-                 else (neg_pts, d_monomials(table, k)))
+                 else (c_monomials(table, k), d_monomials(table, k)))
     m = abs(l)
     return hom_sums(pts, m)[m] * math.prod(tail, start=scale) * hom_sums(tail, m - k)[m - k]
 
@@ -701,7 +690,7 @@ def g2k_hl_scaled_hom(k: int, h: TrigPoly) -> LaurentPoly:
     """Complete-homogeneous route for ``k * Z_H * G'_2k`` in normal form.
 
     Per degree l: the positive part is ``h_l(a) * prod(b) * h_{l-k}(b)``
-    and the negative part ``h_l(e) * prod(d) * h_{l-k}(d)``; the constant
+    and the negative part ``h_l(c) * prod(d) * h_{l-k}(d)``; the constant
     from the l = 0 coefficient cancels the ``- Z_H`` exactly.
     """
     return _weighted(partial(weight_free_part, "hom", k), k, h, _sign(k))
@@ -717,9 +706,9 @@ class RouteCheckResult:
         return self.routes_equal and self.trace_equals_hl
 
 
-def parts_agree(first: str, second: str, k: int, h: TrigPoly) -> bool:
-    """True when routes ``first`` and ``second`` give one ``k * Z_H * G_2k``
-    for h: their cached parts agree at each l with h_l != 0.  The lift is
+def parts_agree(k: int, h: TrigPoly) -> bool:
+    """True when the trace and hom routes give one ``k * Z_H * G_2k`` for h:
+    their cached parts agree at each l with h_l != 0.  The lift is
     linear and injective (parts of different l lift to disjoint terms), so
     this is the lifted sums' equality, and nothing is lifted.
     """
@@ -727,7 +716,7 @@ def parts_agree(first: str, second: str, k: int, h: TrigPoly) -> bool:
         part = weight_free_part(route, k, l)
         return {} if part is None else part.terms
 
-    return all(net(first, l) == net(second, l)
+    return all(net("trace", l) == net("hom", l)
                for l, coeff in h.coeffs.items() if not coeff.is_zero)
 
 
@@ -744,8 +733,10 @@ def hl_routes_agree(k: int, h: TrigPoly) -> bool:
     * at l = 0 the product is ``(-1)^{k-1} prod(b) / prod(b)``, the constant
       that cancels ``- Z_H``;
     * for l <= -k the factors are h_{-l-k}(1/a) / prod(a) and h_{-l}(1/b) /
-      prod(b), and the hom part's e and d points stand for them through
-      the monomial identities of :func:`basis_relation_check`.
+      prod(b), and the e and d points stand for them through the monomial
+      identities of :func:`basis_relation_check`.  The hom part reads c,
+      and c equals e modulo ``prod x_i y_i = 1``, so the relation, stated
+      with e, still underwrites it.
 
     This reads the premise at each n once and the basis relation not at all:
     ``verify`` checks that as a case of its own, for every k it has a routes
@@ -767,7 +758,7 @@ def g2k_routes_check(k: int, h: TrigPoly) -> RouteCheckResult:
     every h_l with |l| <= d nonzero, so its check covers every weight of
     degree <= d.
     """
-    return RouteCheckResult(hl_routes_agree(k, h), parts_agree("trace", "hom", k, h))
+    return RouteCheckResult(hl_routes_agree(k, h), parts_agree(k, h))
 
 
 def build_g2k_hl(k: int, h: TrigPoly) -> LaurentPoly:
@@ -907,9 +898,10 @@ def site_poly(k: int, h: TrigPoly) -> LaurentPoly:
     The double sum per degree with the positive-composition rewriting of
     the negative part (monomials c and d), plus the constant ``h_0 *
     (-1)^{k+1}``, times ``(prod x_i y_i)^{2k}``: the weighted parts of
-    :func:`_site_part`.  The result lies in the plain
-    polynomial ring; a negative exponent would mean a broken identity and
-    raises.  :func:`site_route` weights the same parts numerically.
+    :func:`_site_part`, the ``"hom"`` parts as built times that monomial.
+    The result lies in the plain polynomial ring; a negative exponent would
+    mean a broken identity and raises.  :func:`site_route` weights the same
+    parts numerically.
     """
     if k > h.degree:
         raise ModelError("k cannot exceed the weight degree")

@@ -2,6 +2,7 @@
 
 import cmath
 import hashlib
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -28,7 +29,6 @@ from opucgems.algmodel import (
     critical_product,
     d_monomials,
     degree2_product_check,
-    diagonal_entry,
     e_monomials,
     enum_d,
     enum_d_direct,
@@ -269,13 +269,6 @@ def test_closed_walks_equal_walk_enumeration(l, n_sym):
         assert algmodel._closed_walks(l, n_sym, starts) == full
         for degree in range(2 * l + 1):
             assert algmodel._closed_walks(l, n_sym, starts, degree) == degree_part(full, degree)
-
-
-@pytest.mark.parametrize("l", range(1, 6))
-def test_diagonal_entry_is_degree_part_of_all_walks(l):
-    full = algmodel._closed_walks(l, 2 * l, (l,))
-    for k in range(0, l + 1):
-        assert diagonal_entry(l, 2 * k) == degree_part(full, 2 * k)
 
 
 @pytest.mark.parametrize("k,l", [(k, l) for k in range(1, 4) for l in range(1, 6)])
@@ -990,12 +983,16 @@ def test_pair_monomial_bases_equal_name_keyed_oracles(k, extra):
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_tuple_monomial_slices_equal_name_keyed_oracles(k):
-    table = VarTable(k, units=("z1",))
-    for l in range(k, max(k + 1, 6) + 1):
-        for tup in enum_d(k, l):
-            assert table.pair_monomial(tup[::2], tup[1::2]) == oracle_tuple_pos(table, tup, k)
-            assert (table.pair_monomial(tup[1::2], tup[2::2] + tup[:1])
-                    == oracle_tuple_neg(table, tup, k))
+    # the trace part before its normal form: each index tuple's monomial
+    # once, with coefficient 1, in its positive or negative form
+    table = VarTable(k)
+    for l in range(1, 7):
+        for sign, oracle in ((1, oracle_tuple_pos), (-1, oracle_tuple_neg)):
+            part = algmodel._trace_part(k, sign * l, table)
+            want = sum((oracle(table, tup, k) for tup in enum_d(k, l)), table.zero())
+            assert part == want
+            assert len(part.terms) == len(enum_d(k, l))
+            assert all(c == GaussianRational(1) for c in part.terms.values())
 
 
 def test_pair_monomial_needs_one_exponent_per_pair():
@@ -1391,6 +1388,21 @@ def test_second_weight_of_a_degree_builds_no_part():
     before = misses()
     site_route(build_h(CriticalPoints.from_pairs([(0.7, 3)])))
     assert misses() == before
+
+
+# SHA-256 of the compiled site rows for k <= 5 and |l| <= 5: the classes,
+# weights and edges as nested lists, then the reach, per (k, l) in order
+SITE_ROWS_DIGEST = "f097a99afe7958ae13a3d54411de350fd00d5d4475da76d2c84eb94a1c881a2d"
+
+
+def test_site_rows_are_pinned():
+    rows = []
+    for k in range(1, 6):
+        for l in range(-5, 6):
+            compiled = algmodel._site_rows(k, l)
+            rows.append([k, l, None if compiled is None
+                         else [a.tolist() for a in compiled[:3]] + [compiled[3]]])
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == SITE_ROWS_DIGEST
 
 
 @pytest.mark.parametrize("part,message", [

@@ -104,10 +104,10 @@ def test_verify_compares_each_route_identity_once(capsys, monkeypatch):
     real_premise = algmodel.dd_premise
     compared, premises = [], []
 
-    def recording(first, second, k, h):
-        compared.extend((first, second, k, l)
+    def recording(k, h):
+        compared.extend(("trace", "hom", k, l)
                         for l, coeff in h.coeffs.items() if not coeff.is_zero)
-        return real(first, second, k, h)
+        return real(k, h)
 
     def premise(k, n):
         premises.append((k, n))
@@ -162,6 +162,27 @@ def test_a_broken_premise_fails_verify_and_the_hl_build(capsys, monkeypatch, fre
     for k in broken:
         with pytest.raises(algmodel.ModelError, match="route disagreement"):
             algmodel.build_g2k_hl(k, h)
+
+
+def test_a_broken_negative_point_fails_verify(capsys, monkeypatch, fresh_exact_caches):
+    # the hom parts for l <= -k read the c points, the first of which is
+    # where c and e differ; the basis relation reads e and c_2..c_k only
+    real = algmodel.c_monomials
+
+    def first_broken(table, k):
+        """The c points with the first times ``prod x_i``: no longer ``e_1``
+        modulo ``prod x_i y_i = 1``."""
+        first, *rest = real(table, k)
+        return [first * table.pair_monomial([1] * k, [0] * k), *rest]
+
+    monkeypatch.setattr(algmodel, "c_monomials", first_broken)
+    code, records, _ = run_cli(capsys, "verify", "--kmax", "3", "--dmax", "4")
+    assert code == 1
+    routes = [r for r in records if r["case"].startswith("g2k-routes")]
+    assert [r["k"] for r in routes] == [1, 2, 3]
+    assert all(r["status"] == "fail" and r["traceEqualsHl"] is False and r["routesEqual"]
+               for r in routes)
+    assert all(r["status"] == "pass" for r in records if r not in routes)
 
 
 def hom_sums_zero(points, degree):
