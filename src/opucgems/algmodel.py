@@ -25,7 +25,9 @@ symbols; no command forms a divided-difference part.  ``_weighted`` alone
 lifts the parts into a weight's table and multiplies them by the exact h_l.
 The site route compiles each site part, the hom part's construction times
 a monomial (:func:`_pair_part`), once into window sums (:func:`_site_rows`)
-and weights those by numeric h_l.  Terms that are translates of one product
+and weights those by numeric h_l, for l >= 0 alone: H is real, and the -l
+part is the l part with alpha and its conjugate swapped, so the -l parts add
+the conjugate of the l parts.  Terms that are translates of one product
 share a shift class, so :func:`phi_sums` sums a run of sites from each
 class's product, formed once over the run, and two sums of the class's
 coefficients.
@@ -77,7 +79,7 @@ MAX_TRACE_WINDOW = 80
 EDGE_SHARE = 8
 # largest weight degree a study compiles a site route for: on a 2-core host
 # the first K = 1 compile of a process, parts and rows included, takes about
-# 1.0 s at d = 8 and 7.7 s at d = 9
+# 0.7 s at d = 8 and 4.2 s at d = 9
 MAX_SITE_DEGREE = 8
 
 
@@ -305,6 +307,10 @@ def phi_sums(program: PhiProgram, a: np.ndarray, width: int) -> list:
     ``a`` holds the coefficients from site 0 on, at least ``width + lead +
     max_shift`` of them.  Those from ``width + max_shift`` on meet only zero
     weights, so they may be zero padding.
+
+    A :func:`site_route` program holds each polynomial's l >= 0 parts alone,
+    so only the real part of its sum is the polynomial's sum; the imaginary
+    part is the odd share that the left-out -l parts cancel.
     """
     span = width + program.lead
     a_conj = np.conj(a)
@@ -346,15 +352,13 @@ def trace_symbolic(l: int, n_sym: int) -> LaurentPoly:
     return _closed_walks(l, n_sym, range(n_sym))
 
 
-def _closed_walks(l: int, n_sym: int, starts, degree: int | None = None) -> LaurentPoly:
+def _closed_walks(l: int, n_sym: int, starts) -> LaurentPoly:
     """Sum of the closed Hessenberg walks of length l from each start row,
     as a polynomial over ``trace_table(n_sym)``: :func:`_walk_sums` unpacked.
-
-    With ``degree`` set, only its homogeneous part.
     """
     bits = l.bit_length()
     terms = {_unpack(e, n_sym, bits): _triple(c, 0, 1)
-             for e, c in _walk_sums(l, n_sym, starts, degree).items()}
+             for e, c in _walk_sums(l, n_sym, starts).items()}
     return _poly(trace_table(n_sym), terms)
 
 
@@ -770,14 +774,16 @@ def build_g2k_hl(k: int, h: TrigPoly) -> LaurentPoly:
     coefficients that are rational functions of the unit symbols, and a
     :class:`ModelError` says so before either route runs.  The two routes
     are compared through the premise of each power (:func:`hl_routes_agree`),
+    the hom parts with the trace parts power by power (:func:`parts_agree`),
     and the hom parts alone lifted, with ``(-1)^{k+1} / (k * Z_H)`` for the
-    sign; a failed premise (or a NonDivisible from the divided-difference
-    recursion) is an identity failure, not a recoverable condition.
+    sign; a failed premise or part comparison (or a NonDivisible from the
+    divided-difference recursion) is an identity failure, not a recoverable
+    condition.
     """
     z_h = h.coeffs[0]
     if z_h != h.table.const(z_h.constant_value()):
         raise ModelError("Z_H = h_0 is not a constant, so G'_2k is not a Laurent polynomial")
-    if not hl_routes_agree(k, h):
+    if not (hl_routes_agree(k, h) and parts_agree(k, h)):
         raise ModelError(f"route disagreement for k={k}, d={h.degree}")
     scale = _sign(k) / (k * z_h.constant_value())
     return _weighted(partial(weight_free_part, "hom", k), k, h, scale)
@@ -972,6 +978,8 @@ def _site_layout(powers: tuple) -> tuple:
     the classes gives the shift table and the slots.  Cached per process,
     on plain integers; weights whose nonzero h_l sit at the same powers
     share it, as every weight of a degree with no zero h_l does.
+    :func:`site_route` asks it for the powers l >= 0 alone, so no -l part's
+    rows are built.
     """
     classes, weights, edges, parts = [], [], [], []
     max_shift = 0
@@ -997,22 +1005,32 @@ def _site_layout(powers: tuple) -> tuple:
 
 
 def site_route(h: TrigPoly) -> PhiProgram:
-    """``pref_k * site_poly(k, h)`` for k = 1..d, compiled for :func:`site_functional`.
+    """``pref_k * site_poly(k, h)`` for k = 1..d, compiled for :func:`site_functional`
+    from the powers l >= 0 alone: phi of a compiled polynomial has the real
+    part of phi of the exact one, which is real.
 
     Polynomial k, at position k - 1, holds the window sums of the powers l
-    = 0, k, -k, ..., d, -d, leaving out each l whose exact h_l is zero, as
-    the exact sum does: the cached :func:`_site_layout` of those powers,
-    with each part's weights and edges scaled by ``pref_k * h_l``, the
-    numeric h_l of ``h.numeric_coeffs`` and ``pref_k = (-1)^{k+1} / (k
-    Z_H)``.  The exact ``site_poly(k, h)`` would carry each h_l's unit
-    symbols into every term; phi of the two agrees to rounding.
+    = 0, k, k+1, ..., d, leaving out each l whose exact h_l is zero, as the
+    exact sum does: the cached :func:`_site_layout` of those powers, with
+    the l = 0 part's weights and edges scaled by ``pref_k * h_0`` and each
+    other part's by ``2 * pref_k * h_l``, the numeric h_l of
+    ``h.numeric_coeffs`` and ``pref_k = (-1)^{k+1} / (k Z_H)``.
+
+    The -l part is the l part with alpha and its conjugate swapped: its rows
+    are the l part's with b and g swapped, with the same counts.  H is real,
+    so ``h_{-l} = conj(h_l)``, and phi of the weighted -l part is the
+    conjugate of phi of the weighted l part; the two add up to twice its
+    real part.  The l = 0 part, a sign times ``U``, is real under phi.  The
+    exact ``site_poly(k, h)`` holds every power and would carry each h_l's
+    unit symbols into every term; the real parts of phi of the two agree to
+    rounding.
     """
     h_num = {l: c for l, c in h.numeric_coeffs.items() if not h.coeffs[l].is_zero}
-    powers = tuple(tuple(l for l in [0] + [s * m for m in range(k, h.degree + 1) for s in (1, -1)]
-                         if l in h_num)
+    powers = tuple(tuple(l for l in [0, *range(k, h.degree + 1)] if l in h_num)
                    for k in range(1, h.degree + 1))
     layout, parts = _site_layout(powers)
-    scales = [np.array([h_num[l] for l in ls]) * ((-1) ** (k + 1) / (k * h_num[0].real))
+    scales = [np.array([h_num[l] * (2 if l else 1) for l in ls])
+              * ((-1) ** (k + 1) / (k * h_num[0].real))
               for k, ls in enumerate(powers, 1)]
     return layout.scaled([s[p] for s, p in zip(scales, parts)])
 
@@ -1029,13 +1047,14 @@ def site_functional(a: np.ndarray, n: int, route: PhiProgram) -> float:
     ``a`` holds the validated coefficients from the first site on, at
     least ``n + max_shift`` of them; ``route`` is :func:`site_route` of
     the weight, built once and reused for every n.  Its polynomials carry
-    their pref_k, so the k-sum over a block of sites is the sum of its
-    :func:`phi_sums` values.  Site j reads only ``a_j .. a_{j + max_shift}``,
-    so its term does not depend on n, and ``site_functional(head[m:], n - m,
-    route)`` is the share of sites m .. n-1 in the value at n: a study adds
-    these segments up instead of starting again from site 0.  Sites are
-    evaluated ``route.block`` at a time, so working memory is bounded by the
-    block, not by n.
+    their pref_k, so the k-sum over a block of sites is the real part of
+    the sum of its :func:`phi_sums` values (the route holds the powers l >=
+    0 alone, and the real part is the whole sum's).  Site j reads only
+    ``a_j .. a_{j + max_shift}``, so its term does not depend on n, and
+    ``site_functional(head[m:], n - m, route)`` is the share of sites m ..
+    n-1 in the value at n: a study adds these segments up instead of
+    starting again from site 0.  Sites are evaluated ``route.block`` at a
+    time, so working memory is bounded by the block, not by n.
     """
     if len(a) < n + route.max_shift:
         raise ModelError("the site route reads max_shift coefficients past the last site")

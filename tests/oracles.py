@@ -8,6 +8,9 @@
   window sums instead.  :func:`program_rows` reads any compiled program's
   rows back from its window sums, and :func:`phi_sites` evaluates them
   site by site and row by row, the oracle for ``phi_sums``.
+* :func:`c_first_broken`, the c points with a broken first point, the
+  mutant that the hom parts for l <= -k and the site rows' mirror must
+  expose.
 * :func:`linear_factor_weight`, the weight's coefficients from its 2d
   linear factors, the oracle for ``build_h``'s binomial rows.
 * :func:`scalar_text` and :func:`poly_text`, the text form written term by
@@ -35,6 +38,7 @@ from opucgems.algmodel import (
     _dd_product,
     _site_part,
     _weighted,
+    c_monomials,
     critical_product,
     g2k_hl_scaled_dd,
     g2k_hl_scaled_hom,
@@ -186,17 +190,27 @@ def phi_sites(program, a, a_conj, start, stop):
     return values
 
 
-def site_parts(k, h):
+def site_parts(k, h, half=False):
     """``pref_k * site_poly(k, h)`` as ``(weight, part)`` pairs: the site
     parts over the pair variables alone, l = 0, k, -k, ..., d, -d, weighted by
     the numeric ``pref_k * h_l`` with ``pref_k = (-1)^{k+1} / (k Z_H)``.  Parts
     whose exact h_l is zero are left out, as they are from the exact sum.
-    ``phi_program([site_parts(k, h) for k in 1..d], {})`` is the site route
-    compiled term by term."""
+
+    With ``half``, the powers l >= 0 alone, each l > 0 weight doubled:
+    ``phi_program([site_parts(k, h, half=True) for k in 1..d], {})`` is the
+    site route compiled term by term, and its phi has the real part of the
+    full parts' phi."""
     pref = (-1) ** (k + 1) / (k * h.numeric_coeffs[0].real)
-    powers = [0] + [s * l for l in range(k, h.degree + 1) for s in (1, -1)]
-    return [(pref * h.numeric_coeffs[l], _site_part(k, l))
+    powers = [0] + [s * l for l in range(k, h.degree + 1) for s in ((1,) if half else (1, -1))]
+    return [(pref * h.numeric_coeffs[l] * (2 if half and l else 1), _site_part(k, l))
             for l in powers if not h.coeffs[l].is_zero]
+
+
+def c_first_broken(table, k):
+    """The c points with the first times ``prod x_i``: no longer ``e_1``
+    modulo ``prod x_i y_i = 1``."""
+    first, *rest = c_monomials(table, k)
+    return [first * table.pair_monomial([1] * k, [0] * k), *rest]
 
 
 def hl_double_sum(k, h):

@@ -54,6 +54,7 @@ from opucgems.laurent import LaurentPoly, VarTable, divided_diff, exact_div, sub
 from opucgems.opuc import OpucError, VerblunskySeq, trace_powers
 from opucgems.trig import CriticalPoints, build_h
 from oracles import (
+    c_first_broken,
     hl_double_sum,
     hl_part,
     l_degree,
@@ -268,7 +269,9 @@ def test_closed_walks_equal_walk_enumeration(l, n_sym):
         full = walk_enumeration(l, n_sym, starts)
         assert algmodel._closed_walks(l, n_sym, starts) == full
         for degree in range(2 * l + 1):
-            assert algmodel._closed_walks(l, n_sym, starts, degree) == degree_part(full, degree)
+            part = {algmodel._unpack(e, n_sym, l.bit_length()): GaussianRational(c)
+                    for e, c in algmodel._walk_sums(l, n_sym, starts, degree).items()}
+            assert part == degree_part(full, degree).terms
 
 
 @pytest.mark.parametrize("k,l", [(k, l) for k in range(1, 4) for l in range(1, 6)])
@@ -1267,23 +1270,27 @@ def window_sums(program, a, start, stop):
     return [values.sum() for values in phi_sites(program, a, np.conj(a), start, stop)]
 
 
-def assert_sums_close(got, want):
+def assert_real_sums_close(got, want):
+    """The route's sums, which hold the powers l >= 0 alone, have the real
+    parts of the full sums ``want``, which are real."""
     for g, w in zip(got, want, strict=True):
-        assert abs(g - w) <= 1e-12 * max(1.0, abs(w))
+        assert abs(w.imag) <= 1e-12 * max(1.0, abs(w))
+        assert abs(g.real - w.real) <= 1e-12 * max(1.0, abs(w))
 
 
 @settings(max_examples=20, deadline=None)
 @given(h=exact_weights(), alpha=bounded_sequences(), start=st.integers(0, 60))
 def test_site_route_program_equals_compiled_site_polys(h, alpha, start):
     # the route compiled from weight-free parts, summed over a window by
-    # shift class, against the exact site polynomials summed site by site
+    # shift class, against the exact site polynomials summed site by site:
+    # the real parts, as the route holds the powers l >= 0 alone
     route = site_route(h)
     oracle = scaled_site_polys(h)
     assert route.max_shift == oracle.max_shift
     stop = start + 7
     a = alpha.head(stop + 2 * route.max_shift)
-    assert_sums_close(phi_sums(route, a[start:], stop - start),
-                      window_sums(oracle, a, start, stop))
+    assert_real_sums_close(phi_sums(route, a[start:], stop - start),
+                           window_sums(oracle, a, start, stop))
 
 
 @pytest.mark.parametrize("pairs", [[(Fraction(0), 1), (Fraction(1), 1)],
@@ -1296,8 +1303,8 @@ def test_site_route_leaves_out_the_powers_whose_h_l_is_zero(pairs):
     route = site_route(h)
     alpha = VerblunskySeq(lambda m: 0.5 * np.exp(-0.7j * m) / (m + 1) ** 0.3)
     a = alpha.head(40 + 2 * route.max_shift)
-    assert_sums_close(phi_sums(route, a[3:], 37),
-                      window_sums(scaled_site_polys(h), a, 3, 40))
+    assert_real_sums_close(phi_sums(route, a[3:], 37),
+                           window_sums(scaled_site_polys(h), a, 3, 40))
 
 
 @pytest.mark.parametrize("pairs", [[(0.3, 1), (1.2, 1)], [(0.3, 3), (1.1, 2)]],
@@ -1317,17 +1324,19 @@ def test_compiled_rows_are_distinct_products_of_pair_factors(pairs):
 @given(h=exact_weights(), alpha=bounded_sequences(), start=st.integers(0, 60))
 def test_site_route_equals_term_by_term_compile_of_its_parts(h, alpha, start):
     # the cached integer rows, weighted, against the same weighted parts
-    # compiled term by term: row by row, and summed over a window
+    # compiled term by term: row by row against the l >= 0 parts, those of
+    # l > 0 doubled, and summed over a window against every part
     route = site_route(h)
+    half = phi_program([site_parts(k, h, half=True) for k in range(1, h.degree + 1)], {})
     oracle = phi_program([site_parts(k, h) for k in range(1, h.degree + 1)], {})
-    assert route.max_shift == oracle.max_shift
-    for got, want in zip(program_rows(route), program_rows(oracle), strict=True):
+    assert route.max_shift == half.max_shift == oracle.max_shift
+    for got, want in zip(program_rows(route), program_rows(half), strict=True):
         assert got.keys() == want.keys()
         assert all(abs(got[key] - c) <= 1e-12 * max(1.0, abs(c)) for key, c in want.items())
     stop = start + 7
     a = alpha.head(stop + 2 * route.max_shift)
-    assert_sums_close(phi_sums(route, a[start:], stop - start),
-                      window_sums(oracle, a, start, stop))
+    assert_real_sums_close(phi_sums(route, a[start:], stop - start),
+                           window_sums(oracle, a, start, stop))
 
 
 @settings(max_examples=30, deadline=None)
@@ -1336,6 +1345,7 @@ def test_site_route_equals_term_by_term_compile_of_its_parts(h, alpha, start):
 def test_site_route_window_sums_equal_the_term_by_term_program(h, alpha, start, kind, data):
     # the route sums each window by shift class, a row's sum a class's full
     # sum less two edges; the term-by-term program has every row at offset 0
+    # and every power, so the two sums share their real parts
     route = site_route(h)
     oracle = phi_program([site_parts(k, h) for k in range(1, h.degree + 1)], {})
     if kind == "one":
@@ -1348,7 +1358,7 @@ def test_site_route_window_sums_equal_the_term_by_term_program(h, alpha, start, 
     a = alpha.head(stop + 2 * route.max_shift)
     want = window_sums(oracle, a, start, stop)
     if kind != "across":
-        assert_sums_close(phi_sums(route, a[start:], stop - start), want)
+        assert_real_sums_close(phi_sums(route, a[start:], stop - start), want)
     # the segment's share in site_functional: the same sums, less the log terms
     mod2 = np.abs(a[start:stop]) ** 2
     logs = float(np.sum(np.log1p(-mod2) + sum(mod2 ** k / k for k in range(1, h.degree + 1))))
@@ -1359,17 +1369,20 @@ def test_site_route_window_sums_equal_the_term_by_term_program(h, alpha, start, 
 
 def test_site_route_classes_and_block_pins():
     # d = 5, K = 2: translates share a class, so no polynomial has more
-    # classes than rows, and every polynomial above k = 1 has fewer
+    # classes than rows, and every polynomial above k = 1 has fewer; the
+    # route holds the powers l >= 0 alone (261 classes and 621 rows with
+    # the l < 0 ones)
     route = site_route(build_h(CriticalPoints.from_pairs([(0.3, 3), (1.1, 2)])))
     classes = [len(c) for c in route.classes]
     rows = [len(r) for r in program_rows(route)]
     assert classes[0] == rows[0] and all(c < r for c, r in zip(classes[1:], rows[1:]))
-    assert (sum(classes), sum(rows)) == (261, 621)
-    # d = 8: a block holds more sites than the max_shift columns a site reads
-    # past itself (one site per block when every row was evaluated at every
-    # site, as one polynomial had more rows than SITE_ELEMENTS)
+    assert (sum(classes), sum(rows)) == (133, 313)
+    # d = 8 (7826 classes and 28386 rows with the l < 0 ones): a block holds
+    # more sites than the max_shift columns a site reads past itself (one
+    # site per block when every row was evaluated at every site, as one
+    # polynomial had more rows than SITE_ELEMENTS)
     wide = site_route(build_h(CriticalPoints.from_pairs([(0.3, 8)])))
-    assert (sum(map(len, wide.classes)), sum(map(len, program_rows(wide)))) == (7826, 28386)
+    assert (sum(map(len, wide.classes)), sum(map(len, program_rows(wide)))) == (3917, 14197)
     assert wide.block > wide.max_shift
 
 
@@ -1388,6 +1401,54 @@ def test_second_weight_of_a_degree_builds_no_part():
     before = misses()
     site_route(build_h(CriticalPoints.from_pairs([(0.7, 3)])))
     assert misses() == before
+
+
+def test_site_route_builds_no_rows_for_a_negative_power(monkeypatch):
+    # with the layout cache empty, every part the route needs is asked for
+    asked = []
+    rows = algmodel._site_rows
+
+    def recording(k, l):
+        asked.append((k, l))
+        return rows(k, l)
+
+    monkeypatch.setattr(algmodel, "_site_rows", recording)
+    algmodel._site_layout.cache_clear()
+    site_route(build_h(CriticalPoints.from_pairs([(0.3, 3), (1.1, 1)])))
+    assert sorted(asked) == [(k, l) for k in range(1, 5) for l in [0, *range(k, 5)]]
+
+
+def mirrored(rows):
+    """``_site_rows`` output with b and g swapped in every class and the
+    classes sorted again as ``_site_rows`` sorts them: by their sorted b's,
+    then their sorted g's.  The weights and edges follow their classes."""
+    classes, weights, edges, reach = rows
+    swapped = classes[:, :, ::-1]
+    order = np.lexsort(swapped.transpose(0, 2, 1).reshape(len(swapped), -1).T[::-1])
+    return swapped[order], weights[order], edges[order], reach
+
+
+def same_rows(got, want):
+    return all(map(np.array_equal, got[:3], want[:3])) and got[3] == want[3]
+
+
+def test_site_rows_of_a_negative_power_mirror_the_positive_power():
+    # the premise of the site route's l >= 0 half: phi of the -l part is phi
+    # of the l part with alpha and its conjugate swapped, with the same
+    # counts and reach.  The rows depend on (k, l) alone, so this holds for
+    # every weight a study compiles
+    for k in range(1, algmodel.MAX_SITE_DEGREE + 1):
+        for l in range(k, algmodel.MAX_SITE_DEGREE + 1):
+            assert same_rows(algmodel._site_rows(k, -l), mirrored(algmodel._site_rows(k, l)))
+
+
+def test_site_rows_mirror_fails_on_a_broken_negative_point(monkeypatch):
+    # the uncached body, so that the broken rows stay out of the cache
+    monkeypatch.setattr(algmodel, "c_monomials", c_first_broken)
+    for k in range(1, 5):
+        for l in range(k, 5):
+            assert not same_rows(algmodel._site_rows.__wrapped__(k, -l),
+                                 mirrored(algmodel._site_rows(k, l)))
 
 
 # SHA-256 of the compiled site rows for k <= 5 and |l| <= 5: the classes,

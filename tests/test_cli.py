@@ -10,6 +10,7 @@ import pytest
 from opucgems import algmodel, cli, lab, laurent
 from opucgems.cli import main
 from opucgems.trig import CriticalPoints, build_h
+from oracles import c_first_broken
 
 
 def run_cli(capsys, *argv):
@@ -167,15 +168,7 @@ def test_a_broken_premise_fails_verify_and_the_hl_build(capsys, monkeypatch, fre
 def test_a_broken_negative_point_fails_verify(capsys, monkeypatch, fresh_exact_caches):
     # the hom parts for l <= -k read the c points, the first of which is
     # where c and e differ; the basis relation reads e and c_2..c_k only
-    real = algmodel.c_monomials
-
-    def first_broken(table, k):
-        """The c points with the first times ``prod x_i``: no longer ``e_1``
-        modulo ``prod x_i y_i = 1``."""
-        first, *rest = real(table, k)
-        return [first * table.pair_monomial([1] * k, [0] * k), *rest]
-
-    monkeypatch.setattr(algmodel, "c_monomials", first_broken)
+    monkeypatch.setattr(algmodel, "c_monomials", c_first_broken)
     code, records, _ = run_cli(capsys, "verify", "--kmax", "3", "--dmax", "4")
     assert code == 1
     routes = [r for r in records if r["case"].startswith("g2k-routes")]
@@ -196,7 +189,10 @@ def divided_diff_not_divisible(points, power):
 
 @pytest.mark.parametrize("name,mutant,message", [
     ("hom_sums", hom_sums_zero, "route disagreement for k=2, d=3"),
-    ("divided_diff", divided_diff_not_divisible, "remainder left")], ids=["hom_sums", "divided_diff"])
+    ("divided_diff", divided_diff_not_divisible, "remainder left"),
+    # the premise holds here, and the hom parts for l <= -k differ from the trace parts
+    ("c_monomials", c_first_broken, "route disagreement for k=2, d=3")],
+    ids=["hom_sums", "divided_diff", "c_monomials-first"])
 def test_dump_g2k_reports_a_failed_identity_in_one_line(capsys, monkeypatch, fresh_exact_caches,
                                                        name, mutant, message):
     monkeypatch.setattr(algmodel, name, mutant)
