@@ -39,9 +39,11 @@ MAX_ENUM_TUPLES = 10 ** 6
 # (504755) takes 4.6-6.6 s and 0.25 GB, --kmax 1 --dmax 500 (502501) 7.5-9.0 s
 # and 0.14 GB, and dump-g2k --k 5 --d 10 (399804) 4.3-5.1 s and 0.30 GB
 MAX_PART_TERMS = 520_000
-# largest kmax verify takes, as it checks the basis relations for k = 1..kmax;
-# on a 2-core host basis_relation_check takes about 0.05 s at k = 6, 0.34 s at
-# k = 7 and 1.5 s at k = 8, about 5x more per further k
+# largest kmax verify takes, and so the largest k whose basis relation it
+# checks.  basis_relation_check compares 2k(k - 1) binomial factor pairs and
+# takes about 3 ms at k = 7, 2-5 ms at k = 8 and 4-6 ms at k = 10 on a 2-core
+# host, so the ceiling no longer holds back a slow check; it keeps the k that
+# verify speaks for at 7, and a larger kmax exits 2 in one line
 MAX_RELATION_K = 7
 
 

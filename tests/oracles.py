@@ -10,13 +10,17 @@
   site by site and row by row, the oracle for ``phi_sums``.
 * :func:`c_first_broken`, the c points with a broken first point, the
   mutant that the hom parts for l <= -k and the site rows' mirror must
-  expose.
+  expose, and :func:`e_second_broken`, the e points with a broken second
+  point, which only the basis relation reads.
 * :func:`linear_factor_weight`, the weight's coefficients from its 2d
   linear factors, the oracle for ``build_h``'s binomial rows.
 * :func:`scalar_text` and :func:`poly_text`, the text form written term by
   term through :class:`Fraction`, the oracle for ``to_text``.
 * :func:`routes_by_lifts`, the G_2k route check as whole lifted sums, the
   oracle for ``g2k_routes_check``, which compares parts power by power.
+* :func:`basis_relation_by_products`, the basis relation with each index's
+  denominator expanded into one product, the oracle for
+  ``basis_relation_check``, which compares the products factor by factor.
 * :func:`walk_enumeration`, the closed Hessenberg walks summed one walk at
   a time, the oracle for the walk-sum dynamic program behind
   ``_closed_walks``.
@@ -26,11 +30,13 @@
   high-contact representative.
 """
 
+import math
 from fractions import Fraction
 from functools import partial
 
 import numpy as np
 
+from opucgems import algmodel
 from opucgems.algmodel import (
     ModelError,
     PhiProgram,
@@ -40,6 +46,7 @@ from opucgems.algmodel import (
     _weighted,
     c_monomials,
     critical_product,
+    e_monomials,
     g2k_hl_scaled_dd,
     g2k_hl_scaled_hom,
     g2k_trace_scaled,
@@ -213,6 +220,16 @@ def c_first_broken(table, k):
     return [first * table.pair_monomial([1] * k, [0] * k), *rest]
 
 
+def e_second_broken(table, k):
+    """The e points with ``e_2`` times ``x1 * y1``: no longer ``c_2``, and no
+    longer tied to ``b_1`` by the basis relation.  At k = 1 there is no e_2,
+    and the one e point is left as it is."""
+    e = e_monomials(table, k)
+    if k >= 2:
+        e[1] = e[1] * table.pair_monomial([1] + [0] * (k - 1), [1] + [0] * (k - 1))
+    return e
+
+
 def hl_double_sum(k, h):
     """The Hall-Littlewood double sum, by divided differences of powers.
 
@@ -237,6 +254,52 @@ def routes_by_lifts(k, h):
     hom = g2k_hl_scaled_hom(k, h)
     tr = g2k_trace_scaled(k, h)
     return RouteCheckResult(dd == hom, tr == hom)
+
+
+def _denominators(points, flipped=False):
+    """``prod_{s!=i}(1 - p_s/p_i)`` for each index i, or ``prod_{s!=i}(p_i/p_s
+    - 1)`` when ``flipped``."""
+    one = points[0].table.one()
+    out = []
+    for i, p in enumerate(points):
+        p_inv = p.inverse()
+        factors = (p * q.inverse() - one if flipped else one - q * p_inv
+                   for s, q in enumerate(points) if s != i)
+        out.append(math.prod(factors, start=one))
+    return out
+
+
+def basis_relation_by_products(k):
+    """``basis_relation_check(k)`` with each denominator formed as a product.
+
+    For all p, q in [k]: ``d_p * e_{q+1} * a_p * b_q = (prod x_i y_i)^2``
+    and ``prod_{s!=p}(1 - a_s/a_p) * prod_{t!=q}(b_q/b_t - 1)`` equals
+    ``prod_{s!=q}(1 - e_{s+1}/e_{q+1}) * prod_{t!=p}(d_p/d_t - 1)`` with
+    ``e_{k+1} = e_1``; each product is formed once per index.
+
+    Both identities read ``L_p * R_q = L'_p * R'_q``, so 2k - 1 pairs settle
+    all k^2: every (p, 1) and every (1, q).  Multiplying the equations for
+    (p, 1) and (1, q) and cancelling those for (1, 1) gives the one for (p,
+    q), since the Laurent ring has no zero divisors; so the check first
+    makes sure that neither factor of the (1, 1) left side is zero.  The
+    monomials are read through the module, so a test that patches one of
+    ``algmodel``'s monomial lists patches them here too.
+    """
+    table = VarTable(k)
+    a = algmodel.a_monomials(table, k)
+    b = algmodel.b_monomials(table, k)
+    d_m = algmodel.d_monomials(table, k)
+    e = algmodel.e_monomials(table, k)
+    e_next = e[1:] + e[:1]
+    unit2 = table.pair_monomial([2] * k, [2] * k)
+    a_den, b_den = _denominators(a), _denominators(b, flipped=True)
+    e_den, d_den = _denominators(e_next), _denominators(d_m, flipped=True)
+    if a_den[0].is_zero or b_den[0].is_zero:
+        return False
+    pairs = [(p, 0) for p in range(k)] + [(0, q) for q in range(1, k)]
+    return all(d_m[p] * e_next[q] * a[p] * b[q] == unit2
+               and a_den[p] * b_den[q] == e_den[q] * d_den[p]
+               for p, q in pairs)
 
 
 def walk_enumeration(l, n_sym, starts, degree=None):

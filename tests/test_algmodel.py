@@ -54,7 +54,9 @@ from opucgems.laurent import LaurentPoly, VarTable, divided_diff, exact_div, sub
 from opucgems.opuc import OpucError, VerblunskySeq, trace_powers
 from opucgems.trig import CriticalPoints, build_h
 from oracles import (
+    basis_relation_by_products,
     c_first_broken,
+    e_second_broken,
     hl_double_sum,
     hl_part,
     l_degree,
@@ -688,58 +690,94 @@ def test_constant_sums(k):
     assert constant_sum_check(k) == GaussianRational((-1) ** (k + 1))
 
 
-@pytest.mark.parametrize("k", range(1, 5))
+@pytest.mark.parametrize("k", range(1, 9))
 def test_basis_relations(k):
     assert basis_relation_check(k)
+
+
+def d_swapped(table, k):
+    """The d points with the first two swapped."""
+    d = d_monomials(table, k)
+    d[0], d[1] = d[1], d[0]
+    return d
+
+
+def a_first_broken(table, k):
+    """The a points with ``a_1`` times ``x1``."""
+    a = a_monomials(table, k)
+    a[0] = a[0] * table.pair_monomial([1] + [0] * (k - 1), [0] * k)
+    return a
 
 
 @pytest.mark.parametrize("k", range(2, 5))
 def test_basis_relations_fail_on_a_wrong_monomial(k, monkeypatch):
     # two d monomials swapped: the check must see it, not return True regardless
-    def swapped(table, k):
-        d = d_monomials(table, k)
-        d[0], d[1] = d[1], d[0]
-        return d
-
-    monkeypatch.setattr(algmodel, "d_monomials", swapped)
+    monkeypatch.setattr(algmodel, "d_monomials", d_swapped)
     assert not basis_relation_check(k)
 
 
-def corrupt_denominators(monkeypatch, entries):
-    """Make ``_denominators`` return ``change(product)`` at each ``(list, index)``
-    of ``entries``; the lists count in call order: a, b, e, d."""
-    real = algmodel._denominators
+@pytest.mark.parametrize("k,name,mutant", [
+    pytest.param(k, name, mutant, id=f"{k}-{mutant.__name__ if mutant else 'plain'}")
+    for name, mutant, ks in [(None, None, range(1, 7)),
+                             ("d_monomials", d_swapped, range(2, 6)),
+                             ("e_monomials", e_second_broken, range(2, 6)),
+                             ("a_monomials", a_first_broken, range(1, 6))]
+    for k in ks])
+def test_basis_relation_equals_the_product_oracle(k, name, mutant, monkeypatch):
+    # the factor comparison and the expanded products give one boolean, and
+    # each mutant fails both
+    if name:
+        monkeypatch.setattr(algmodel, name, mutant)
+    assert basis_relation_check(k) == basis_relation_by_products(k) == (mutant is None)
+
+
+def corrupt_factors(monkeypatch, k, entries):
+    """Make ``_factors`` return ``change(factor)`` at each ``(position,
+    change)`` of ``entries[(list, index)]``, the lists named a, b, e, d (e
+    starting at e_2, as the check reads it); returns the calls as ``(list,
+    index, flipped)``."""
+    table = VarTable(k)
+    e = e_monomials(table, k)
+    lists = {"a": a_monomials(table, k), "b": b_monomials(table, k),
+             "e": e[1:] + e[:1], "d": d_monomials(table, k)}
+    real = algmodel._factors
     calls = []
 
-    def wrong(points, flipped=False):
-        out = real(points, flipped)
-        for index, change in entries.get(len(calls), ()):
-            out[index] = change(out[index])
-        calls.append(flipped)
+    def wrong(points, i, flipped=False):
+        out = real(points, i, flipped)
+        [name] = [n for n, listed in lists.items() if listed == points]
+        for position, change in entries.get((name, i), ()):
+            out[position] = change(out[position])
+        calls.append((name, i, flipped))
         return out
 
-    monkeypatch.setattr(algmodel, "_denominators", wrong)
+    monkeypatch.setattr(algmodel, "_factors", wrong)
     return calls
 
 
 @pytest.mark.parametrize("k,which,index", [(k, which, index) for k in (2, 3, 4)
-                                            for which in range(4) for index in range(1, k)])
+                                            for which in range(4) for index in range(k)])
 def test_basis_relations_fail_on_one_wrong_denominator(k, which, index, monkeypatch):
-    # 2k - 1 comparisons settle all k^2 pairs: one wrong product at any index
-    # of any of the four lists, the shared index 0 aside, is still seen
-    calls = corrupt_denominators(monkeypatch, {which: [(index, lambda p: p * 2)]})
-    assert not basis_relation_check(k)
-    assert calls == [False, True, False, True]
+    # nothing cancels: one doubled factor of any index of any of the four
+    # lists, index 0 included, is seen
+    name = "abed"[which]
+    for position in range(k - 1):
+        with monkeypatch.context() as patch:
+            calls = corrupt_factors(patch, k, {(name, index): [(position, lambda f: f * 2)]})
+            assert not basis_relation_check(k)
+        assert sorted(calls) == sorted((n, i, n in "bd") for n in "abed" for i in range(k))
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_basis_relations_do_not_cancel_a_zero_product(k, monkeypatch):
-    # with a_den[0] = d_den[0] = 0 each of the 2k - 1 comparisons reads 0 = 0
-    # or holds as it should, so only the nonzero test on the cancelled
-    # products can see it
+    # one factor zero on both sides of a pair reads 0 = -0, so only the
+    # nonzero test sees the zero denominator
     zero = VarTable(k).zero()
-    corrupt_denominators(monkeypatch, {0: [(0, lambda p: zero)], 3: [(0, lambda p: zero)]})
-    assert not basis_relation_check(k)
+    for left, right in ("ad", "be"):
+        with monkeypatch.context() as patch:
+            corrupt_factors(patch, k, {(left, 0): [(0, lambda f: zero)],
+                                       (right, 0): [(0, lambda f: zero)]})
+            assert not basis_relation_check(k)
 
 
 def with_changed_part(monkeypatch, route, power, change):

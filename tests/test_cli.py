@@ -10,7 +10,7 @@ import pytest
 from opucgems import algmodel, cli, lab, laurent
 from opucgems.cli import main
 from opucgems.trig import CriticalPoints, build_h
-from oracles import c_first_broken
+from oracles import c_first_broken, e_second_broken
 
 
 def run_cli(capsys, *argv):
@@ -176,6 +176,16 @@ def test_a_broken_negative_point_fails_verify(capsys, monkeypatch, fresh_exact_c
     assert all(r["status"] == "fail" and r["traceEqualsHl"] is False and r["routesEqual"]
                for r in routes)
     assert all(r["status"] == "pass" for r in records if r not in routes)
+
+
+def test_a_broken_basis_point_fails_only_its_relations(capsys, monkeypatch, fresh_exact_caches):
+    # the hom parts read c, not e: a broken e_2 breaks the basis relation of
+    # each k >= 2 and nothing else
+    monkeypatch.setattr(algmodel, "e_monomials", e_second_broken)
+    code, records, _ = run_cli(capsys, "verify", "--kmax", "4", "--dmax", "4")
+    assert code == 1
+    assert [r["case"] for r in records if r["status"] == "fail"] == \
+        [f"basis-relation k={k}" for k in (2, 3, 4)]
 
 
 def hom_sums_zero(points, degree):
